@@ -1,27 +1,6 @@
-"""Kernel backend selection.
+"""The kernel module.  Callers look kernels up as ``kernels.<name>`` at
+call time, so a kernel can be wrapped (for tracing) in one place."""
 
-ADELIC_ZETA_BACKEND=auto|c|python picks the compiled extension or the
-pure-Python kernels; auto (the default) prefers the extension and falls
-back silently.  Everything downstream imports ``kernels`` from here so the
-choice is made exactly once per process.
-"""
-
-import os
-
-_choice = os.environ.get("ADELIC_ZETA_BACKEND", "auto").strip().lower() or "auto"
-
-if _choice == "auto":
-    try:
-        from . import _ckernels as kernels
-    except ImportError:
-        from . import _pykernels as kernels
-elif _choice in ("c", "cython", "compiled"):
-    from . import _ckernels as kernels
-elif _choice in ("py", "python", "pure"):
-    from . import _pykernels as kernels
-else:
-    raise RuntimeError(
-        f"ADELIC_ZETA_BACKEND must be one of auto, c, python (got {_choice!r})"
-    )
+from . import _pykernels as kernels
 
 BACKEND = kernels.BACKEND_NAME

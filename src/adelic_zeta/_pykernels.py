@@ -1,41 +1,73 @@
-"""Pure-Python reference kernels.
+"""The numerical kernels: compensated sums, Gaussian lattice sums, Euler
+products and the integer eta q-expansion.
 
-Same call signatures as the compiled module ``_ckernels``; ``_backend``
-picks one of the two at import time.  These implementations favour clarity
-and exactness over speed, and double as an independent cross-check of the
-compiled code paths (see tests/test_backend_parity.py).
+Callers reach them through ``_backend.kernels``.  Sums are correctly
+rounded by ``math.fsum``, so they do not depend on the order of their
+terms; the q-expansion is exact integer arithmetic.
 """
 
-import cmath
 import math
+
+import numpy as np
 
 BACKEND_NAME = "python"
 
 _MAX_LATTICE_TERMS = 5_000_000
+# terms kept before a lattice sum folds its partial sums into one float, so
+# memory stays bounded however many terms a small scale needs
+_FOLD_TERMS = 1 << 16
+
+
+def _fsum(xs):
+    """math.fsum of a list of floats; an overflowing partial or inf - inf
+    gives the IEEE result of a plain sum (inf or nan) instead of raising."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return sum(xs)
 
 
 def neumaier_sum(values):
-    """Compensated (Neumaier) sum of an iterable of numbers, as complex.
+    """Sum of a sequence of numbers as complex, each part correctly rounded.
 
-    Running error stays O(eps) independent of length or cancellation
-    pattern, unlike the naive left fold.
+    Exact up to one final rounding whatever the length, order or
+    cancellation pattern, unlike the naive left fold.
     """
-    sr = cr = si = ci = 0.0
-    for v in values:
-        z = complex(v)
-        t = sr + z.real
-        if abs(sr) >= abs(z.real):
-            cr += (sr - t) + z.real
-        else:
-            cr += (z.real - t) + sr
-        sr = t
-        t = si + z.imag
-        if abs(si) >= abs(z.imag):
-            ci += (si - t) + z.imag
-        else:
-            ci += (z.imag - t) + si
-        si = t
-    return complex(sr + cr, si + ci)
+    z = np.asarray(values, dtype=complex)
+    return complex(_fsum(z.real.tolist()), _fsum(z.imag.tolist()))
+
+
+def _lattice_loop(scale, even, deg, amax, x_stop, tail_tol):
+    """The lattice sum term by term, with the truncation rule of
+    ``gauss_poly_lattice_sum``; refuses once it passes _MAX_LATTICE_TERMS."""
+    even = even[::-1]
+    re, im = [], []
+    k = 0
+    quiet = 0
+    while True:
+        k += 1
+        x = k * scale
+        w = math.exp(-math.pi * x * x) if math.pi * x * x < 745.0 else 0.0
+        if w != 0.0:
+            y = x * x
+            pe = 0j
+            for c in even:
+                pe = pe * y + c
+            term = 2.0 * w * pe
+            re.append(term.real)
+            im.append(term.imag)
+            if len(re) == _FOLD_TERMS:
+                re, im = [_fsum(re)], [_fsum(im)]
+        if x >= x_stop:
+            bound = 0.0 if w == 0.0 else 2.0 * amax * max(1.0, x) ** deg * w
+            if bound < tail_tol:
+                quiet += 1
+                if quiet >= 2:
+                    return complex(_fsum(re), _fsum(im)), k
+            else:
+                quiet = 0
+        if k >= _MAX_LATTICE_TERMS:
+            raise RuntimeError("lattice sum did not terminate (scale too small)")
 
 
 def gauss_poly_lattice_sum(scale, coeffs, tail_tol):
@@ -46,7 +78,8 @@ def gauss_poly_lattice_sum(scale, coeffs, tail_tol):
     in particular an odd P gives exactly 0.  Returns (value, kmax) where
     kmax is the last lattice index included.  Truncation: stop once past
     the hump of x^deg*exp(-pi x^2) with two consecutive term bounds below
-    ``tail_tol``.
+    ``tail_tol``.  A scale so small that the loop would pass
+    _MAX_LATTICE_TERMS is refused with RuntimeError before it starts.
     """
     if not (0.0 < scale < math.inf):
         raise ValueError("scale must be positive and finite")
@@ -57,63 +90,37 @@ def gauss_poly_lattice_sum(scale, coeffs, tail_tol):
     amax = sum(abs(c) for c in coeffs)
     # beyond x_stop the term bound 2*amax*max(1,x)^deg*exp(-pi x^2) decreases
     x_stop = max(1.0, math.sqrt(deg / (2.0 * math.pi)) + 0.5)
-    sr = cr = si = ci = 0.0
-    k = 0
-    quiet = 0
-    while True:
-        k += 1
-        x = k * scale
-        w = math.exp(-math.pi * x * x) if math.pi * x * x < 745.0 else 0.0
-        if w != 0.0:
-            y = x * x
-            pe = 0j
-            for c in reversed(even):
-                pe = pe * y + c
-            term = 2.0 * w * pe
-            t = sr + term.real
-            if abs(sr) >= abs(term.real):
-                cr += (sr - t) + term.real
-            else:
-                cr += (term.real - t) + sr
-            sr = t
-            t = si + term.imag
-            if abs(si) >= abs(term.imag):
-                ci += (si - t) + term.imag
-            else:
-                ci += (term.imag - t) + si
-            si = t
-        if x >= x_stop:
-            bound = 0.0 if w == 0.0 else 2.0 * amax * max(1.0, x) ** deg * w
-            if bound < tail_tol:
-                quiet += 1
-                if quiet >= 2:
-                    return complex(sr + cr, si + ci), k
-            else:
-                quiet = 0
-        if k >= _MAX_LATTICE_TERMS:
-            raise RuntimeError("lattice sum did not terminate (scale too small)")
+    # The loop stops one index after a point x >= x_stop where the term
+    # bound is below tail_tol (so x > sqrt(log(2*amax/tail_tol)/pi)) or the
+    # weight underflows (x >= sqrt(745/pi)).  If even the first such x lies
+    # past the last allowed index, the loop would refuse; do it now.
+    ratio = 2.0 * amax / tail_tol
+    x_first = math.sqrt(math.log(ratio) / math.pi) if ratio > 1.0 else 0.0
+    x_first = max(x_stop, min(x_first, math.sqrt(745.0 / math.pi)))
+    if x_first / scale > _MAX_LATTICE_TERMS:
+        raise RuntimeError("lattice sum did not terminate (scale too small)")
+    return _lattice_loop(scale, even, deg, amax, x_stop, tail_tol)
 
 
 def euler_product(primes, coeffs, s):
     """prod_p 1/poly_p(p^{-s}); ``coeffs[i]`` are the ascending coefficients
-    of the local polynomial at ``primes[i]``.
+    of the local polynomial at ``primes[i]``, all of one length.
 
-    Primes must come sorted ascending so the accumulation order (and hence
-    the rounding pattern) is deterministic across backends.
+    The local factors are evaluated together by Horner's rule and
+    multiplied by ``np.prod``.
     """
     s = complex(s)
-    res = 1.0 + 0.0j
-    for i in range(len(primes)):
-        p = primes[i]
-        x = cmath.exp(-s * math.log(p))
-        row = coeffs[i]
-        val = 0j
-        for j in range(len(row) - 1, -1, -1):
-            val = val * x + complex(row[j])
-        if abs(val) < 1e-300:
-            raise ZeroDivisionError(f"local factor vanishes at p={p}")
-        res /= val
-    return res
+    x = np.exp(-s * np.log(np.asarray(primes, dtype=float)))
+    rows = np.asarray(coeffs, dtype=complex)
+    val = np.zeros_like(x)
+    for col in rows.T[::-1]:
+        val = val * x + col
+    vanish = np.abs(val) < 1e-300
+    if vanish.any():
+        raise ZeroDivisionError(
+            f"local factor vanishes at p={primes[int(np.argmax(vanish))]}"
+        )
+    return complex(1.0 / np.prod(val))
 
 
 def _square_truncated(a, length):

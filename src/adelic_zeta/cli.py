@@ -120,7 +120,11 @@ def _cmd_lfun_zeta(args) -> dict:
 
 
 def _cmd_lfun_lambda_zeta(args) -> dict:
-    value = lfun.completed_lambda_zeta(args.s, abs_tol=args.tol)
+    s = args.s
+    # outside its documented window the value's accuracy is unknown
+    if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
+        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= 60")
+    value = lfun.completed_lambda_zeta(s, abs_tol=args.tol)
     return _report(
         "lfun.lambda-zeta",
         {"s": args.s, "tol": args.tol},
@@ -130,7 +134,12 @@ def _cmd_lfun_lambda_zeta(args) -> dict:
 
 
 def _cmd_lfun_lambda_delta(args) -> dict:
-    value = lfun.completed_lambda_delta(args.s, abs_tol=args.tol)
+    s = args.s
+    if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
+        raise ValueError(
+            f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
+        )
+    value = lfun.completed_lambda_delta(s, abs_tol=args.tol)
     return _report(
         "lfun.lambda-delta",
         {"s": args.s, "tol": args.tol},
@@ -140,6 +149,12 @@ def _cmd_lfun_lambda_delta(args) -> dict:
 
 
 def _cmd_lfun_euler(args) -> dict:
+    # the prime sieve bounds zeta's product; the tau table bounds delta's
+    limit = lfun._MAX_SIEVE if args.which == "zeta" else lfun._MAX_TAU
+    if args.pmax > limit:
+        raise ValueError(
+            f"--pmax must be at most {limit} for --which {args.which} (got {args.pmax})"
+        )
     if args.which == "zeta":
         if args.normalization == "arithmetic":
             raise ValueError("zeta has no separate arithmetic normalization")

@@ -112,10 +112,11 @@ class CoeffTable:
 
 
 def tau_coefficients(n: int) -> CoeffTable:
-    """tau(1..n) as exact integers via the backend eta-power kernel.
+    """tau(1..n) as exact integers via the eta-power kernel.
 
-    Wide (128-bit / bignum) arithmetic throughout; n is capped where the
-    compiled path's overflow analysis is valid.
+    Exact big-integer arithmetic throughout, so no entry can overflow.  n
+    is capped at _MAX_TAU to bound the time and memory of one call: the
+    squarings work on integers of a few hundred bits per coefficient.
     """
     if not (1 <= n <= _MAX_TAU):
         raise ValueError(f"n must lie in [1, {_MAX_TAU}]")
@@ -158,7 +159,7 @@ def zeta_em(s: complex, terms: int = 100, order: int = 10) -> complex:
     if s.real < 1 - 2 * order:
         raise ValueError("order too small for this far left of the critical strip")
     n_arr = np.arange(1, terms + 1, dtype=float)
-    head = sum_compensated(list(np.exp(-s * np.log(n_arr))))
+    head = sum_compensated(np.exp(-s * np.log(n_arr)))
     big_n = float(terms)
     tail = big_n ** (1.0 - s) / (s - 1.0) - 0.5 * big_n ** (-s)
     corr = 0j
@@ -342,7 +343,7 @@ def dirichlet_partial_sum(table: CoeffTable, s: complex, n_terms: int | None = N
     n_terms = len(table) if n_terms is None else min(n_terms, len(table))
     n_arr = np.arange(1, n_terms + 1, dtype=float)
     a_arr = np.array(table.values[:n_terms], dtype=float)
-    return complex(sum_compensated(list(a_arr * np.exp(-s * np.log(n_arr)))))
+    return complex(sum_compensated(a_arr * np.exp(-s * np.log(n_arr))))
 
 
 _LAMBDA_SPEC = QuadratureSpec(

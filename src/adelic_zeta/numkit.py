@@ -3,7 +3,7 @@ finite intervals, compensated summation, and sign-change root location.
 
 Complex numbers are plain builtin ``complex`` throughout; callers are
 expected to keep both components finite.  All routines are deterministic:
-the same inputs produce bit-identical results on a given backend.
+the same inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def integrate_finite(
             vals = np.asarray(f(nodes), dtype=complex)
         else:
             vals = np.array([complex(f(x)) for x in nodes])
-        cur = complex(kernels.neumaier_sum(list(vals * weights)))
+        cur = complex(kernels.neumaier_sum(vals * weights))
         total_nodes += nodes.size
         if prev is not None:
             err = abs(cur - prev)
@@ -228,8 +228,8 @@ def integrate_finite(
 
 
 def sum_compensated(terms: Sequence[complex]) -> complex:
-    """Neumaier-compensated sum; immune to magnitude staircases that defeat
-    plain Kahan accumulation."""
+    """Correctly rounded sum (math.fsum per part); immune to magnitude
+    staircases that defeat plain Kahan accumulation."""
     return kernels.neumaier_sum(terms)
 
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,19 +34,6 @@ _RULE_VARIANTS = {
     "strict-literal": "literal",
     "inclusive": "inclusive",
 }
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ADELIC_ZETA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            "ADELIC_ZETA_THREADS must be a positive integer, got %r" % raw
-        ) from None
-    if n < 1:
-        raise ValueError("ADELIC_ZETA_THREADS must be >= 1, got %d" % n)
-    return n
 
 
 class CriticalLineFn:
@@ -237,11 +222,6 @@ def scan_zeros(
     that window exceeds where the samplers resolve zeros sharply (see
     CriticalLineFn); locations returned above t ~ 40 (zeta) / t ~ 25
     (delta) are increasingly noise-limited.
-
-    Grid evaluation honors ADELIC_ZETA_THREADS by pre-filling the sample
-    cache over contiguous subintervals in a thread pool; bracketing then
-    runs serially over the cached values, so output is independent of
-    the thread count.
     """
     t_from, t_to, step, tol = float(t_from), float(t_to), float(step), float(tol)
     if not (0.0 <= t_from < t_to <= 60.0):
@@ -254,13 +234,6 @@ def scan_zeros(
     n = int(math.ceil((t_to - t_from) / step - 1e-12))
     xs = [t_from + i * step for i in range(n)]
     xs.append(t_to)
-
-    threads = _thread_count()
-    if threads > 1:
-        chunk = max(1, (len(xs) + threads - 1) // threads)
-        parts = [xs[i : i + chunk] for i in range(0, len(xs), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda part: [F(x) for x in part], parts))
 
     vals = [F(x) for x in xs]
 

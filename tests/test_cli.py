@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -150,5 +151,42 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_nonconvergence_is_runtime_error(self, capsys):
+        # the lattice-sum guard refuses before the loop starts
+        start = time.perf_counter()
         code, _, err = run(capsys, ["theta", "eval", "--fn", "gaussian", "--t", "1e-300"])
         assert code == 3 and err
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("s", ["0.5+200j", "0.5-60.5j", "41", "-40.5+3j"])
+    def test_lambda_zeta_outside_window_refused(self, capsys, s):
+        code, out, err = run(capsys, ["lfun", "lambda-zeta", "--s=" + s])
+        assert code == 2 and out == ""
+        assert "|Re s| <= 40, |Im s| <= 60" in err
+
+    @pytest.mark.parametrize("s", ["6+50.5j", "6-51j", "52+1j", "-28.5", "-41"])
+    def test_lambda_delta_outside_window_refused(self, capsys, s):
+        code, out, err = run(capsys, ["lfun", "lambda-delta", "--s=" + s])
+        assert code == 2 and out == ""
+        assert "|Im s| <= 50" in err
+
+    def test_completed_functions_accepted_on_window_edges(self, capsys):
+        for argv in (
+            ["lfun", "lambda-zeta", "--s=0.5+60j"],
+            ["lfun", "lambda-zeta", "--s=-40"],
+            ["lfun", "lambda-delta", "--s=6-50j"],
+            ["lfun", "lambda-delta", "--s=-28+2j"],
+            ["lfun", "lambda-delta", "--s=40"],
+        ):
+            doc = run_json(capsys, argv)
+            assert math.isfinite(doc["outputs"]["value"]["re"])
+
+    @pytest.mark.parametrize(
+        "which, pmax, limit", [("delta", "200000", "100000"), ("zeta", "500000", "400000")]
+    )
+    def test_pmax_refusal_names_the_flag(self, capsys, which, pmax, limit):
+        code, out, err = run(
+            capsys, ["lfun", "euler", "--which", which, "--s", "7", "--pmax", pmax]
+        )
+        assert code == 2 and out == ""
+        assert "--pmax" in err and limit in err
+        assert "n must" not in err and "sieve" not in err

@@ -147,19 +147,6 @@ class TestScan:
 
 
 class TestThreads:
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.delenv("ADELIC_ZETA_THREADS", raising=False)
-        base = scan_zeros(CriticalLineFn("zeta"), 10.0, 26.0)
-        monkeypatch.setenv("ADELIC_ZETA_THREADS", "3")
-        threaded = scan_zeros(CriticalLineFn("zeta"), 10.0, 26.0)
-        assert base.ordinates() == threaded.ordinates()
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        for bad in ("abc", "0", "-2"):
-            monkeypatch.setenv("ADELIC_ZETA_THREADS", bad)
-            with pytest.raises(ValueError):
-                scan_zeros(CriticalLineFn("zeta"), 10.0, 11.0)
-
     def test_concurrent_evaluation_consistent(self):
         F = CriticalLineFn("zeta")
         ts = [10.0 + 0.05 * i for i in range(80)]
