@@ -102,6 +102,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """Value and error estimate of a quadrature, with the refinement level
+    it stopped at and ``nodes``, the number of distinct integrand
+    evaluations it made.  The half-line rule reuses the nodes of coarser
+    levels, so there this is fewer than the nodes summed over all levels."""
+
     value: complex
     error_estimate: float
     refinements: int
@@ -110,67 +115,121 @@ class QuadResult:
 
 _HPI = math.pi / 2.0
 _U_CAP = 6.7  # exp((pi/2)*sinh(u)) stays inside double range up to here
+_FIRST_NODES = 8  # nodes per side evaluated at once on the coarsest level
 
 
-def _expsinh_level(f, h: float, term_tol: float):
-    """Trapezoid sum over the exp-sinh transformed half line at step h.
+class _ExpSinhLevels:
+    """Trapezoid sums over the exp-sinh transformed half line at steps
+    0.5, 0.25, ..., keeping the terms already computed.
 
     t(u) = exp((pi/2) sinh u); each side of u=0 is scanned outward until
     three consecutive terms fall below term_tol (the weight collapses
-    double-exponentially once the integrand decays at all).
+    double-exponentially once the integrand decays at all) or |u| passes
+    _U_CAP.  Halving the step keeps every node, since k*h is bitwise
+    (2k)*(h/2), so a level evaluates only its new nodes: all of them in one
+    call of ``f_batch``, plus one call per extension when a side scans past
+    the end of the previous level.
     """
-    terms = []
-    nodes = 0
-    for direction in (0, 1, -1):
-        k = direction
-        quiet = 0
-        while True:
-            u = k * h
-            if abs(u) > _U_CAP:
-                break
-            sh = math.sinh(u)
-            t = math.exp(_HPI * sh)
-            w = t * _HPI * math.cosh(u)
-            fv = f(t)
-            term = complex(fv) * w
-            terms.append(term)
-            nodes += 1
-            if direction == 0:
-                break
-            if abs(term) < term_tol:
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
-            k += direction
-    return kernels.neumaier_sum(terms) * h, nodes
+
+    def __init__(self, f_batch, term_tol):
+        self.f_batch = f_batch
+        self.term_tol = term_tol
+        self.nodes = 0
+        self.h = 0.5
+        self.center = self._terms(np.array([0.0]))[0]
+        # per side d = +1, -1: the terms at u = d*k*h for k = 1..n (known
+        # where ``have`` is set) and the last k the current level sums
+        self.terms = {1: np.empty(0, dtype=complex), -1: np.empty(0, dtype=complex)}
+        self.have = {1: np.empty(0, dtype=bool), -1: np.empty(0, dtype=bool)}
+        self.stop = {}
+
+    def _terms(self, us):
+        ts, ws = [], []
+        for u in us.tolist():
+            t = math.exp(_HPI * math.sinh(u))
+            ts.append(t)
+            ws.append(t * _HPI * math.cosh(u))
+        self.nodes += len(ts)
+        return np.asarray(self.f_batch(np.array(ts)), dtype=complex) * np.array(ws)
+
+    def _scan_end(self, d, cap):
+        """Last k the scan of side d sums, or None if the terms known so far
+        end before the scan does."""
+        quiet = np.abs(self.terms[d]) < self.term_tol
+        run = quiet[2:] & quiet[1:-1] & quiet[:-2]
+        if run.any():
+            return int(np.argmax(run)) + 3
+        return cap if quiet.size == cap else None
+
+    def _grow(self, d, n):
+        pad = n - self.terms[d].size
+        self.terms[d] = np.concatenate((self.terms[d], np.zeros(pad, dtype=complex)))
+        self.have[d] = np.concatenate((self.have[d], np.zeros(pad, dtype=bool)))
+
+    def level(self, refine):
+        """The trapezoid sum at the next step (step 0.5 on the first call)."""
+        if refine:
+            self.h *= 0.5
+            for d in (1, -1):
+                n = self.stop[d]
+                terms = np.zeros(2 * n, dtype=complex)
+                terms[1::2] = self.terms[d][:n]
+                have = np.zeros(2 * n, dtype=bool)
+                have[1::2] = True
+                self.terms[d], self.have[d] = terms, have
+        h = self.h
+        cap = math.floor(_U_CAP / h)
+        for d in (1, -1):
+            self._grow(d, min(cap, max(self.terms[d].size, _FIRST_NODES)))
+        self.stop = {}
+        while len(self.stop) < 2:
+            open_sides = [d for d in (1, -1) if d not in self.stop]
+            gaps = {d: np.flatnonzero(~self.have[d]) for d in open_sides}
+            vals = self._terms(np.concatenate([d * (gaps[d] + 1) * h for d in open_sides]))
+            at = 0
+            for d in open_sides:
+                self.terms[d][gaps[d]] = vals[at : at + gaps[d].size]
+                self.have[d][gaps[d]] = True
+                at += gaps[d].size
+                end = self._scan_end(d, cap)
+                if end is None:
+                    n = self.terms[d].size
+                    self._grow(d, min(cap, n + max(4, n // 4)))
+                else:
+                    self.stop[d] = end
+        summed = [np.array([self.center])] + [self.terms[d][: self.stop[d]] for d in (1, -1)]
+        return kernels.neumaier_sum(np.concatenate(summed)) * h
 
 
 def integrate_halfline(
-    f: Callable[[float], complex], spec: QuadratureSpec | None = None
+    f: Callable, spec: QuadratureSpec | None = None, vectorized: bool = False
 ) -> QuadResult:
     """Integrate f over (0, infinity) by the double-exponential substitution
     t = exp((pi/2) sinh u), halving the step until two levels agree.
 
     Suited to integrands with a finite limit at 0 and eventual decay; not
     for oscillatory tails.  Raises NonConvergenceError when max_refinements
-    halvings cannot reach the tolerance.
+    halvings cannot reach the tolerance.  With vectorized=True, f receives
+    one ndarray of the new nodes of a level and must return the matching
+    array of values; either way every level sums the same terms.  Since a
+    level's nodes are evaluated before its scan is checked, f may also be
+    evaluated a few nodes past the point where a side's scan stops.
     """
     spec = spec or QuadratureSpec()
     if spec.transform != "half_line_double_exponential":
         raise ValueError("integrate_halfline requires the half-line transform")
-    term_tol = spec.target_abs_tol * 1e-3
-    h = 0.5
-    prev, nodes_total = _expsinh_level(f, h, term_tol)
-    total_nodes = nodes_total
+    if vectorized:
+        f_batch = f
+    else:
+        def f_batch(ts):
+            return np.array([complex(f(t)) for t in ts.tolist()], dtype=complex)
+    rule = _ExpSinhLevels(f_batch, spec.target_abs_tol * 1e-3)
+    prev = rule.level(refine=False)
     for level in range(1, spec.max_refinements + 1):
-        h *= 0.5
-        cur, nodes = _expsinh_level(f, h, term_tol)
-        total_nodes += nodes
+        cur = rule.level(refine=True)
         err = abs(cur - prev)
         if err <= spec.target_abs_tol and level >= 2:
-            return QuadResult(cur, err, level, total_nodes)
+            return QuadResult(cur, err, level, rule.nodes)
         prev = cur
     raise NonConvergenceError(
         f"half-line quadrature stalled above tol={spec.target_abs_tol:g} "

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from ._backend import kernels
 from .numkit import (
     PoleError,
@@ -41,6 +43,7 @@ __all__ = [
     "is_S0",
     "E_eval",
     "E_eval_report",
+    "E_batch",
     "functional_eq_residual",
     "decay_constant",
     "dyadic_grid",
@@ -221,30 +224,45 @@ class EEvalReport:
     term_counts: tuple[tuple[float, int], ...]
 
 
-def E_eval_report(f: AdelicTestFn, t: float) -> EEvalReport:
-    """E(f)(t) = sqrt(t) * sum over nonzero rationals gamma of
-    f_fin(gamma) f_arch(gamma t), with the per-scale lattice truncation
-    radius that the kernel actually used.
+def _E_with_counts(f: AdelicTestFn, ts: np.ndarray):
+    """E(f) at every t of ``ts``, and per finite term (m, kmax per t).
 
     The rational points of 1_{m Zhat} are the nonzero integer multiples of
-    m, so each tensor term is one theta-like lattice sum at scale m*t.
+    m, so each finite term is one theta-like lattice sum at scale m*t; the
+    sums of one tensor summand at every t are one kernel call.
     """
-    if not (t > 0.0) or math.isinf(t):
+    if not ((ts > 0.0) & (ts < math.inf)).all():
         raise ValueError("t must lie in (0, inf)")
     parts = []
     counts = []
-    radius = 0.0
     for fin, arch in f.summands:
-        for c, m in fin.terms:
-            scale = float(m) * t
-            val, kmax = kernels.gauss_poly_lattice_sum(scale, arch.coeffs, _TAIL_TOL)
-            parts.append(c * val)
-            counts.append((float(m), int(kmax)))
-            radius = max(radius, float(m) * kmax)
-    total = complex(sum_compensated(parts))
-    if total == 0j:
-        return EEvalReport(0j, radius, tuple(counts))
-    return EEvalReport(math.sqrt(t) * total, radius, tuple(counts))
+        ms = [float(m) for _c, m in fin.terms]
+        sums, kmax = kernels.gauss_poly_lattice_sums(
+            np.outer(ms, ts).ravel(), arch.coeffs, _TAIL_TOL
+        )
+        cs = np.array([c for c, _m in fin.terms])
+        parts.append(cs[:, None] * sums.reshape(len(ms), -1))
+        counts.extend(zip(ms, kmax.reshape(len(ms), -1)))
+    total = kernels.row_sums(np.concatenate(parts).T)
+    return np.where(total == 0, 0j, np.sqrt(ts) * total), counts
+
+
+def E_batch(f: AdelicTestFn, ts) -> np.ndarray:
+    """E(f)(t) at every t of an array, as a complex ndarray; the batched
+    form of E_eval, with one lattice-kernel call per tensor summand."""
+    return _E_with_counts(f, np.asarray(ts, dtype=float))[0]
+
+
+def E_eval_report(f: AdelicTestFn, t: float) -> EEvalReport:
+    """E(f)(t) = sqrt(t) * sum over nonzero rationals gamma of
+    f_fin(gamma) f_arch(gamma t), with the per-scale lattice truncation
+    radius that the kernel actually used."""
+    if not (t > 0.0) or math.isinf(t):
+        raise ValueError("t must lie in (0, inf)")
+    values, counts = _E_with_counts(f, np.array([t], dtype=float))
+    term_counts = tuple((m, int(kmax[0])) for m, kmax in counts)
+    radius = max([0.0] + [m * kmax for m, kmax in term_counts])
+    return EEvalReport(complex(values[0]), radius, term_counts)
 
 
 def E_eval(f: AdelicTestFn, t: float) -> complex:
@@ -284,8 +302,8 @@ def decay_constant(f: AdelicTestFn, n: int, grid: Sequence[float] | None = None)
     if not grid or any(not (g > 0.0) for g in grid):
         raise ValueError("grid must contain positive points")
     best = 0.0
-    for t in grid:
-        best = max(best, abs(E_eval(f, t)) * max(t, 1.0 / t) ** n)
+    for t, value in zip(grid, E_batch(f, grid).tolist()):
+        best = max(best, abs(value) * max(t, 1.0 / t) ** n)
     return best
 
 
@@ -293,17 +311,29 @@ _MELLIN_SPEC = QuadratureSpec(target_abs_tol=1e-11, max_refinements=9)
 _POLE_GUARD = 0.05
 
 
-def _halfline_mellin_part(f: AdelicTestFn, a: complex, spec: QuadratureSpec) -> complex:
+def _halfline_mellin_part(
+    f: AdelicTestFn, a: complex, spec: QuadratureSpec, batched: bool = True
+) -> complex:
     """int_0^inf E(f, e^v) e^(a v) dv, the t >= 1 half of a Mellin integral
-    in logarithmic coordinates."""
+    in logarithmic coordinates; batched=False evaluates E node by node."""
+    if batched:
+        def integrand(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(v.shape, dtype=complex)
+            live = np.flatnonzero(v < 700.0)
+            ev = E_batch(f, np.exp(v[live]))
+            nonzero = ev != 0
+            live = live[nonzero]
+            out[live] = ev[nonzero] * np.exp(a * v[live])
+            return out
 
-    def integrand(v: float) -> complex:
-        ev = E_eval(f, math.exp(v)) if v < 700.0 else 0j
-        if ev == 0j:
-            return 0j
-        return ev * cmath.exp(a * v)
+    else:
+        def integrand(v: float) -> complex:
+            ev = E_eval(f, math.exp(v)) if v < 700.0 else 0j
+            if ev == 0j:
+                return 0j
+            return ev * cmath.exp(a * v)
 
-    return integrate_halfline(integrand, spec).value
+    return integrate_halfline(integrand, spec, vectorized=batched).value
 
 
 def mellin_E(
@@ -338,7 +368,7 @@ def mellin_E(
         # not the production path.
         if s.real <= 0.5 + 1e-9:
             raise ValueError("direct Mellin integration needs Re s > 1/2")
-        upper = _halfline_mellin_part(f, s, spec)
+        upper = _halfline_mellin_part(f, s, spec, batched=False)
         w_cut = 6.9
 
         def integrand(v: float) -> complex:
@@ -405,7 +435,7 @@ class EProfile:
     grid: tuple[float, ...]
 
     def rows(self) -> list[tuple[float, complex]]:
-        return [(t, E_eval(self.f, t)) for t in self.grid]
+        return list(zip(self.grid, E_batch(self.f, self.grid).tolist()))
 
     def to_csv(self) -> str:
         lines = ["t,E"]

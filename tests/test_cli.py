@@ -157,6 +157,22 @@ class TestExitCodes:
         assert code == 3 and err
         assert time.perf_counter() - start < 0.5
 
+    def test_refusal_is_fast_for_every_degree(self, capsys):
+        # the stopping index includes the max(1, x)^deg factor of the term
+        # bound, so a scale just past the cap is refused without summing
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["theta", "eval", "--fn", "s0", "--p", "2", "--t", "7.3e-7"])
+        assert code == 3 and err
+        assert time.perf_counter() - start < 0.5
+
+    def test_long_lattice_sums_run_in_chunks(self, capsys):
+        # ~5.5M lattice terms; the counts are those of the term-by-term loop
+        start = time.perf_counter()
+        doc = run_json(capsys, ["theta", "eval", "--fn", "s0", "--p", "2", "--t", "1e-6"])
+        assert time.perf_counter() - start < 1.0
+        assert doc["outputs"]["term_counts"] == [[1.0, 3675491], [2.0, 1837746]]
+        assert doc["outputs"]["truncation_radius"] == 3675492.0
+
     @pytest.mark.parametrize("s", ["0.5+200j", "0.5-60.5j", "41", "-40.5+3j"])
     def test_lambda_zeta_outside_window_refused(self, capsys, s):
         code, out, err = run(capsys, ["lfun", "lambda-zeta", "--s=" + s])

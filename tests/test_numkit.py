@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic_zeta.numkit import (
     NonConvergenceError,
@@ -107,6 +110,44 @@ class TestHalfLineQuadrature:
         spec = QuadratureSpec(transform="finite_gauss")
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: math.exp(-x), spec)
+
+    # (scalar, vectorized) forms of the integrands above, scaled by a >= 1
+    # so every integral stays below 2
+    INTEGRANDS = (
+        (lambda a: lambda x: math.exp(-a * x), lambda a: lambda x: np.exp(-a * x)),
+        (lambda a: lambda x: math.exp(-a * x * x), lambda a: lambda x: np.exp(-a * x * x)),
+        (
+            lambda a: lambda x: x * x * math.exp(-a * x),
+            lambda a: lambda x: x * x * np.exp(-a * x),
+        ),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        which=st.integers(0, 2),
+        a=st.floats(1.0, 4.0),
+        tol=st.sampled_from((1e-8, 1e-10, 1e-12)),
+    )
+    def test_vectorized_matches_scalar(self, which, a, tol):
+        scalar, vector = self.INTEGRANDS[which]
+        spec = QuadratureSpec(target_abs_tol=tol)
+        q = integrate_halfline(scalar(a), spec)
+        v = integrate_halfline(vector(a), spec, vectorized=True)
+        assert v.refinements == q.refinements
+        assert v.nodes == q.nodes
+        assert abs(v.value - q.value) <= 1e-15
+
+    def test_levels_reuse_coarser_nodes(self):
+        # every node is evaluated once, however many levels sum it
+        seen = []
+
+        def f(ts):
+            seen.extend(ts.tolist())
+            return np.exp(-ts)
+
+        q = integrate_halfline(f, vectorized=True)
+        assert q.refinements >= 2
+        assert q.nodes == len(seen) == len(set(seen))
 
 
 class TestFiniteQuadrature:

@@ -7,13 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kernels import loop_lattice_sum
 
+from adelic_zeta import theta
 from adelic_zeta.lfun import completed_lambda_zeta
 from adelic_zeta.numkit import PoleError
 from adelic_zeta.theta import (
     AdelicTestFn,
     ArchTestFn,
     EProfile,
+    E_batch,
     E_eval,
     E_eval_report,
     FiniteTestFn,
@@ -180,6 +185,24 @@ class TestEEval:
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 E_eval(standard_gaussian(), bad)
+            with pytest.raises(ValueError):
+                E_batch(standard_gaussian(), [1.0, bad])
+
+    def test_batch_matches_pointwise(self):
+        ts = np.array(dyadic_grid(-7, 5, per_octave=3))
+        for f in (standard_gaussian(), make_S0(3), seeded_fn(random.Random(3), False)):
+            batch = E_batch(f, ts)
+            for t, value in zip(ts, batch):
+                one = E_eval(f, float(t))
+                assert abs(value - one) <= 1e-15 * max(1.0, abs(one)), t
+        assert E_batch(standard_gaussian(), []).shape == (0,)
+
+    def test_report_counts_are_the_loop_indices(self):
+        f = make_S0(2)
+        for t in (0.03, 0.9, 7.0):
+            rep = E_eval_report(f, t)
+            for m, kmax in rep.term_counts:
+                assert kmax == loop_lattice_sum(m * t, (0.0, 0.0, 1.0), 1e-17)[1]
 
 
 class TestFunctionalEquation:
@@ -199,6 +222,33 @@ class TestFunctionalEquation:
         nohat = E_eval(f, 1.0 / t) + f.at_zero() / math.sqrt(t)
         assert abs(lhs - nohat) > 0.5
         assert functional_eq_residual(f, t) < 1e-13
+
+
+def seeded_fn(rng: random.Random, in_s0: bool) -> AdelicTestFn:
+    """(c_1 1_Zhat + c_2 1_{m Zhat}) (x) P(u) exp(-pi u^2), deg P <= 4 and
+    m in {2, 3}; in S0 when c_2 = -m c_1 and P(0) = 0."""
+    m = rng.choice((2, 3))
+    c = complex(rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5))
+    c2 = -m * c if in_s0 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(1, 5))]
+    if in_s0:
+        coeffs = [0j] + coeffs[:4]
+    fin = FiniteTestFn(((c, Fraction(1)), (c2, Fraction(m))))
+    return AdelicTestFn(((fin, ArchTestFn(tuple(coeffs))),))
+
+
+def reflected_per_node(f: AdelicTestFn, s: complex) -> complex:
+    """mellin_E's reflected formula with E evaluated one quadrature node at
+    a time (scalar integrate_halfline over E_eval)."""
+    fhat = f.fourier()
+    spec = theta._MELLIN_SPEC
+    out = theta._halfline_mellin_part(f, s, spec, batched=False)
+    out += theta._halfline_mellin_part(fhat, -s, spec, batched=False)
+    if fhat.at_zero() != 0j:
+        out += fhat.at_zero() / (s - 0.5)
+    if f.at_zero() != 0j:
+        out -= f.at_zero() / (s + 0.5)
+    return out
 
 
 class TestMellin:
@@ -230,10 +280,42 @@ class TestMellin:
         assert mellin_E(standard_gaussian(), 2.0).imag == 0.0
         assert mellin_E(make_S0(2), 1.3).imag == 0.0
 
+    def test_batched_route_matches_per_node_route(self):
+        rng = random.Random(20261018)
+        for i in range(8):
+            f = seeded_fn(rng, in_s0=i % 2 == 0)
+            s = complex(rng.choice((-1.8, -1.1, 0.1, 0.9, 1.7)), rng.uniform(-4.0, 4.0))
+            got = mellin_E(f, s)
+            assert abs(got - reflected_per_node(f, s)) <= 1e-15, (f, s)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+        weights=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+        m=st.sampled_from((2, 3)),
+        s=st.floats(0.8, 3.0),
+    )
+    def test_real_on_real_input_property(self, coeffs, weights, m, s):
+        # real test functions have real transforms at real s, exactly
+        fin = FiniteTestFn(((weights[0], Fraction(1)), (weights[1], Fraction(m))))
+        f = AdelicTestFn(((fin, ArchTestFn(tuple(coeffs))),))
+        assert mellin_E(f, s).imag == 0.0
+
     def test_linear_in_the_test_function(self):
         g, h = standard_gaussian(), make_S0(2)
         both = AdelicTestFn(g.summands + h.summands)
         s = 2.0 + 1.0j
+        lhs = mellin_E(both, s)
+        rhs = mellin_E(g, s) + mellin_E(h, s)
+        assert abs(lhs - rhs) < 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), re=st.floats(0.8, 2.5), im=st.floats(-3.0, 3.0))
+    def test_linear_in_the_test_function_property(self, seed, re, im):
+        rng = random.Random(seed)
+        g, h = seeded_fn(rng, True), seeded_fn(rng, False)
+        both = AdelicTestFn(g.summands + h.summands)
+        s = complex(re, im)
         lhs = mellin_E(both, s)
         rhs = mellin_E(g, s) + mellin_E(h, s)
         assert abs(lhs - rhs) < 1e-10
