@@ -10,6 +10,7 @@ satake   double cosets, spherical transform, local factors (exact rank <= 2)
 lfun     coefficient tables, Euler products, completed zeta / weight-12 cusp form
 theta    restricted test functions, Fourier pairs, lattice sums, Mellin side
 polya    critical-line samplers, zero scans, band discretization, bounds
+records  JSON round trips of the value objects, CSV and text views
 cli      reproducible batch commands over all of the above
 """
 

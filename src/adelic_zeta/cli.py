@@ -10,13 +10,12 @@ poles), 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from ._backend import BACKEND
 from .numkit import NonConvergenceError, PoleError
-from . import lfun, polya, satake, theta
+from . import lfun, polya, records, satake, theta
 
 _SCHEMA = "adelic-zeta.report.v1"
 
@@ -42,68 +41,28 @@ def _complex_tuple_arg(text: str) -> tuple[complex, ...]:
         raise argparse.ArgumentTypeError("expected comma-separated complex numbers")
 
 
-def _normalize(obj):
-    """Make a report JSON-ready: complex -> {re, im}, Fraction -> string,
-    tuples -> lists, recursively."""
-    if isinstance(obj, complex):
-        return {"im": obj.imag, "re": obj.real}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, float) and obj != obj:
-        return "nan"
-    return obj
-
-
 def _report(command: str, inputs: dict, outputs: dict, provenance: list[str]) -> dict:
     return {
         "schema": _SCHEMA,
         "command": command,
         "backend": BACKEND,
-        "inputs": _normalize(inputs),
-        "outputs": _normalize(outputs),
+        "inputs": inputs,
+        "outputs": outputs,
         "provenance": provenance,
     }
 
 
-def _flatten(obj, prefix: str = "") -> dict:
-    flat = {}
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            flat.update(_flatten(obj[k], f"{prefix}{k}." if prefix else f"{k}."))
-        return flat
-    key = prefix[:-1] if prefix.endswith(".") else prefix
-    if isinstance(obj, list):
-        flat[key] = ";".join(str(v) for v in obj)
-    else:
-        flat[key] = obj
-    return flat
-
-
 def _emit(report: dict, fmt: str) -> None:
+    """Write the report through `records`: json as is, csv as the table's
+    rows (or one row of all outputs), text as flattened `key = value` lines."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-        return
-    if fmt == "csv":
-        table = report["outputs"].get("table")
-        if isinstance(table, list) and table and isinstance(table[0], dict):
-            cols = sorted(table[0])
-            sys.stdout.write(",".join(cols) + "\n")
-            for row in table:
-                sys.stdout.write(
-                    ",".join(str(_flatten(row[c])[""] if isinstance(row[c], dict) else row[c]) for c in cols) + "\n"
-                )
-            return
-        flat = _flatten(report["outputs"])
-        sys.stdout.write(",".join(flat) + "\n")
-        sys.stdout.write(",".join(str(v) for v in flat.values()) + "\n")
-        return
-    # text
-    for key, value in _flatten(report).items():
-        sys.stdout.write(f"{key} = {value}\n")
+        sys.stdout.write(records.dumps(report) + "\n")
+    elif fmt == "csv":
+        outputs = report["outputs"]
+        sys.stdout.write(records.csv_text(outputs.get("table") or [outputs]))
+    else:
+        for key, value in records.flatten(records.plain(report)).items():
+            sys.stdout.write(f"{key} = {value}\n")
 
 
 # ---------------------------------------------------------------- handlers
@@ -120,11 +79,7 @@ def _cmd_lfun_zeta(args) -> dict:
 
 
 def _cmd_lfun_lambda_zeta(args) -> dict:
-    s = args.s
-    # outside its documented window the value's accuracy is unknown
-    if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
-        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= 60")
-    value = lfun.completed_lambda_zeta(s, abs_tol=args.tol)
+    value = lfun.completed_lambda_zeta(args.s, abs_tol=args.tol)
     return _report(
         "lfun.lambda-zeta",
         {"s": args.s, "tol": args.tol},
@@ -134,12 +89,7 @@ def _cmd_lfun_lambda_zeta(args) -> dict:
 
 
 def _cmd_lfun_lambda_delta(args) -> dict:
-    s = args.s
-    if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
-        raise ValueError(
-            f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
-        )
-    value = lfun.completed_lambda_delta(s, abs_tol=args.tol)
+    value = lfun.completed_lambda_delta(args.s, abs_tol=args.tol)
     return _report(
         "lfun.lambda-delta",
         {"s": args.s, "tol": args.tol},
@@ -297,10 +247,6 @@ def _scan(args) -> polya.ZeroList:
 
 def _cmd_polya_zeros(args) -> dict:
     zeros = _scan(args)
-    rows = [
-        {"rho": z.rho, "refined_tol": z.refined_tol, "mult_assumed": z.mult_assumed}
-        for z in zeros
-    ]
     return _report(
         "polya.zeros",
         {
@@ -310,7 +256,7 @@ def _cmd_polya_zeros(args) -> dict:
             "step": args.step,
             "tol": args.tol,
         },
-        {"count": len(rows), "table": rows},
+        {"count": len(zeros), "table": zeros.zeros},
         ["sign-change bracketing on the envelope-normalized critical line"],
     )
 

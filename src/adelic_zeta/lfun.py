@@ -9,8 +9,6 @@ the s <-> 1-s (resp. s <-> 12-s) symmetry exact by construction.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +43,6 @@ __all__ = [
     "dirichlet_partial_sum",
     "completed_lambda_zeta",
     "completed_lambda_delta",
-    "format_euler_product",
-    "parse_euler_product",
 ]
 
 _MAX_TAU = 100_000
@@ -89,26 +85,6 @@ class CoeffTable:
         if not (1 <= n <= len(self.values)):
             raise IndexError(f"coefficient a_{n} outside table of length {len(self)}")
         return self.values[n - 1]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "a_n"])
-        for i, v in enumerate(self.values, start=1):
-            w.writerow([i, v])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CoeffTable":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [c.strip() for c in rows[0]] != ["n", "a_n"]:
-            raise ValueError("expected header 'n,a_n'")
-        vals = []
-        for i, row in enumerate(rows[1:], start=1):
-            if len(row) != 2 or int(row[0]) != i:
-                raise ValueError(f"row {i} malformed or out of order")
-            vals.append(int(row[1]))
-        return cls(tuple(vals))
 
 
 def tau_coefficients(n: int) -> CoeffTable:
@@ -381,9 +357,11 @@ def completed_lambda_zeta(s: complex, abs_tol: float = 1e-12) -> complex:
     which is entire apart from the two explicit poles and symmetric under
     s <-> 1-s exactly as written.  Accurate to ~1e-12 absolutely for
     |Re s| <= 40, |Im s| <= 60 (beyond that the s=40 magnitudes make the
-    *relative* double-precision floor dominate).
+    *relative* double-precision floor dominate); ValueError outside it.
     """
     s = complex(s)
+    if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
+        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= 60")
     if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
     growth = max(abs(s.real), abs(1.0 - s.real)) / 2.0 + 1.0
@@ -434,9 +412,14 @@ def completed_lambda_delta(
         int_0^inf Delta(e^v) (e^(sv) + e^((12-s)v)) dv
 
     (entire; exactly symmetric under s <-> 12-s as written).  Valid for
-    |Im s| <= 50 and |Re s|, |12 - Re s| <= 40 at ~1e-12 absolute accuracy.
+    |Im s| <= 50 and |Re s|, |12 - Re s| <= 40 at ~1e-12 absolute accuracy;
+    ValueError outside that window.
     """
     s = complex(s)
+    if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
+        raise ValueError(
+            f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
+        )
     table = table or _default_delta_table()
     growth = max(abs(s.real), abs(12.0 - s.real), 1.0)
     v_max = _cutoff(2.0 * math.pi, growth)
@@ -453,59 +436,3 @@ def completed_lambda_delta(
     )
     quad = integrate_finite(integrand, 0.0, v_max, spec, vectorized=True)
     return quad.value
-
-
-_BLOCK_HEADER = "[adelic-zeta:euler-product:v1]"
-
-
-def format_euler_product(L: EulerProduct) -> str:
-    """Versioned key-value text block describing the descriptor (the local
-    polynomial is identified by its label; delta needs a coefficient table
-    at parse time)."""
-    lines = [
-        _BLOCK_HEADER,
-        f"label = {L.label}",
-        f"degree = {L.degree}",
-        f"normalization = {L.normalization}",
-        f"weight = {L.weight}",
-        f"fe_center = {L.fe_center!r}",
-        f"fe_sign = {L.fe_sign}",
-        f"gamma_base = {L.gamma_factor.base}",
-        f"gamma_scale = {L.gamma_factor.scale}",
-        "gamma_terms = "
-        + "; ".join(f"{a}*s+{b}" for a, b in L.gamma_factor.terms),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_euler_product(text: str, table: CoeffTable | None = None) -> EulerProduct:
-    """Inverse of format_euler_product for the shipped labels."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != _BLOCK_HEADER:
-        raise ValueError(f"expected block header {_BLOCK_HEADER}")
-    kv = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition("=")
-        kv[key.strip()] = val.strip()
-    try:
-        label = kv["label"]
-        norm = kv["normalization"]
-    except KeyError as exc:
-        raise ValueError(f"block is missing key {exc.args[0]!r}") from None
-    if label == "zeta":
-        base = zeta_product()
-    elif label == "delta":
-        if table is None:
-            raise ValueError("parsing a delta block requires a coefficient table")
-        base = delta_product(table, normalization=norm)
-    else:
-        raise ValueError(f"unknown label {label!r}")
-    out = to_normalization(base, norm)
-    try:
-        if int(kv["degree"]) != out.degree or int(kv["fe_sign"]) != out.fe_sign:
-            raise ValueError("block is inconsistent with the labelled family")
-        if abs(float(kv["fe_center"]) - out.fe_center) > 1e-12:
-            raise ValueError("functional-equation center mismatch")
-    except KeyError as exc:
-        raise ValueError(f"block is missing key {exc.args[0]!r}") from None
-    return out

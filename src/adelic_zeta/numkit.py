@@ -300,21 +300,23 @@ def bracket_and_bisect(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> list[float]:
-    """Locate simple real roots of f on [a, b]: scan at the given step for
-    sign changes, then bisect each bracket down to width tol.
+    """Locate simple real roots of f on [a, b]: sample f on the grid
+    a + i*step below b plus b itself, keep exact zeros at the nodes, and
+    bisect each sign change down to width tol.  A window narrower than
+    step is the one cell [a, b].
 
     Even-order roots (no sign change) are invisible to this scheme; that is
     a documented limitation, not a failure mode.
     """
     if not (a < b):
         raise ValueError("need a < b")
-    if not (0.0 < step <= b - a):
-        raise ValueError("step must lie in (0, b-a]")
+    if not step > 0.0:
+        raise ValueError("step must be positive")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    xs = [a]
-    while xs[-1] < b:
-        xs.append(min(xs[-1] + step, b))
+    n = max(1, int(math.ceil((b - a) / step - 1e-12)))
+    xs = [a + i * step for i in range(n)]
+    xs.append(b)
     vals = [f(x) for x in xs]
     roots: list[float] = []
     for i in range(len(xs) - 1):

@@ -14,7 +14,6 @@ shift operator is checked against the weight-growth bound
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .lfun import completed_lambda_delta, completed_lambda_zeta
-from .numkit import NonConvergenceError, gamma
+from .numkit import NonConvergenceError, bracket_and_bisect, gamma
 
 _FD_STEP = 1e-3
 _KINDS = ("zeta", "delta")
@@ -146,62 +145,6 @@ class ZeroList:
     def ordinates(self) -> tuple[float, ...]:
         return tuple(z.rho for z in self.zeros)
 
-    def to_csv(self) -> str:
-        lines = ["kind,rho,refined_tol,mult_assumed"]
-        for z in self.zeros:
-            lines.append(
-                "%s,%r,%r,%d" % (self.kind, z.rho, z.refined_tol, z.mult_assumed)
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, kind: str | None = None) -> "ZeroList":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "kind,rho,refined_tol,mult_assumed":
-            raise ValueError("missing zero-list CSV header")
-        entries = []
-        for ln in lines[1:]:
-            k, rho, tol, mult = (part.strip() for part in ln.split(","))
-            if kind is None:
-                kind = k
-            elif k != kind:
-                raise ValueError("mixed kinds in zero-list CSV")
-            entries.append(ZeroEntry(float(rho), float(tol), int(mult)))
-        if kind is None:
-            raise ValueError("empty zero-list CSV needs an explicit kind")
-        return cls(kind=kind, zeros=tuple(entries))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "zeros": [
-                    {
-                        "rho": z.rho,
-                        "refined_tol": z.refined_tol,
-                        "mult_assumed": z.mult_assumed,
-                    }
-                    for z in self.zeros
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ZeroList":
-        doc = json.loads(text)
-        return cls(
-            kind=doc["kind"],
-            zeros=tuple(
-                ZeroEntry(
-                    float(z["rho"]),
-                    float(z["refined_tol"]),
-                    int(z["mult_assumed"]),
-                )
-                for z in doc["zeros"]
-            ),
-        )
-
 
 def scan_zeros(
     F: CriticalLineFn,
@@ -212,57 +155,33 @@ def scan_zeros(
 ) -> ZeroList:
     """Locate the sign-change zeros of F on [t_from, t_to].
 
-    The window is sampled every `step`, each sign change is refined by
-    bisection until the bracket is narrower than `tol`, and exact zero
-    hits at grid nodes are kept as-is.  Only odd-order zeros flip the
-    sign, so even-order zeros are missed by construction; everything
-    returned was bracketed by a verified sign change.
+    numkit.bracket_and_bisect samples the window every `step`, refines
+    each sign change by bisection until the bracket is narrower than
+    `tol`, and keeps exact zero hits at grid nodes as-is (except t = 0).
+    Only odd-order zeros flip the sign, so even-order zeros are missed by
+    construction; everything returned was bracketed by a verified sign
+    change.
 
-    Requires 0 <= t_from < t_to <= 60 and step <= 0.2.  The upper end of
-    that window exceeds where the samplers resolve zeros sharply (see
+    Requires step <= 0.2 and 0 <= t_from < t_to <= 60 for zeta, <= 50 for
+    delta (the window of completed_lambda_delta).  The upper end of that
+    window exceeds where the samplers resolve zeros sharply (see
     CriticalLineFn); locations returned above t ~ 40 (zeta) / t ~ 25
     (delta) are increasingly noise-limited.
     """
     t_from, t_to, step, tol = float(t_from), float(t_to), float(step), float(tol)
-    if not (0.0 <= t_from < t_to <= 60.0):
-        raise ValueError("window must satisfy 0 <= t_from < t_to <= 60")
+    t_max = 60.0 if F.kind == "zeta" else 50.0
+    if not (0.0 <= t_from < t_to <= t_max):
+        raise ValueError(f"window must satisfy 0 <= t_from < t_to <= {t_max:g} for {F.kind}")
     if not (0.0 < step <= 0.2):
         raise ValueError("step must lie in (0, 0.2]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    n = int(math.ceil((t_to - t_from) / step - 1e-12))
-    xs = [t_from + i * step for i in range(n)]
-    xs.append(t_to)
-
-    vals = [F(x) for x in xs]
-
-    found: list[ZeroEntry] = []
-    for i, (x, v) in enumerate(zip(xs, vals)):
-        if v == 0.0:
-            if x > 0.0:
-                found.append(ZeroEntry(rho=x, refined_tol=tol))
-            continue
-        if i + 1 == len(xs):
-            break
-        w = vals[i + 1]
-        if w == 0.0 or v * w > 0.0:
-            continue
-        lo, hi, flo = x, xs[i + 1], v
-        for _ in range(200):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = F(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        found.append(ZeroEntry(rho=0.5 * (lo + hi), refined_tol=tol))
-    return ZeroList(kind=F.kind, zeros=tuple(found))
+    roots = bracket_and_bisect(F, t_from, t_to, step, tol)
+    return ZeroList(
+        kind=F.kind,
+        zeros=tuple(ZeroEntry(rho=r, refined_tol=tol) for r in roots if r > 0.0),
+    )
 
 
 def n_rho(mult: int, delta: float, variant: str = "literal") -> int:
@@ -324,52 +243,6 @@ class PolyaSpectrum:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def to_csv(self) -> str:
-        lines = ["rho,n_rho,eig_mult,rule_variant"]
-        for e in self.entries:
-            lines.append("%r,%d,%d,%s" % (e.rho, e.n_rho, e.eig_mult, self.rule_variant))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "m_pi": self.m_pi,
-                "rule_variant": self.rule_variant,
-                "entries": [
-                    {
-                        "rho": e.rho,
-                        "n_rho": e.n_rho,
-                        "eig_mult": e.eig_mult,
-                        "n_literal": e.n_literal,
-                        "n_inclusive": e.n_inclusive,
-                        "is_eigenvalue": e.is_eigenvalue,
-                    }
-                    for e in self.entries
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyaSpectrum":
-        doc = json.loads(text)
-        return cls(
-            delta=float(doc["delta"]),
-            m_pi=int(doc["m_pi"]),
-            rule_variant=doc["rule_variant"],
-            entries=tuple(
-                SpectrumEntry(
-                    rho=float(e["rho"]),
-                    n_rho=int(e["n_rho"]),
-                    eig_mult=int(e["eig_mult"]),
-                    n_literal=int(e["n_literal"]),
-                    n_inclusive=int(e["n_inclusive"]),
-                )
-                for e in doc["entries"]
-            ),
-        )
 
 
 def build_spectrum(

@@ -49,8 +49,6 @@ __all__ = [
     "dyadic_grid",
     "mellin_E",
     "mellin_residue_probe",
-    "format_test_fn",
-    "parse_test_fn",
 ]
 
 MAX_ARCH_DEGREE = 8
@@ -427,61 +425,12 @@ def mellin_residue_probe(
 
 @dataclass(frozen=True)
 class EProfile:
-    """Evaluation grid for one test function; exports t, E(f)(t) as CSV.
-    For real even data the values are real and the CSV stores them as
-    such (a nonreal value raises instead of silently truncating)."""
+    """Evaluation grid for one test function.  `rows()` gives one record
+    {t, E} per grid point, which `records.csv_text` writes as the columns
+    E.im, E.re, t."""
 
     f: AdelicTestFn
     grid: tuple[float, ...]
 
-    def rows(self) -> list[tuple[float, complex]]:
-        return list(zip(self.grid, E_batch(self.f, self.grid).tolist()))
-
-    def to_csv(self) -> str:
-        lines = ["t,E"]
-        for t, v in self.rows():
-            if abs(v.imag) > 1e-12 * (1.0 + abs(v.real)):
-                raise ValueError("profile CSV requires real-valued samples")
-            lines.append(f"{t!r},{v.real!r}")
-        return "\n".join(lines) + "\n"
-
-
-_FN_HEADER = "[adelic-zeta:test-function:v1]"
-
-
-def format_test_fn(f: AdelicTestFn) -> str:
-    """Versioned key-value text block: one finite./arch. line pair per
-    tensor summand; scales as exact fractions, coefficients as complex
-    literals."""
-    lines = [_FN_HEADER, f"summands = {len(f.summands)}"]
-    for i, (fin, arch) in enumerate(f.summands):
-        fin_txt = "; ".join(f"{m}:{c!r}" for c, m in fin.terms)
-        arch_txt = ", ".join(repr(c) for c in arch.coeffs)
-        lines.append(f"finite.{i} = {fin_txt}")
-        lines.append(f"arch.{i} = {arch_txt}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_test_fn(text: str) -> AdelicTestFn:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != _FN_HEADER:
-        raise ValueError(f"expected block header {_FN_HEADER}")
-    kv = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition("=")
-        kv[key.strip()] = val.strip()
-    try:
-        n = int(kv["summands"])
-        summands = []
-        for i in range(n):
-            fin_terms = []
-            for chunk in kv[f"finite.{i}"].split(";"):
-                m_txt, _, c_txt = chunk.strip().partition(":")
-                fin_terms.append((complex(c_txt.strip("() ")), Fraction(m_txt.strip())))
-            arch_coeffs = tuple(
-                complex(tok.strip().strip("()")) for tok in kv[f"arch.{i}"].split(",")
-            )
-            summands.append((FiniteTestFn(tuple(fin_terms)), ArchTestFn(arch_coeffs)))
-    except KeyError as exc:
-        raise ValueError(f"block is missing key {exc.args[0]!r}") from None
-    return AdelicTestFn(tuple(summands))
+    def rows(self) -> list[dict]:
+        return [{"t": t, "E": v} for t, v in zip(self.grid, E_batch(self.f, self.grid).tolist())]

@@ -1,5 +1,7 @@
 """Command-line interface: report schema, formats, exit codes."""
 
+import csv
+import io
 import json
 import math
 import time
@@ -113,6 +115,43 @@ class TestFormats:
         assert lines["outputs.count"] == "3"
         assert lines["outputs.modulus_delta"] == "1/2"
         assert lines["schema"] == "adelic-zeta.report.v1"
+
+    def test_radial_csv_is_well_formed(self, capsys):
+        # the cells hold commas; they are quoted, so every row has the
+        # header's width and the value cells equal the JSON report's strings
+        args = ["satake", "radial", "--dmax", "3"]
+        code, out, _ = run(capsys, args + ["--format", "csv"])
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["total_degree", "value"]
+        assert len(rows) == 4 and all(len(r) == 2 for r in rows)
+        table = run_json(capsys, args)["outputs"]["table"]
+        assert [r[1] for r in rows] == [row["value"] for row in table]
+
+    @pytest.mark.parametrize("argv", [
+        ["theta", "eval", "--fn", "s0", "--p", "3", "--t", "0.7"],
+        ["lfun", "euler", "--which", "zeta", "--s", "2+1j", "--pmax", "100"],
+        ["polya", "zeros", "--from", "10", "--to", "26"],
+        ["polya", "zeros", "--from", "0", "--to", "10"],
+    ])
+    def test_csv_rows_have_header_width(self, capsys, argv):
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(r) == len(header) for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("argv", [
+        ["lfun", "zeta", "--s", "2+3j"],
+        ["lfun", "tau", "--n", "30"],
+        ["theta", "eval", "--fn", "s0", "--p", "3", "--t", "0.7"],
+        ["satake", "radial", "--dmax", "2"],
+        ["polya", "spectrum", "--from", "10", "--to", "15", "--delta", "3"],
+    ])
+    def test_each_format_is_byte_identical_across_runs(self, capsys, argv, fmt):
+        _, first, _ = run(capsys, argv + ["--format", fmt])
+        _, second, _ = run(capsys, argv + ["--format", fmt])
+        assert first and first == second
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         args = ["polya", "norm-bound", "--a", "0.5", "--delta", "2", "--trials", "3"]

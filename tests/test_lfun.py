@@ -1,6 +1,8 @@
 """Dirichlet series, cusp-form coefficients, Euler products, completed
 L-functions."""
 
+import csv
+import io
 import math
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from adelic_zeta import records
 from adelic_zeta.lfun import (
     CoeffTable,
     completed_lambda_delta,
@@ -15,8 +18,6 @@ from adelic_zeta.lfun import (
     delta_product,
     dirichlet_partial_sum,
     euler_product_eval,
-    format_euler_product,
-    parse_euler_product,
     primes_up_to,
     sigma_k,
     tau_coefficients,
@@ -91,15 +92,20 @@ class TestTau:
             assert (table.a(n) - sigma_k(n, 11)) % 691 == 0
 
     def test_table_csv_round_trip(self):
+        # the CSV view is write-only, but its cells are exact: any CSV
+        # reader recovers the table
         table = tau_coefficients(12)
-        again = CoeffTable.from_csv(table.to_csv())
-        assert again == table
+        text = records.csv_text({"n": n, "a_n": table.a(n)} for n in range(1, 13))
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == ["a_n", "n"]
+        assert [int(n) for _a, n in rows] == list(range(1, 13))
+        assert CoeffTable(tuple(int(a) for a, _n in rows)) == table
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
             CoeffTable((2, -24))  # a_1 must be 1
         with pytest.raises(ValueError):
-            CoeffTable.from_csv("n,a_n\n2,-24\n1,1\n")
+            records.loads(CoeffTable, '{"values": [2, -24]}')
 
 
 class TestZetaEM:
@@ -155,25 +161,25 @@ class TestEulerProducts:
         assert abs(a - u) <= 1e-12 * abs(a)
 
     def test_descriptor_round_trip(self):
+        # a descriptor holds its local polynomial as a callable, so its round
+        # trip is its constructor: rebuilding from (label, normalization)
+        # gives bitwise the same values
         table = tau_coefficients(600)
         s = 8.0 + 0.5j
-        # canonical constructors round-trip bitwise
         for L in (zeta_product(), delta_product(table), delta_product(table, "unitary")):
-            back = parse_euler_product(format_euler_product(L), table=table)
-            assert (back.label, back.degree, back.normalization) == (
-                L.label, L.degree, L.normalization)
+            back = (
+                zeta_product() if L.label == "zeta"
+                else delta_product(table, normalization=L.normalization)
+            )
+            assert (back.label, back.degree, back.normalization, back.fe_center) == (
+                L.label, L.degree, L.normalization, L.fe_center)
             assert euler_product_eval(back, s, 500).value == euler_product_eval(L, s, 500).value
-        # a converted descriptor parses back to the canonical build of the
-        # same family (same values up to one rounding in the local coeffs)
+        # a converted descriptor matches the canonical build of the same
+        # family (same values up to one rounding in the local coeffs)
         conv = to_normalization(delta_product(table), "unitary")
-        back = parse_euler_product(format_euler_product(conv), table=table)
-        a = euler_product_eval(back, s, 500).value
+        a = euler_product_eval(delta_product(table, "unitary"), s, 500).value
         b = euler_product_eval(conv, s, 500).value
         assert abs(a - b) <= 1e-14 * abs(a)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_euler_product("not a descriptor block")
 
 
 class TestCompletedLambda:
@@ -218,6 +224,23 @@ class TestCompletedLambda:
         L = euler_product_eval(delta_product(table), 13.0, 10000).value
         via_product = (2 * math.pi) ** -13.0 * abs(gamma(13.0)) * L.real
         assert abs(completed_lambda_delta(13.0) - via_product) <= 1e-10
+
+    @pytest.mark.parametrize("s", [0.5 + 200j, 0.5 - 60.5j, 41.0, -40.5 + 3j])
+    def test_zeta_outside_window_refused(self, s):
+        # at 0.5+200i the integral returns -8.4e-18 where mpmath gives +2.0e-68
+        with pytest.raises(ValueError, match=r"\|Re s\| <= 40, \|Im s\| <= 60"):
+            completed_lambda_zeta(s)
+
+    @pytest.mark.parametrize("s", [6 + 50.5j, 6 - 51j, 52 + 1j, -28.5, -41.0])
+    def test_delta_outside_window_refused(self, s):
+        with pytest.raises(ValueError, match=r"\|Im s\| <= 50"):
+            completed_lambda_delta(s)
+
+    def test_window_edges_accepted(self):
+        for s in (0.5 + 60j, -40.0, 40.0 + 0.5j):
+            assert math.isfinite(completed_lambda_zeta(s).real)
+        for s in (6 - 50j, -28 + 2j, 40.0):
+            assert math.isfinite(completed_lambda_delta(s).real)
 
     def test_delta_short_table_rejected(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,18 @@ class TestBracketAndBisect:
         with pytest.raises(ValueError):
             bracket_and_bisect(math.cos, 2.0, 1.0, step=0.1)
         with pytest.raises(ValueError):
-            bracket_and_bisect(math.cos, 0.0, 1.0, step=5.0)
+            bracket_and_bisect(math.cos, 0.0, 1.0, step=0.0)
         with pytest.raises(ValueError):
             bracket_and_bisect(math.cos, 0.0, 1.0, step=0.1, tol=0.0)
+
+    def test_index_grid(self):
+        # nodes are a + i*step, then b: no sliver cell from accumulated steps
+        seen = []
+        bracket_and_bisect(lambda x: seen.append(x) or 1.0, 0.0, 1.0, step=0.1)
+        assert seen == [i * 0.1 for i in range(10)] + [1.0]
+
+    def test_window_narrower_than_step(self):
+        seen = []
+        roots = bracket_and_bisect(lambda x: seen.append(x) or x - 0.3, 0.0, 1.0, step=5.0)
+        assert seen[:2] == [0.0, 1.0]
+        assert abs(roots[0] - 0.3) < 1e-10

@@ -1,6 +1,8 @@
 """Critical-line samplers, zero scans, the order-counting rule, and the
 discretized band model."""
 
+import csv
+import io
 import math
 import threading
 from functools import lru_cache
@@ -9,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from adelic_zeta import records
 from adelic_zeta.lfun import tau_coefficients
 from adelic_zeta.polya import (
     BandDiscretization,
@@ -145,6 +148,60 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_zeros(F, 10.0, 15.0, tol=0.0)
 
+    def test_delta_window_ends_at_fifty(self):
+        # completed_lambda_delta refuses |Im s| > 50, so the scan refuses
+        # such windows before it samples anything
+        F = CriticalLineFn("delta")
+        with pytest.raises(ValueError, match="<= 50 for delta"):
+            scan_zeros(F, 10.0, 50.5)
+        assert F.cache_size == 0
+        assert len(scan_zeros(F, 49.9, 50.0)) <= 2
+        with pytest.raises(ValueError):
+            F(50.5)
+
+    @pytest.mark.parametrize(
+        "t_from, t_to, step", [(10.0, 26.0, 0.05), (0.0, 10.0, 0.05), (14.0, 14.3, 0.05),
+                               (9.0, 9.4, 0.05), (0.0, 7.0, 0.2), (3.0, 3.01, 0.2)]
+    )
+    def test_matches_inline_bracketing(self, t_from, t_to, step):
+        # the scan's former inline loop: grid t_from + i*step, then t_to
+        class Stub:
+            kind = "zeta"
+
+            def __call__(self, t):
+                return 0.0 if t == 3.0 else math.cos(1.7 * t) + 0.1
+
+        F, tol = Stub(), 1e-10
+        n = int(math.ceil((t_to - t_from) / step - 1e-12))
+        xs = [t_from + i * step for i in range(n)] + [t_to]
+        vals = [F(x) for x in xs]
+        want = []
+        for i, (x, v) in enumerate(zip(xs, vals)):
+            if v == 0.0:
+                if x > 0.0:
+                    want.append(x)
+                continue
+            if i + 1 == len(xs):
+                break
+            w = vals[i + 1]
+            if w == 0.0 or v * w > 0.0:
+                continue
+            lo, hi, flo = x, xs[i + 1], v
+            for _ in range(200):
+                if hi - lo <= tol:
+                    break
+                mid = 0.5 * (lo + hi)
+                fmid = F(mid)
+                if fmid == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fmid < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            want.append(0.5 * (lo + hi))
+        assert scan_zeros(F, t_from, t_to, step=step, tol=tol).ordinates() == tuple(want)
+
 
 class TestThreads:
     def test_concurrent_evaluation_consistent(self):
@@ -221,14 +278,23 @@ class TestSpectrum:
 
     def test_json_round_trip(self):
         spec = build_spectrum(self.zeros(), delta=3.0, m_pi=2)
-        assert PolyaSpectrum.from_json(spec.to_json()) == spec
+        assert records.loads(PolyaSpectrum, records.dumps(spec)) == spec
+        # files written by the former PolyaSpectrum.to_json carry the derived
+        # is_eigenvalue flag; it is ignored on load
+        old = (
+            '{"delta": 3.0, "entries": [{"eig_mult": 0, "is_eigenvalue": false, '
+            '"n_inclusive": 1, "n_literal": 0, "n_rho": 0, "rho": 14.134725}, '
+            '{"eig_mult": 2, "is_eigenvalue": true, "n_inclusive": 1, "n_literal": 1, '
+            '"n_rho": 1, "rho": 21.02204}], "m_pi": 2, "rule_variant": "literal"}'
+        )
+        assert records.loads(PolyaSpectrum, old) == spec
 
     def test_csv_shape(self):
         spec = build_spectrum(self.zeros(), delta=3.0)
-        lines = spec.to_csv().strip().splitlines()
-        assert lines[0] == "rho,n_rho,eig_mult,rule_variant"
+        lines = records.csv_text(spec.entries).strip().splitlines()
+        assert lines[0] == "eig_mult,n_inclusive,n_literal,n_rho,rho"
         assert len(lines) == 3
-        assert lines[1].endswith(",literal")
+        assert lines[1].endswith(",14.134725")
 
 
 class TestZeroListSerde:
@@ -238,23 +304,30 @@ class TestZeroListSerde:
         )
 
     def test_csv_round_trip(self):
+        # the CSV view is write-only, but its cells are exact: any CSV
+        # reader recovers the entries
         z = self.sample()
-        assert ZeroList.from_csv(z.to_csv()) == z
+        header, *rows = csv.reader(io.StringIO(records.csv_text(z.zeros)))
+        assert header == ["mult_assumed", "refined_tol", "rho"]
+        back = tuple(ZeroEntry(float(rho), float(tol), int(m)) for m, tol, rho in rows)
+        assert back == z.zeros
 
     def test_json_round_trip(self):
         z = self.sample()
-        assert ZeroList.from_json(z.to_json()) == z
+        text = records.dumps(z)
+        # the bytes of the former ZeroList.to_json
+        assert text == (
+            '{"kind": "delta", "zeros": [{"mult_assumed": 1, "refined_tol": 1e-10, '
+            '"rho": 9.222379}, {"mult_assumed": 2, "refined_tol": 1e-10, "rho": 13.907549}]}'
+        )
+        assert records.loads(ZeroList, text) == z
 
-    def test_csv_kind_enforcement(self):
-        z = self.sample()
+    def test_kind_enforcement(self):
+        assert records.loads(ZeroList, '{"kind": "zeta", "zeros": []}') == ZeroList("zeta", ())
         with pytest.raises(ValueError):
-            ZeroList.from_csv(z.to_csv(), kind="zeta")
-        header_only = "kind,rho,refined_tol,mult_assumed\n"
-        assert len(ZeroList.from_csv(header_only, kind="zeta")) == 0
-        with pytest.raises(ValueError):
-            ZeroList.from_csv(header_only)
-        with pytest.raises(ValueError):
-            ZeroList.from_csv("rho\n1.0\n")
+            records.loads(ZeroList, '{"kind": "other", "zeros": []}')
+        with pytest.raises(TypeError):
+            records.loads(ZeroList, '{"zeros": []}')  # kind has no default
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Adelic test functions, lattice sums, the functional equation, and the
 Mellin side."""
 
+import csv
+import io
 import math
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernels import loop_lattice_sum
 
-from adelic_zeta import theta
+from adelic_zeta import records, theta
 from adelic_zeta.lfun import completed_lambda_zeta
 from adelic_zeta.numkit import PoleError
 from adelic_zeta.theta import (
@@ -24,13 +26,11 @@ from adelic_zeta.theta import (
     FiniteTestFn,
     decay_constant,
     dyadic_grid,
-    format_test_fn,
     functional_eq_residual,
     is_S0,
     make_S0,
     mellin_E,
     mellin_residue_probe,
-    parse_test_fn,
     standard_gaussian,
 )
 
@@ -365,22 +365,24 @@ class TestDecay:
 class TestProfileAndText:
     def test_profile_round_trip(self):
         prof = EProfile(make_S0(2), (0.5, 1.0, 2.0))
-        text = prof.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,E"
-        for (t, v), line in zip(prof.rows(), lines[1:]):
-            t_txt, e_txt = line.split(",")
-            assert float(t_txt) == t
-            assert float(e_txt) == v.real
+        header, *rows = csv.reader(io.StringIO(records.csv_text(prof.rows())))
+        assert header == ["E.im", "E.re", "t"]
+        for row, (im, re, t) in zip(prof.rows(), rows):
+            assert float(t) == row["t"]
+            assert complex(float(re), float(im)) == row["E"]
+        assert records.loads(EProfile, records.dumps(prof)) == prof
 
-    def test_profile_rejects_nonreal(self):
+    def test_profile_csv_keeps_imaginary_part(self):
         f = AdelicTestFn(
             ((FiniteTestFn(((1.0j, Fraction(1)),)), ArchTestFn((1.0,))),)
         )
-        with pytest.raises(ValueError):
-            EProfile(f, (1.0,)).to_csv()
+        prof = EProfile(f, (1.0,))
+        (row,) = prof.rows()
+        _header, line = records.csv_text(prof.rows()).splitlines()
+        assert row["E"].imag != 0.0
+        assert line == f"{row['E'].imag!r},{row['E'].real!r},1.0"
 
-    def test_format_parse_exact_round_trip(self):
+    def test_json_exact_round_trip(self):
         f = AdelicTestFn(
             (
                 (
@@ -390,11 +392,14 @@ class TestProfileAndText:
             )
             + make_S0(3).summands
         )
-        back = parse_test_fn(format_test_fn(f))
+        back = records.loads(AdelicTestFn, records.dumps(f))
         assert back == f
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            parse_test_fn("no header here")
+            records.loads(AdelicTestFn, "no header here")
         with pytest.raises(ValueError):
-            parse_test_fn("[adelic-zeta:test-function:v1]\nsummands = 1\n")
+            records.loads(AdelicTestFn, '{"summands": []}')
+        with pytest.raises(ValueError):
+            # a summand is a (finite, arch) pair
+            records.loads(AdelicTestFn, '{"summands": [[{"terms": []}]]}')
