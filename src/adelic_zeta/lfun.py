@@ -8,7 +8,6 @@ the s <-> 1-s (resp. s <-> 12-s) symmetry exact by construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .numkit import (
     NonConvergenceError,
     PoleError,
     QuadratureSpec,
-    gamma,
+    gamma,  # not called here; e2ebench/tracer.py wraps lfun.gamma
     integrate_finite,
     sum_compensated,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "tau_coefficients",
     "sigma_k",
     "zeta_em",
-    "GammaFactor",
     "EulerProduct",
     "EulerProductValue",
     "zeta_product",
@@ -150,37 +148,10 @@ def zeta_em(s: complex, terms: int = 100, order: int = 10) -> complex:
 
 
 @dataclass(frozen=True)
-class GammaFactor:
-    """Archimedean factor base^(scale*s) * prod gamma(t_scale*s + t_shift).
-
-    base is a positive real stored symbolically as 'pi' or '2pi' so text
-    round-trips are exact.
-    """
-
-    base: str
-    scale: Fraction
-    terms: tuple[tuple[Fraction, Fraction], ...]
-
-    def base_value(self) -> float:
-        if self.base == "pi":
-            return math.pi
-        if self.base == "2pi":
-            return 2.0 * math.pi
-        raise ValueError(f"unknown base {self.base!r}")
-
-    def value(self, s: complex) -> complex:
-        s = complex(s)
-        out = cmath.exp(s * float(self.scale) * math.log(self.base_value()))
-        for a, b in self.terms:
-            out *= gamma(float(a) * s + float(b))
-        return out
-
-
-@dataclass(frozen=True)
 class EulerProduct:
     """Descriptor of a degree-d Euler product: per-prime local polynomial
-    coefficients (ascending in x = p^-s), archimedean factor, functional
-    equation data, and which normalization the variable s lives in.
+    coefficients (ascending in x = p^-s), the center of the functional
+    equation, and which normalization the variable s lives in.
 
     weight is the motivic weight: the unitary variable is
     s_unitary = s_arithmetic - weight/2.
@@ -189,9 +160,7 @@ class EulerProduct:
     label: str
     degree: int
     local_coeffs: Callable[[int], Sequence[complex]]
-    gamma_factor: GammaFactor
     fe_center: float
-    fe_sign: int
     normalization: str
     weight: int = 0
 
@@ -200,14 +169,6 @@ class EulerProduct:
             raise ValueError("degree must be >= 1")
         if self.normalization not in ("arithmetic", "unitary"):
             raise ValueError("normalization must be arithmetic or unitary")
-        if self.fe_sign not in (-1, 1):
-            raise ValueError("functional equation sign must be +-1")
-
-    @property
-    def abscissa(self) -> float:
-        """Right edge beyond which the product converges absolutely."""
-        shift = 0.0 if self.normalization == "unitary" else self.weight / 2.0
-        return 1.0 + shift
 
 
 def zeta_product() -> EulerProduct:
@@ -216,9 +177,7 @@ def zeta_product() -> EulerProduct:
         label="zeta",
         degree=1,
         local_coeffs=lambda p: (1.0, -1.0),
-        gamma_factor=GammaFactor("pi", Fraction(-1, 2), ((Fraction(1, 2), Fraction(0)),)),
         fe_center=0.5,
-        fe_sign=1,
         normalization="unitary",
         weight=0,
     )
@@ -246,9 +205,7 @@ def delta_product(table: CoeffTable, normalization: str = "arithmetic") -> Euler
         label="delta",
         degree=2,
         local_coeffs=local,
-        gamma_factor=GammaFactor("2pi", Fraction(-1), ((Fraction(1), Fraction(0)),)),
         fe_center=center,
-        fe_sign=1,
         normalization=normalization,
         weight=11,
     )
@@ -273,9 +230,7 @@ def to_normalization(L: EulerProduct, normalization: str) -> EulerProduct:
         label=L.label,
         degree=L.degree,
         local_coeffs=local,
-        gamma_factor=L.gamma_factor,
         fe_center=L.fe_center + shift,
-        fe_sign=L.fe_sign,
         normalization=normalization,
         weight=L.weight,
     )
@@ -322,11 +277,6 @@ def dirichlet_partial_sum(table: CoeffTable, s: complex, n_terms: int | None = N
     return complex(sum_compensated(a_arr * np.exp(-s * np.log(n_arr))))
 
 
-_LAMBDA_SPEC = QuadratureSpec(
-    target_abs_tol=2e-13, max_refinements=14, transform="finite_gauss"
-)
-
-
 def _cutoff(decay_rate: float, growth: float, tol: float = 1e-18) -> float:
     """Smallest v with exp(-decay_rate*e^v + growth*v) below tol, stepped
     by quarters so nearby inputs share panel layouts."""
@@ -337,6 +287,14 @@ def _cutoff(decay_rate: float, growth: float, tol: float = 1e-18) -> float:
         if v > 12.0:
             raise NonConvergenceError("integral cutoff search ran away")
     return v
+
+
+def _theta_integral(integrand: Callable, v_max: float, abs_tol: float) -> complex:
+    """int_0^v_max of an array integrand at tolerance min(abs_tol, 2e-13)
+    with up to 14 refinements: the quadrature of both completed
+    functions."""
+    spec = QuadratureSpec(min(abs_tol, 2e-13) if abs_tol else 2e-13, 14)
+    return integrate_finite(integrand, 0.0, v_max, spec).value
 
 
 def _omega_zeta(y: np.ndarray) -> np.ndarray:
@@ -358,6 +316,8 @@ def completed_lambda_zeta(s: complex, abs_tol: float = 1e-12) -> complex:
     s <-> 1-s exactly as written.  Accurate to ~1e-12 absolutely for
     |Re s| <= 40, |Im s| <= 60 (beyond that the s=40 magnitudes make the
     *relative* double-precision floor dominate); ValueError outside it.
+    NonConvergenceError where the rounding noise of the integral stays
+    above the tolerance, far from the critical strip.
     """
     s = complex(s)
     if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
@@ -372,15 +332,9 @@ def completed_lambda_zeta(s: complex, abs_tol: float = 1e-12) -> complex:
             np.exp(0.5 * s * v) + np.exp(0.5 * (1.0 - s) * v)
         )
 
-    spec = QuadratureSpec(
-        target_abs_tol=min(abs_tol, 2e-13) if abs_tol else 2e-13,
-        max_refinements=14,
-        transform="finite_gauss",
-    )
-    quad = integrate_finite(integrand, 0.0, v_max, spec, vectorized=True)
     # pole terms grouped so the sum is commutative in s <-> 1-s and the
     # reflection symmetry holds bitwise, not just to rounding
-    return quad.value - (1.0 / s + 1.0 / (1.0 - s))
+    return _theta_integral(integrand, v_max, abs_tol) - (1.0 / s + 1.0 / (1.0 - s))
 
 
 @lru_cache(maxsize=1)
@@ -413,7 +367,8 @@ def completed_lambda_delta(
 
     (entire; exactly symmetric under s <-> 12-s as written).  Valid for
     |Im s| <= 50 and |Re s|, |12 - Re s| <= 40 at ~1e-12 absolute accuracy;
-    ValueError outside that window.
+    ValueError outside that window.  NonConvergenceError where the rounding
+    noise of the integral stays above the tolerance, far from Re s = 6.
     """
     s = complex(s)
     if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
@@ -429,10 +384,4 @@ def completed_lambda_delta(
             np.exp(s * v) + np.exp((12.0 - s) * v)
         )
 
-    spec = QuadratureSpec(
-        target_abs_tol=min(abs_tol, 2e-13) if abs_tol else 2e-13,
-        max_refinements=14,
-        transform="finite_gauss",
-    )
-    quad = integrate_finite(integrand, 0.0, v_max, spec, vectorized=True)
-    return quad.value
+    return _theta_integral(integrand, v_max, abs_tol)

@@ -75,29 +75,23 @@ def gamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * cmath.exp((zz + 0.5) * cmath.log(t) - t) * acc
 
 
-_TRANSFORMS = ("half_line_double_exponential", "finite_gauss")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to drive a quadrature rule to a target absolute tolerance.
 
     Refinement always halves the step (or doubles the panel count) and
     compares consecutive levels; the last difference is the reported error
-    estimate.
+    estimate.  The same spec drives either rule.
     """
 
     target_abs_tol: float = 1e-12
     max_refinements: int = 10
-    transform: str = "half_line_double_exponential"
 
     def __post_init__(self):
         if not (0.0 < self.target_abs_tol < 1.0):
             raise ValueError("target_abs_tol must lie in (0, 1)")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
-        if self.transform not in _TRANSFORMS:
-            raise ValueError(f"transform must be one of {_TRANSFORMS}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +121,12 @@ class _ExpSinhLevels:
     double-exponentially once the integrand decays at all) or |u| passes
     _U_CAP.  Halving the step keeps every node, since k*h is bitwise
     (2k)*(h/2), so a level evaluates only its new nodes: all of them in one
-    call of ``f_batch``, plus one call per extension when a side scans past
-    the end of the previous level.
+    call of ``f``, plus one call per extension when a side scans past the
+    end of the previous level.
     """
 
-    def __init__(self, f_batch, term_tol):
-        self.f_batch = f_batch
+    def __init__(self, f, term_tol):
+        self.f = f
         self.term_tol = term_tol
         self.nodes = 0
         self.h = 0.5
@@ -150,7 +144,7 @@ class _ExpSinhLevels:
             ts.append(t)
             ws.append(t * _HPI * math.cosh(u))
         self.nodes += len(ts)
-        return np.asarray(self.f_batch(np.array(ts)), dtype=complex) * np.array(ws)
+        return np.asarray(self.f(np.array(ts)), dtype=complex) * np.array(ws)
 
     def _scan_end(self, d, cap):
         """Last k the scan of side d sums, or None if the terms known so far
@@ -201,29 +195,20 @@ class _ExpSinhLevels:
         return kernels.neumaier_sum(np.concatenate(summed)) * h
 
 
-def integrate_halfline(
-    f: Callable, spec: QuadratureSpec | None = None, vectorized: bool = False
-) -> QuadResult:
+def integrate_halfline(f: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate f over (0, infinity) by the double-exponential substitution
     t = exp((pi/2) sinh u), halving the step until two levels agree.
 
-    Suited to integrands with a finite limit at 0 and eventual decay; not
-    for oscillatory tails.  Raises NonConvergenceError when max_refinements
-    halvings cannot reach the tolerance.  With vectorized=True, f receives
-    one ndarray of the new nodes of a level and must return the matching
-    array of values; either way every level sums the same terms.  Since a
-    level's nodes are evaluated before its scan is checked, f may also be
-    evaluated a few nodes past the point where a side's scan stops.
+    f receives one ndarray of the new nodes of a level and must return the
+    matching array of values.  Suited to integrands with a finite limit at
+    0 and eventual decay; not for oscillatory tails.  Raises
+    NonConvergenceError when max_refinements halvings cannot reach the
+    tolerance.  Since a level's nodes are evaluated before its scan is
+    checked, f may also be evaluated a few nodes past the point where a
+    side's scan stops.
     """
     spec = spec or QuadratureSpec()
-    if spec.transform != "half_line_double_exponential":
-        raise ValueError("integrate_halfline requires the half-line transform")
-    if vectorized:
-        f_batch = f
-    else:
-        def f_batch(ts):
-            return np.array([complex(f(t)) for t in ts.tolist()], dtype=complex)
-    rule = _ExpSinhLevels(f_batch, spec.target_abs_tol * 1e-3)
+    rule = _ExpSinhLevels(f, spec.target_abs_tol * 1e-3)
     prev = rule.level(refine=False)
     for level in range(1, spec.max_refinements + 1):
         cur = rule.level(refine=True)
@@ -242,21 +227,16 @@ _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 def integrate_finite(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-    vectorized: bool = False,
+    f: Callable, a: float, b: float, spec: QuadratureSpec | None = None
 ) -> QuadResult:
     """Integrate f over [a, b] by composite 20-point Gauss-Legendre panels,
     doubling the panel count until two levels agree.
 
-    With vectorized=True, f receives one ndarray of all nodes and must
-    return the matching array of values (used by the hot integrands).
+    f receives one ndarray of all nodes of a level and must return the
+    matching array of values.  Raises NonConvergenceError when
+    max_refinements doublings cannot reach the tolerance.
     """
-    spec = spec or QuadratureSpec(transform="finite_gauss")
-    if spec.transform != "finite_gauss":
-        raise ValueError("integrate_finite requires the finite_gauss transform")
+    spec = spec or QuadratureSpec()
     if not (a < b):
         raise ValueError("need a < b")
     prev = None
@@ -268,10 +248,7 @@ def integrate_finite(
         half = 0.5 * (edges[1:] - edges[:-1])
         nodes = (mids[:, None] + half[:, None] * _gl_nodes[None, :]).ravel()
         weights = (half[:, None] * _gl_weights[None, :]).ravel()
-        if vectorized:
-            vals = np.asarray(f(nodes), dtype=complex)
-        else:
-            vals = np.array([complex(f(x)) for x in nodes])
+        vals = np.asarray(f(nodes), dtype=complex)
         cur = complex(kernels.neumaier_sum(vals * weights))
         total_nodes += nodes.size
         if prev is not None:

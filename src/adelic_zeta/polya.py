@@ -26,6 +26,8 @@ from .numkit import NonConvergenceError, bracket_and_bisect, gamma
 
 _FD_STEP = 1e-3
 _KINDS = ("zeta", "delta")
+# |t| windows of the completed functions on each critical line
+_T_MAX = {"zeta": 60.0, "delta": 50.0}
 # canonical names for the two multiplicity-rule readings; "strict-literal"
 # is accepted as an alias for the default
 _RULE_VARIANTS = {
@@ -169,7 +171,7 @@ def scan_zeros(
     (delta) are increasingly noise-limited.
     """
     t_from, t_to, step, tol = float(t_from), float(t_to), float(step), float(tol)
-    t_max = 60.0 if F.kind == "zeta" else 50.0
+    t_max = _T_MAX[F.kind]
     if not (0.0 <= t_from < t_to <= t_max):
         raise ValueError(f"window must satisfy 0 <= t_from < t_to <= {t_max:g} for {F.kind}")
     if not (0.0 < step <= 0.2):
@@ -282,11 +284,19 @@ def annihilator_residual(F: CriticalLineFn, rho: float, k: int) -> float:
 
     Small exactly when the k-th derivative point mass at rho annihilates
     products against F, i.e. when rho is a zero of order > k.  Step is
-    fixed at 1e-3; k in {0, 1, 2}.
+    fixed at 1e-3; k in {0, 1, 2}.  Raises ValueError unless every sample,
+    t +- 2e-3 for k >= 1, lies in the kind's window.
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
     rho, h = float(rho), _FD_STEP
+    reach, t_max = (2 * h if k else 0.0), _T_MAX[F.kind]
+    if not abs(rho) + reach <= t_max:
+        stencil = f" with its stencil t +- {reach:g}" if k else ""
+        raise ValueError(
+            f"residual at t = {rho} with k = {k}: t{stencil} must lie in the "
+            f"{F.kind} window |t| <= {t_max:g}"
+        )
     if k == 0:
         return abs(F(rho))
     fm2, fm1, fp1, fp2 = F(rho - 2 * h), F(rho - h), F(rho + h), F(rho + 2 * h)

@@ -536,8 +536,6 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     sig = _as_fraction_exponent(sigma)
     out = {}
     for mu in dominant_tuples(2, d):
-        if sum(mu) > d:
-            continue
         total = 0
         for j in range(0, sum(mu) // 2 + 1):
             lam = (sum(mu) - j, j)
@@ -600,8 +598,6 @@ def trace_truncated(chi: SatakeParam, d: int) -> complex:
         raise ValueError("need d >= 0")
     total = 0j
     for lam in dominant_tuples(chi.n, d):
-        if sum(lam) > d:
-            continue
         for mu in set(itertools.permutations(lam)):
             term = 1.0 + 0.0j
             for x, m in zip(chi.chi, mu):

@@ -14,7 +14,6 @@ the pure Gaussian are both fixed points of the transform.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,29 +308,20 @@ _MELLIN_SPEC = QuadratureSpec(target_abs_tol=1e-11, max_refinements=9)
 _POLE_GUARD = 0.05
 
 
-def _halfline_mellin_part(
-    f: AdelicTestFn, a: complex, spec: QuadratureSpec, batched: bool = True
-) -> complex:
+def _halfline_mellin_part(f: AdelicTestFn, a: complex, spec: QuadratureSpec) -> complex:
     """int_0^inf E(f, e^v) e^(a v) dv, the t >= 1 half of a Mellin integral
-    in logarithmic coordinates; batched=False evaluates E node by node."""
-    if batched:
-        def integrand(v: np.ndarray) -> np.ndarray:
-            out = np.zeros(v.shape, dtype=complex)
-            live = np.flatnonzero(v < 700.0)
-            ev = E_batch(f, np.exp(v[live]))
-            nonzero = ev != 0
-            live = live[nonzero]
-            out[live] = ev[nonzero] * np.exp(a * v[live])
-            return out
+    in logarithmic coordinates."""
 
-    else:
-        def integrand(v: float) -> complex:
-            ev = E_eval(f, math.exp(v)) if v < 700.0 else 0j
-            if ev == 0j:
-                return 0j
-            return ev * cmath.exp(a * v)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape, dtype=complex)
+        live = np.flatnonzero(v < 700.0)
+        ev = E_batch(f, np.exp(v[live]))
+        nonzero = ev != 0
+        live = live[nonzero]
+        out[live] = ev[nonzero] * np.exp(a * v[live])
+        return out
 
-    return integrate_halfline(integrand, spec, vectorized=batched).value
+    return integrate_halfline(integrand, spec).value
 
 
 def mellin_E(
@@ -360,30 +350,18 @@ def mellin_E(
     fhat0 = fhat.at_zero()
     if method == "direct":
         # Literal evaluation of E near t = 0 needs ~1/t lattice terms, so
-        # the defining integral is truncated at t0 = e^-W; the omitted mass
+        # the defining integral is truncated at t0 = e^-W, W = 6.9; the omitted mass
         # is bounded by |fhat(0)| e^{-(Re s - 1/2) W}/(Re s - 1/2), which is
         # why this route is a cross-check for Re s comfortably above 1/2,
         # not the production path.
         if s.real <= 0.5 + 1e-9:
             raise ValueError("direct Mellin integration needs Re s > 1/2")
-        upper = _halfline_mellin_part(f, s, spec, batched=False)
-        w_cut = 6.9
-
-        def integrand(v: float) -> complex:
-            ev = E_eval(f, math.exp(-v))
-            if ev == 0j:
-                return 0j
-            return ev * cmath.exp(-s * v)
-
+        upper = _halfline_mellin_part(f, s, spec)
         lower = integrate_finite(
-            integrand,
+            lambda v: E_batch(f, np.exp(-v)) * np.exp(-s * v),
             0.0,
-            w_cut,
-            QuadratureSpec(
-                target_abs_tol=spec.target_abs_tol,
-                max_refinements=max(spec.max_refinements, 8),
-                transform="finite_gauss",
-            ),
+            6.9,
+            QuadratureSpec(spec.target_abs_tol, max(spec.max_refinements, 8)),
         ).value
         return upper + lower
     if method != "reflected":

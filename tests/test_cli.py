@@ -236,6 +236,28 @@ class TestExitCodes:
             assert math.isfinite(doc["outputs"]["value"]["re"])
 
     @pytest.mark.parametrize(
+        "kind, t, k",
+        [("delta", "49.999", "1"), ("zeta", "59.999", "2"), ("zeta", "70", "0"),
+         ("delta", "-50.5", "0")],
+    )
+    def test_residual_outside_window_names_t(self, capsys, kind, t, k):
+        # the 5-point stencil reaches t +- 2e-3; the refusal names the
+        # user's t and k and the window, never an s the user did not pass
+        code, out, err = run(
+            capsys, ["polya", "residual", "--kind", kind, "--t", t, "--k", k]
+        )
+        assert code == 2 and out == ""
+        t_max = "60" if kind == "zeta" else "50"
+        assert f"t = {float(t)} with k = {k}" in err
+        assert f"{kind} window |t| <= {t_max}" in err
+        assert "s =" not in err
+
+    def test_residual_stencil_on_window_edge_accepted(self, capsys):
+        for kind, t in (("delta", "49.998"), ("zeta", "59.998")):
+            doc = run_json(capsys, ["polya", "residual", "--kind", kind, "--t", t, "--k", "1"])
+            assert math.isfinite(doc["outputs"]["residual"])
+
+    @pytest.mark.parametrize(
         "which, pmax, limit", [("delta", "200000", "100000"), ("zeta", "500000", "400000")]
     )
     def test_pmax_refusal_names_the_flag(self, capsys, which, pmax, limit):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from adelic_zeta import records
 from adelic_zeta.lfun import (
@@ -25,7 +27,7 @@ from adelic_zeta.lfun import (
     zeta_em,
     zeta_product,
 )
-from adelic_zeta.numkit import PoleError, gamma
+from adelic_zeta.numkit import NonConvergenceError, PoleError, gamma
 
 TAU_KNOWN = {
     1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048, 7: -16744,
@@ -182,6 +184,22 @@ class TestEulerProducts:
         assert abs(a - b) <= 1e-14 * abs(a)
 
 
+def dyadic(lo: float, hi: float):
+    """Multiples of 1/256 in [lo, hi]: reflections of these are exact."""
+    return st.integers(int(lo * 256), int(hi * 256)).map(lambda k: k / 256)
+
+
+def reflect_or_refuse(fn, s: complex, r: complex) -> bool:
+    """fn(s) and fn(r) are bitwise equal, or both raise NonConvergenceError."""
+    out = []
+    for point in (s, r):
+        try:
+            out.append(fn(point))
+        except NonConvergenceError:
+            out.append(None)
+    return out[0] == out[1]
+
+
 class TestCompletedLambda:
     def test_zeta_known_value(self):
         # pi^(-1) Gamma(1) zeta(2) = pi/6
@@ -217,6 +235,25 @@ class TestCompletedLambda:
         assert completed_lambda_delta(7.3) == completed_lambda_delta(4.7)
         s = 6.0 + 9.0j
         assert completed_lambda_delta(s) == completed_lambda_delta(12.0 - s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(re=dyadic(-39.0, 40.0), im=dyadic(-60.0, 60.0))
+    @example(re=-39.0, im=60.0)
+    @example(re=-20.5, im=-45.25)
+    def test_zeta_symmetry_exact_property(self, re, im):
+        # dyadic components keep 1-s exact across the whole window; far
+        # from the strip both sides may refuse, but never only one
+        s = complex(re, im)
+        assume(s != 0 and s != 1)
+        assert reflect_or_refuse(completed_lambda_zeta, s, 1.0 - s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(re=dyadic(-28.0, 40.0), im=dyadic(-50.0, 50.0))
+    @example(re=40.0, im=50.0)
+    @example(re=24.5, im=-30.75)
+    def test_delta_symmetry_exact_property(self, re, im):
+        s = complex(re, im)
+        assert reflect_or_refuse(completed_lambda_delta, s, 12.0 - s)
 
     def test_delta_matches_euler_route(self):
         # integral route vs (2 pi)^-13 Gamma(13) L(13) with L from the product

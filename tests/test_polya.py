@@ -363,6 +363,12 @@ class TestAnnihilator:
             annihilator_residual(F, 14.0, 3)
         with pytest.raises(ValueError):
             annihilator_residual(F, 14.0, -1)
+        # samples reach t +- 2e-3 for k >= 1 and must stay in |t| <= 60
+        assert math.isfinite(annihilator_residual(F, 59.998, 2))
+        assert math.isfinite(annihilator_residual(F, 60.0, 0))
+        for t, k in ((59.999, 1), (-59.999, 2), (60.5, 0), (math.nan, 0)):
+            with pytest.raises(ValueError, match="zeta window"):
+                annihilator_residual(F, t, k)
 
 
 class TestBandModel:

@@ -80,6 +80,15 @@ class TestDominant:
     def test_tuples_enumeration(self):
         got = set(dominant_tuples(2, 2))
         assert got == {(0, 0), (1, 0), (1, 1), (2, 0)}
+        # with min_entry = 0 the sum is bounded by max_total, which the
+        # truncated radial transform and trace rely on without filtering
+        for n in (1, 2, 3):
+            for d in range(9):
+                brute = {
+                    mu for mu in itertools.product(range(d + 1), repeat=n)
+                    if sum(mu) <= d and list(mu) == sorted(mu, reverse=True)
+                }
+                assert set(dominant_tuples(n, d)) == brute, (n, d)
 
     def test_tuples_respect_min_entry(self):
         # budget counts entry - min_entry, so the floor tuple costs zero

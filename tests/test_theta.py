@@ -1,6 +1,7 @@
 """Adelic test functions, lattice sums, the functional equation, and the
 Mellin side."""
 
+import cmath
 import csv
 import io
 import math
@@ -15,7 +16,7 @@ from test_kernels import loop_lattice_sum
 
 from adelic_zeta import records, theta
 from adelic_zeta.lfun import completed_lambda_zeta
-from adelic_zeta.numkit import PoleError
+from adelic_zeta.numkit import PoleError, integrate_halfline
 from adelic_zeta.theta import (
     AdelicTestFn,
     ArchTestFn,
@@ -239,11 +240,20 @@ def seeded_fn(rng: random.Random, in_s0: bool) -> AdelicTestFn:
 
 def reflected_per_node(f: AdelicTestFn, s: complex) -> complex:
     """mellin_E's reflected formula with E evaluated one quadrature node at
-    a time (scalar integrate_halfline over E_eval)."""
+    a time: each node of a level goes through E_eval on its own."""
+
+    def part(g: AdelicTestFn, a: complex) -> complex:
+        def integrand(v: np.ndarray) -> np.ndarray:
+            out = []
+            for x in v.tolist():
+                ev = E_eval(g, math.exp(x)) if x < 700.0 else 0j
+                out.append(0j if ev == 0j else ev * cmath.exp(a * x))
+            return np.array(out, dtype=complex)
+
+        return integrate_halfline(integrand, theta._MELLIN_SPEC).value
+
     fhat = f.fourier()
-    spec = theta._MELLIN_SPEC
-    out = theta._halfline_mellin_part(f, s, spec, batched=False)
-    out += theta._halfline_mellin_part(fhat, -s, spec, batched=False)
+    out = part(f, s) + part(fhat, -s)
     if fhat.at_zero() != 0j:
         out += fhat.at_zero() / (s - 0.5)
     if f.at_zero() != 0j:
