@@ -5,7 +5,9 @@ Callers reach them through ``_backend.kernels``.  ``neumaier_sum`` is
 correctly rounded by ``math.fsum``, so it does not depend on the order of
 its terms; the row-wise sums of arrays (``row_sums`` and the batched
 lattice sums) are compensated, as accurate as a plain sum in twice the
-working precision.  The q-expansion is exact integer arithmetic.
+working precision.  The eta q-expansion is exact: sparse passes in int64
+modulo primes below 2^31, as many as Deligne's bound on tau requires, and
+the Chinese remainder theorem back to Python ints.
 """
 
 import math
@@ -230,59 +232,103 @@ def euler_product(primes, coeffs, s):
     return complex(1.0 / np.prod(val))
 
 
-def _square_truncated(a, length):
-    """Coefficients of (sum a_i X^i)^2 up to X^(length-1), exact integers.
+# Moduli of the exact eta q-expansion: the four largest primes below 2^31.
+# Their product exceeds 4 n^6, as Deligne's bound requires (see
+# _eta_moduli), for every n up to 1321122.
+_ETA_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
-    Kronecker substitution: evaluate at X = 2^b with b wide enough that the
-    product's balanced digits do not interfere, square one big integer, and
-    read the signed digits back off with a carry chain.
+
+def _eta_moduli(n):
+    """The fewest leading ``_ETA_PRIMES`` whose product M exceeds 4 n^6.
+
+    Deligne's bound |tau(m)| <= d(m) m^(11/2), with d(m) <= 2 sqrt(m),
+    gives |tau(m)| <= 2 m^6 < M / 2 for every m <= n, so the symmetric
+    residue of tau(m) modulo M is tau(m) itself.  Refuses an n that the
+    whole tuple cannot cover, before anything is allocated.
     """
-    amax = max((abs(x) for x in a), default=0)
-    if amax == 0:
-        return [0] * length
-    b = 2 * amax.bit_length() + len(a).bit_length() + 2
-    b = ((b + 7) // 8) * 8
-    w = b // 8
-    pos = bytearray(len(a) * w)
-    neg = bytearray(len(a) * w)
-    for i, c in enumerate(a):
-        if c > 0:
-            pos[i * w : i * w + w] = int(c).to_bytes(w, "little")
-        elif c < 0:
-            neg[i * w : i * w + w] = int(-c).to_bytes(w, "little")
-    big = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
-    sq = big * big
-    nbytes = max((sq.bit_length() + 7) // 8, length * w) + 16
-    raw = sq.to_bytes(nbytes, "little")
-    out = []
-    half = 1 << (b - 1)
-    full = 1 << b
-    carry = 0
-    for i in range(length):
-        d = int.from_bytes(raw[i * w : i * w + w], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(d)
-    return out
+    need = 4 * n**6
+    prod = 1
+    for k, p in enumerate(_ETA_PRIMES, 1):
+        prod *= p
+        if prod > need:
+            return _ETA_PRIMES[:k]
+    raise ValueError(
+        f"tau(1..{n}) is out of reach of the exact route: 4 n^6 exceeds the "
+        f"product of all {len(_ETA_PRIMES)} moduli, which covers n <= 1321122"
+    )
+
+
+def _jacobi_terms(n):
+    """Exponents k(k+1)/2 < n and coefficients (-1)^k (2k+1) of Jacobi's
+    series J = sum_k (-1)^k (2k+1) q^(k(k+1)/2), about sqrt(2n) terms."""
+    shifts, coeffs = [], []
+    k = 0
+    while k * (k + 1) // 2 < n:
+        shifts.append(k * (k + 1) // 2)
+        coeffs.append(-(2 * k + 1) if k % 2 else 2 * k + 1)
+        k += 1
+    return shifts, coeffs
+
+
+def _crt_symmetric(res, primes):
+    """The integers x with |x| < M / 2 and x = res[i] (mod primes[i]),
+    M = prod(primes), as a list of Python ints.
+
+    Garner's mixed-radix digits of y = x + (M - 1) / 2 in [0, M) are
+    computed in int64 for all entries at once: every product is of two
+    numbers below 2^31.  The top two digits fold into one int64; only the
+    remaining folds, and the final shift back by (M - 1) / 2, run per entry
+    on Python ints.
+    """
+    half = math.prod(primes) // 2
+    digits = []
+    for i, p in enumerate(primes):
+        # d_0 + d_1 p_0 + ... + d_{i-1} p_0 ... p_{i-2} mod p, by Horner
+        low = np.zeros(res.shape[1], dtype=np.int64)
+        for q, d in zip(primes[i - 1 :: -1], digits[::-1]):
+            low = (low * q + d) % p
+        inv = pow(math.prod(primes[:i]) % p, -1, p)
+        digits.append((res[i] + half % p - low) % p * inv % p)
+    top = digits[-1]
+    if len(primes) > 1:
+        top = top * primes[-2] + digits[-2]
+    vals = top.tolist()
+    for q, d in zip(primes[-3::-1], digits[-3::-1]):
+        vals = [v * q + e for v, e in zip(vals, d.tolist())]
+    return [v - half for v in vals]
 
 
 def eta24_coefficients(n):
-    """tau(1..n): q-expansion of the 24th power of the eta quotient.
+    """tau(1..n) as Python ints: the q-expansion of eta^24.
 
-    The generating square root chain J = sum_k (-1)^k (2k+1) q^{k(k+1)/2}
-    satisfies J^8 = sum tau(m) q^{m-1}; three truncated squarings give the
-    exact integer coefficients.
+    By Jacobi, eta^3 = q^(1/8) J with J = sum_k (-1)^k (2k+1)
+    q^(k(k+1)/2), so tau(m) is the coefficient of q^(m-1) in J^8.  J^8
+    is formed as eight passes of multiplication by the sparse J, each a
+    shift-and-add of J's ~sqrt(2n) terms over one int64 array of residues
+    with a row per modulus, reduced modulo the primes after every pass; the
+    first pass, applied to 1, just places J.  The moduli come from
+    Deligne's bound (``_eta_moduli``) and the exact integers from the
+    Chinese remainder theorem.  Raises ValueError for n < 1 and for an n
+    beyond the reach of the moduli.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    j = [0] * n
-    k = 0
-    while k * (k + 1) // 2 < n:
-        j[k * (k + 1) // 2] = (2 * k + 1) if k % 2 == 0 else -(2 * k + 1)
-        k += 1
-    j2 = _square_truncated(j, n)
-    j4 = _square_truncated(j2, n)
-    return _square_truncated(j4, n)
+    primes = _eta_moduli(n)
+    shifts, coeffs = _jacobi_terms(n)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    res = np.zeros((len(primes), n), dtype=np.int64)
+    res[:, shifts] = np.array(coeffs) % p
+    acc = np.empty_like(res)
+    tmp = np.empty_like(res)
+    # No int64 overflow: residues lie in [0, p) with p < 2^31, and a pass
+    # sums them with weights of total size sum_k (2k+1) = len(coeffs)^2
+    # < 2n + 2 sqrt(2n) + 1, so |acc| stays below 2^49 at n = 100000 and
+    # below 2^53 at the largest n the moduli accept.
+    for _ in range(7):
+        acc.fill(0)
+        for t, c in zip(shifts, coeffs):
+            m = n - t
+            np.multiply(res[:, :m], c, out=tmp[:, :m])
+            acc[:, t:] += tmp[:, :m]
+        np.remainder(acc, p, out=res)
+    return _crt_symmetric(res, primes)

@@ -138,7 +138,7 @@ def _cmd_lfun_tau(args) -> dict:
         "lfun.tau",
         {"n": args.n},
         {"table": rows},
-        ["eta-power q-expansion via repeated truncated squaring"],
+        ["eta-power q-expansion via sparse passes modulo primes and the CRT"],
     )
 
 

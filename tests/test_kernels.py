@@ -1,12 +1,14 @@
 """The numerical kernels against independent oracles: exact rational
 sums, brute-force lattice sums at high precision, the term-by-term
-lattice loop, a per-prime Euler product loop and the pentagonal-number
-expansion of eta^24."""
+lattice loop, a per-prime Euler product loop, and two expansions of
+eta^24 (the pentagonal-number recurrence and big-integer squarings)
+checked further by identities of tau at the library's cap."""
 
 import cmath
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelic_zeta import _pykernels as kernels
+from adelic_zeta import lfun
 
 
 class TestNeumaierSum:
@@ -291,6 +294,81 @@ def pentagonal_eta24(n):
     return f
 
 
+def _square_truncated(a, length):
+    """Coefficients of (sum a_i X^i)^2 up to X^(length-1), exact integers.
+
+    Kronecker substitution: evaluate at X = 2^b with b wide enough that the
+    product's balanced digits do not interfere, square one big integer, and
+    read the signed digits back off with a carry chain.
+    """
+    amax = max((abs(x) for x in a), default=0)
+    if amax == 0:
+        return [0] * length
+    b = 2 * amax.bit_length() + len(a).bit_length() + 2
+    b = ((b + 7) // 8) * 8
+    w = b // 8
+    pos = bytearray(len(a) * w)
+    neg = bytearray(len(a) * w)
+    for i, c in enumerate(a):
+        if c > 0:
+            pos[i * w : i * w + w] = int(c).to_bytes(w, "little")
+        elif c < 0:
+            neg[i * w : i * w + w] = int(-c).to_bytes(w, "little")
+    big = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+    sq = big * big
+    nbytes = max((sq.bit_length() + 7) // 8, length * w) + 16
+    raw = sq.to_bytes(nbytes, "little")
+    out = []
+    half = 1 << (b - 1)
+    full = 1 << b
+    carry = 0
+    for i in range(length):
+        d = int.from_bytes(raw[i * w : i * w + w], "little") + carry
+        if d >= half:
+            d -= full
+            carry = 1
+        else:
+            carry = 0
+        out.append(d)
+    return out
+
+
+def kronecker_eta24(n):
+    """tau(1..n) as J^8 by three truncated big-integer squarings of Jacobi's
+    J = sum_k (-1)^k (2k+1) q^(k(k+1)/2): no modulus and no CRT."""
+    j = [0] * n
+    k = 0
+    while k * (k + 1) // 2 < n:
+        j[k * (k + 1) // 2] = (2 * k + 1) if k % 2 == 0 else -(2 * k + 1)
+        k += 1
+    return _square_truncated(_square_truncated(_square_truncated(j, n), n), n)
+
+
+def _moduli_count(n):
+    """How many moduli the kernel takes for tau(1..n); one more than it
+    holds once it refuses."""
+    try:
+        return len(kernels._eta_moduli(n))
+    except ValueError:
+        return len(kernels._ETA_PRIMES) + 1
+
+
+def _least_n_with(count):
+    """The least n for which the kernel takes ``count`` moduli or more, by
+    bisection (the count never falls as n grows)."""
+    hi = 1
+    while _moduli_count(hi) < count:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _moduli_count(mid) < count:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 class TestEta24:
     def test_matches_pentagonal_expansion(self):
         got = list(kernels.eta24_coefficients(5000))
@@ -299,6 +377,116 @@ class TestEta24:
         # the largest entries do not fit a 64-bit word
         assert max(abs(x) for x in got) > 2**63
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 5000, 20000])
+    def test_matches_kronecker_squarings(self, n):
+        assert kernels.eta24_coefficients(n) == kronecker_eta24(n)
+
+    def test_where_jacobi_series_gains_a_term(self):
+        oracle = kronecker_eta24(302)
+        k = 0
+        while k * (k + 1) // 2 <= 300:
+            tri = k * (k + 1) // 2
+            for n in range(max(tri - 1, 1), tri + 2):
+                assert kernels.eta24_coefficients(n) == oracle[:n], n
+            k += 1
+
+    def test_both_sides_of_each_modulus_step(self):
+        steps = [_least_n_with(count) for count in (2, 3, 4)]
+        # Deligne's bound 4 n^6 against products of primes below 2^31
+        assert steps == [29, 1024, 36781]
+        for n in steps:
+            oracle = kronecker_eta24(n)
+            assert kernels.eta24_coefficients(n) == oracle
+            assert kernels.eta24_coefficients(n - 1) == oracle[:-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3000))
+    def test_random_lengths_match_kronecker_squarings(self, n):
+        assert kernels.eta24_coefficients(n) == kronecker_eta24(n)
+
+    def test_refuses_n_beyond_the_moduli_without_allocating(self):
+        n = _least_n_with(len(kernels._ETA_PRIMES) + 1)
+        assert n == 1321123
+        assert len(kernels._eta_moduli(n - 1)) == len(kernels._ETA_PRIMES)
+        tracemalloc.start()
+        try:
+            for bad in (n, 10**12):
+                with pytest.raises(ValueError, match="out of reach of the exact route"):
+                    kernels.eta24_coefficients(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_a_pass_cannot_overflow_int64(self):
+        pmax = max(kernels._ETA_PRIMES)
+        assert all(p < 2**31 for p in kernels._ETA_PRIMES)
+        _, coeffs = kernels._jacobi_terms(lfun._MAX_TAU)
+        assert pmax * sum(abs(c) for c in coeffs) < 2**49
+        # the largest n the moduli accept (see the refusal test)
+        _, coeffs = kernels._jacobi_terms(1321122)
+        assert pmax * sum(abs(c) for c in coeffs) < 2**53
+
     def test_domain(self):
         with pytest.raises(ValueError):
             kernels.eta24_coefficients(0)
+
+
+def _primes_below(n):
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def _sigma11_mod691(n):
+    """sigma_11(m) mod 691 for m = 1..n by a divisor sieve."""
+    d = np.arange(1, n + 1, dtype=np.int64)
+    power = np.ones_like(d)
+    for _ in range(11):
+        power = power * d % 691
+    sigma = np.zeros(n + 1, dtype=np.int64)
+    for k in range(1, n + 1):
+        sigma[k::k] += power[k - 1]
+    return (sigma[1:] % 691).tolist()
+
+
+@pytest.fixture(scope="module")
+def tau_at_cap():
+    return kernels.eta24_coefficients(lfun._MAX_TAU)
+
+
+class TestEta24AtCap:
+    """tau(1..100000) against identities that use neither expansion."""
+
+    def test_every_value_is_a_python_int(self, tau_at_cap):
+        assert len(tau_at_cap) == lfun._MAX_TAU
+        assert all(type(t) is int for t in tau_at_cap)
+        assert tau_at_cap[:5] == [1, -24, 252, -1472, 4830]
+
+    def test_ramanujan_congruence_mod_691(self, tau_at_cap):
+        sigma = _sigma11_mod691(len(tau_at_cap))
+        assert [t % 691 for t in tau_at_cap] == sigma
+
+    def test_multiplicative_on_coprime_pairs(self, tau_at_cap):
+        n = len(tau_at_cap)
+        rng = random.Random(691)
+        checked = 0
+        while checked < 500:
+            a = rng.randint(2, 2000)
+            b = rng.randint(2, n // a)
+            if math.gcd(a, b) == 1:
+                assert tau_at_cap[a * b - 1] == tau_at_cap[a - 1] * tau_at_cap[b - 1]
+                checked += 1
+
+    def test_hecke_relation_at_prime_squares(self, tau_at_cap):
+        for p in _primes_below(math.isqrt(len(tau_at_cap)) + 1):
+            tp = tau_at_cap[p - 1]
+            assert tau_at_cap[p * p - 1] == tp * tp - p**11
+
+    def test_deligne_bound_at_primes(self, tau_at_cap):
+        for p in _primes_below(len(tau_at_cap) + 1):
+            # |tau(p)| <= 2 p^(11/2), squared to stay in integers
+            assert tau_at_cap[p - 1] ** 2 <= 4 * p**11
