@@ -236,7 +236,7 @@ def _cmd_satake_trace(args) -> dict:
         "satake.trace",
         {"chi": list(args.chi), "p": args.p, "d": args.d},
         {"value": value},
-        ["dominant-monomial orbit sums through total degree d"],
+        ["compensated sum of the complete homogeneous sums h_k(chi), k <= d"],
     )
 
 

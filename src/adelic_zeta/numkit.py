@@ -1,5 +1,6 @@
 """Numerical substrate: complex gamma, quadrature on (0, infinity) and on
-finite intervals, compensated summation, and sign-change root location.
+finite intervals, compensated summation, sign-change root location, and
+the primality check that every module taking a prime p shares.
 
 Complex numbers are plain builtin ``complex`` throughout; callers are
 expected to keep both components finite.  All routines are deterministic:
@@ -261,6 +262,13 @@ def integrate_finite(
         f"finite-interval quadrature stalled above tol={spec.target_abs_tol:g} "
         f"after {spec.max_refinements} refinements"
     )
+
+
+def _check_prime(p: int) -> int:
+    """p itself if it is a prime int, by trial division; else ValueError."""
+    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime integer (got {p!r})")
+    return p
 
 
 def sum_compensated(terms: Sequence[complex]) -> complex:

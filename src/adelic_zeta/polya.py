@@ -45,12 +45,12 @@ class CriticalLineFn:
     are real and even in t: the functional equation reflects the line
     onto its own complex conjugate.
 
-    With normalized=True (the default) the value is divided by the
-    positive envelope pi^(-1/4) |gamma((1/2 + it)/2)| respectively
-    (2 pi)^(-6) |gamma(6 + it)|.  That rescales the exponentially
-    decaying completed function to order one without moving a single
-    zero or sign, which is what makes bracketing robust in double
-    precision.  normalized=False returns the literal completed value.
+    Calling the instance divides the value by the positive envelope
+    pi^(-1/4) |gamma((1/2 + it)/2)| respectively (2 pi)^(-6) |gamma(6 + it)|.
+    That rescales the exponentially decaying completed function to order
+    one without moving a single zero or sign, which is what makes
+    bracketing robust in double precision.  ``complex_value`` returns the
+    literal completed value.
 
     Samples are cached append-only behind a lock, so one instance can be
     shared by concurrent scans.
@@ -63,11 +63,10 @@ class CriticalLineFn:
     high end of the allowed window carry that caveat.
     """
 
-    def __init__(self, kind: str, normalized: bool = True):
+    def __init__(self, kind: str):
         if kind not in _KINDS:
             raise ValueError("kind must be one of %r, got %r" % (_KINDS, kind))
         self.kind = kind
-        self.normalized = bool(normalized)
         self._cache: dict[float, float] = {}
         self._lock = threading.Lock()
 
@@ -96,9 +95,7 @@ class CriticalLineFn:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        value = self.complex_value(key).real
-        if self.normalized:
-            value /= self.envelope(key)
+        value = self.complex_value(key).real / self.envelope(key)
         with self._lock:
             self._cache[key] = value
         return value

@@ -1,7 +1,8 @@
 """Exact layer at a fixed prime: Hermite coset enumeration for rank <= 2,
-the spherical transform of compactly supported and radial bi-invariant
-functions, symmetric Laurent data, local Euler factors, and truncated
-traces.
+the spherical transform of finitely supported bi-invariant functions and
+of the radial family 1_{integral} |det|^sigma, symmetric Laurent data,
+local Euler factors, and truncated traces (partial sums of the series of
+complete homogeneous sums h_k).
 
 Arithmetic that only involves integer powers of p^(1/2) stays exact via
 ``SqrtP`` (elements a + b*sqrt(p) with rational a, b); mixed expressions
@@ -19,7 +20,7 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .numkit import PoleError
+from .numkit import PoleError, _check_prime, sum_compensated
 
 __all__ = [
     "SqrtP",
@@ -41,23 +42,6 @@ __all__ = [
 ]
 
 _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _check_prime(p: int) -> int:
-    if not isinstance(p, int) or not _is_prime(p):
-        raise ValueError(f"p must be a prime integer (got {p!r})")
-    return p
 
 
 class SqrtP:
@@ -104,7 +88,7 @@ class SqrtP:
         return SqrtP(self.p, -self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SqrtP) else -Fraction(other) if isinstance(other, Rational) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,35 +130,40 @@ class SqrtP:
         return f"SqrtP({self.p}, {self.a}, {self.b})"
 
 
-def _scalar_is_zero(x) -> bool:
-    return x == 0
-
-
-def _scalar_to_complex(x) -> complex:
-    if isinstance(x, SqrtP):
-        return complex(x)
-    if isinstance(x, Rational):
-        return complex(float(x))
-    return complex(x)
-
-
 def dominant(v: Sequence[int]) -> tuple[int, ...]:
     """The weakly decreasing reordering (dominant representative) of v."""
     return tuple(sorted(v, reverse=True))
 
 
-def dominant_tuples(n: int, max_total: int, min_entry: int = 0):
-    """All weakly decreasing n-tuples with entries >= min_entry and sum of
-    (entry - min_entry) <= max_total, in lexicographic order."""
+def dominant_tuples(n: int, max_total: int):
+    """All weakly decreasing n-tuples of nonnegative integers with sum
+    <= max_total, in decreasing lexicographic order."""
 
     def rec(prefix, remaining, cap):
         if len(prefix) == n:
             yield tuple(prefix)
             return
-        for v in range(min(cap, min_entry + remaining), min_entry - 1, -1):
-            yield from rec(prefix + [v], remaining - (v - min_entry), v)
+        for v in range(min(cap, remaining), -1, -1):
+            yield from rec(prefix + [v], remaining - v, v)
 
-    yield from rec([], max_total, max_total + min_entry)
+    yield from rec([], max_total, max_total)
+
+
+def _dominant_coeffs(n: int, coeffs: Mapping[tuple[int, ...], object]) -> dict:
+    """Validated copy of coefficients keyed by dominant integer weights of
+    length n >= 1, with the zero coefficients dropped."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    clean = {}
+    for lam, c in coeffs.items():
+        lam = tuple(int(x) for x in lam)
+        if len(lam) != n:
+            raise ValueError(f"weight {lam} has wrong length for n={n}")
+        if lam != dominant(lam):
+            raise ValueError(f"weight {lam} is not dominant")
+        if c != 0:
+            clean[lam] = c
+    return clean
 
 
 @dataclass(frozen=True)
@@ -211,19 +200,8 @@ class SymLaurent:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], object]):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        clean = {}
-        for lam, c in coeffs.items():
-            lam = tuple(int(x) for x in lam)
-            if len(lam) != n:
-                raise ValueError(f"weight {lam} has wrong length for n={n}")
-            if lam != dominant(lam):
-                raise ValueError(f"weight {lam} is not dominant")
-            if not _scalar_is_zero(c):
-                clean[lam] = c
+        self.coeffs = _dominant_coeffs(n, coeffs)
         self.n = n
-        self.coeffs = clean
 
     @classmethod
     def one(cls, n: int) -> "SymLaurent":
@@ -293,31 +271,16 @@ class SymLaurent:
 
 @dataclass(frozen=True)
 class HeckeFn:
-    """Bi-invariant function at p: either finitely supported on double
-    cosets (coeffs keyed by dominant weight) or the radial family
-    1_{integral} |det|^sigma tagged by its growth exponent."""
+    """Bi-invariant function at p, finitely supported on double cosets:
+    ``coeffs[lam]`` is its value on K diag(p^lam) K, lam dominant."""
 
     n: int
     p: int
     coeffs: Mapping[tuple[int, ...], object] = field(default_factory=dict)
-    radial_exponent: object = None
 
     def __post_init__(self):
         _check_prime(self.p)
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-        if self.radial_exponent is not None and self.coeffs:
-            raise ValueError("a HeckeFn is finite or radial, not both")
-        clean = {}
-        for lam, c in dict(self.coeffs).items():
-            lam = tuple(int(x) for x in lam)
-            if len(lam) != self.n:
-                raise ValueError("weight length mismatch")
-            if lam != dominant(lam):
-                raise ValueError(f"support weight {lam} must be dominant")
-            if not _scalar_is_zero(c):
-                clean[lam] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _dominant_coeffs(self.n, self.coeffs))
 
     @classmethod
     def double_coset(cls, n: int, p: int, lam: Sequence[int]) -> "HeckeFn":
@@ -326,14 +289,6 @@ class HeckeFn:
     @classmethod
     def unit(cls, n: int, p: int) -> "HeckeFn":
         return cls(n, p, {(0,) * n: 1})
-
-    @classmethod
-    def radial(cls, n: int, p: int, sigma) -> "HeckeFn":
-        return cls(n, p, {}, radial_exponent=sigma)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.radial_exponent is None
 
 
 @dataclass(frozen=True)
@@ -406,8 +361,7 @@ def _order_classes(p: int, m: int):
                 count = p ** (a - t) - p ** (a - t - 1)
             if count <= 0:
                 continue
-            teff = math.inf if t is None else t
-            if min(a, c, teff) != 0:
+            if a and c and t != 0:
                 continue
             classes.append((a, c, t, count))
     return tuple(classes)
@@ -441,9 +395,8 @@ def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration
         c = m - a
         pa = p**a
         for b in range(pa):
-            t = _ord_p(b, p) if b else None
-            teff = math.inf if t is None else t
-            if min(a, c, teff) != 0:
+            # primitive: a, c and the p-adic order of b not all positive
+            if a and c and b % p == 0:
                 continue
             reps.append(
                 (
@@ -476,10 +429,8 @@ def satake_transform(f: HeckeFn) -> SymLaurent:
 
     Exact output: counts times half-integer powers of p.  Rank <= 2.
     """
-    if not f.is_finite:
-        raise ValueError("use satake_truncated_radial for the radial family")
     if f.n == 1:
-        return SymLaurent(1, {lam: c for lam, c in f.coeffs.items()})
+        return SymLaurent(1, f.coeffs)
     if f.n != 2:
         raise ValueError("spherical transform is implemented for rank <= 2")
     p = f.p
@@ -502,12 +453,24 @@ def satake_transform(f: HeckeFn) -> SymLaurent:
     return SymLaurent(2, acc)
 
 
-def _as_fraction_exponent(sigma):
-    if isinstance(sigma, Rational):
-        return Fraction(sigma)
-    if isinstance(sigma, float):
-        return Fraction(sigma)
-    return None
+def _radial_weight(p: int, sigma, m: int):
+    """p^(-sigma m): an exact SqrtP when sigma is real and 2 sigma m is an
+    integer, a complex float otherwise."""
+    if isinstance(sigma, (Rational, float)):
+        e = 2 * Fraction(sigma) * m
+        if e.denominator == 1:
+            return SqrtP.half_power(p, -int(e))
+    return complex(p) ** (-complex(sigma) * m)
+
+
+def _determinant_counts(p: int, k: int) -> dict[tuple[int, int], int]:
+    """How many integral rank-2 cosets of determinant p^k have a given
+    diagonal: _diag_counts summed over the integral double cosets (k-j, j)."""
+    out: dict[tuple[int, int], int] = {}
+    for j in range(k // 2 + 1):
+        for mu, cnt in _diag_counts(p, (k - j, j)).items():
+            out[mu] = out.get(mu, 0) + cnt
+    return out
 
 
 def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent:
@@ -523,32 +486,15 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     if d < 0:
         raise ValueError("depth d must be >= 0")
     if n == 1:
-        sig = _as_fraction_exponent(sigma)
-        out = {}
-        for m in range(d + 1):
-            if sig is not None and (2 * sig * m).denominator == 1:
-                out[(m,)] = SqrtP.half_power(p, -int(2 * sig * m))
-            else:
-                out[(m,)] = complex(p) ** (-complex(sigma) * m)
-        return SymLaurent(1, out)
+        return SymLaurent(1, {(m,): _radial_weight(p, sigma, m) for m in range(d + 1)})
     if n != 2:
         raise ValueError("radial transform is implemented for rank <= 2")
-    sig = _as_fraction_exponent(sigma)
+    counts = [_determinant_counts(p, k) for k in range(d + 1)]
     out = {}
     for mu in dominant_tuples(2, d):
-        total = 0
-        for j in range(0, sum(mu) // 2 + 1):
-            lam = (sum(mu) - j, j)
-            if lam != dominant(lam):
-                continue
-            total += _diag_counts(p, lam).get(mu, 0)
-        if total == 0:
-            continue
-        if sig is not None and (2 * sig * sum(mu)).denominator == 1:
-            radial_part = SqrtP.half_power(p, -int(2 * sig * sum(mu)))
-        else:
-            radial_part = complex(p) ** (-complex(sigma) * sum(mu))
-        out[mu] = total * _half_delta(p, mu) * radial_part
+        total = counts[sum(mu)].get(mu, 0)
+        if total:
+            out[mu] = total * _half_delta(p, mu) * _radial_weight(p, sigma, sum(mu))
     return SymLaurent(2, out)
 
 
@@ -558,7 +504,7 @@ def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:
         raise ValueError("rank mismatch")
     total = 0j
     for mu, c in g.monomials().items():
-        term = _scalar_to_complex(c)
+        term = complex(c)
         for x, m in zip(chi.chi, mu):
             term *= x**m
         total += term
@@ -593,17 +539,11 @@ def local_factor_series(chi: SatakeParam, d: int) -> list[complex]:
 
 def trace_truncated(chi: SatakeParam, d: int) -> complex:
     """sum of m_lam(chi) over dominant lam >= 0 with |lam| <= d; converges
-    to the local factor at s = 0 when the parameter norm is < 1."""
-    if d < 0:
-        raise ValueError("need d >= 0")
-    total = 0j
-    for lam in dominant_tuples(chi.n, d):
-        for mu in set(itertools.permutations(lam)):
-            term = 1.0 + 0.0j
-            for x, m in zip(chi.chi, mu):
-                term *= x**m
-            total += term
-    return total
+    to the local factor at s = 0 when the parameter norm is < 1.
+
+    The degree-k orbit sums add up to h_k(chi), so this is the correctly
+    rounded sum of local_factor_series(chi, d), in O(n d) operations."""
+    return sum_compensated(local_factor_series(chi, d))
 
 
 def twist(chi: SatakeParam, s: complex) -> SatakeParam:
@@ -618,8 +558,6 @@ def convolve(f: HeckeFn, g: HeckeFn) -> HeckeFn:
     exact Smith classification of x^{-1} diag(p^nu)."""
     if f.n != g.n or f.p != g.p:
         raise ValueError("operands must share rank and prime")
-    if not (f.is_finite and g.is_finite):
-        raise ValueError("convolution needs finite support")
     if f.n == 1:
         out: dict[tuple[int, ...], object] = {}
         for (a,), ca in f.coeffs.items():

@@ -25,6 +25,7 @@ from ._backend import kernels
 from .numkit import (
     PoleError,
     QuadratureSpec,
+    _check_prime,
     integrate_finite,
     integrate_halfline,
     sum_compensated,
@@ -74,15 +75,6 @@ class FiniteTestFn:
             seen.add(m)
             clean.append((complex(c), m))
         object.__setattr__(self, "terms", tuple(clean))
-
-    def value_at(self, x) -> complex:
-        """Value at a rational adele point embedded diagonally."""
-        x = Fraction(x)
-        total = 0j
-        for c, m in self.terms:
-            if (x / m).denominator == 1:
-                total += c
-        return total
 
     def at_zero(self) -> complex:
         return sum((c for c, _m in self.terms), 0j)
@@ -199,8 +191,7 @@ def make_S0(p: int) -> AdelicTestFn:
     """(1_{Zhat} - p 1_{p Zhat}) tensor u^2 exp(-pi u^2): vanishes at 0
     together with its Fourier transform (both sides of the annihilation
     condition hold by exact cancellation)."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be prime")
+    _check_prime(p)
     fin = FiniteTestFn(((1.0, Fraction(1)), (-float(p), Fraction(p))))
     arch = ArchTestFn((0.0, 0.0, 1.0))
     return AdelicTestFn(((fin, arch),))

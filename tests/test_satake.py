@@ -2,7 +2,9 @@
 
 The coset-count oracle enumerates upper-triangular integer matrices
 directly and classifies them by Smith normal form, independently of the
-order-class counting in the implementation.
+order-class counting in the implementation.  The trace oracle sums the
+monomials of every dominant orbit, independently of the h_k recurrence
+that trace_truncated uses.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic_zeta.satake import (
     HeckeFn,
@@ -48,6 +52,29 @@ def snf_count_oracle(p: int, lam: tuple[int, int]) -> int:
     return count
 
 
+def orbit_trace_oracle(chi: tuple[complex, ...], d: int) -> complex:
+    """sum of m_lam(chi) over dominant lam >= 0 with |lam| <= d, one
+    monomial per point of each Weyl orbit, summed with math.fsum."""
+    terms = []
+    for lam in dominant_tuples(len(chi), d):
+        for mu in set(itertools.permutations(lam)):
+            term = 1.0 + 0.0j
+            for x, m in zip(chi, mu):
+                term *= x**m
+            terms.append(term)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+small_weights = st.tuples(st.integers(-2, 3), st.integers(-2, 3)).map(dominant)
+small_hecke_coeffs = st.dictionaries(
+    small_weights,
+    st.fractions(-3, 3, max_denominator=4).filter(lambda c: c != 0),
+    min_size=1,
+    max_size=2,
+)
+
+
 class TestSqrtP:
     def test_ring_ops(self):
         r = SqrtP(2, 1, 1)  # 1 + sqrt(2)
@@ -55,6 +82,9 @@ class TestSqrtP:
         assert r * s == SqrtP(2, -1)  # (1+r)(1-r) = 1 - 2
         assert r + s == 2
         assert r - r == 0
+        assert r - 1 == SqrtP(2, 0, 1)
+        assert r - Fraction(1, 2) == SqrtP(2, Fraction(1, 2), 1)
+        assert 1 - r == SqrtP(2, 0, -1)
 
     def test_half_power(self):
         assert SqrtP.half_power(2, 2) == 2
@@ -80,8 +110,8 @@ class TestDominant:
     def test_tuples_enumeration(self):
         got = set(dominant_tuples(2, 2))
         assert got == {(0, 0), (1, 0), (1, 1), (2, 0)}
-        # with min_entry = 0 the sum is bounded by max_total, which the
-        # truncated radial transform and trace rely on without filtering
+        # entries are >= 0 and the sum is bounded by max_total, which the
+        # truncated radial transform relies on without filtering
         for n in (1, 2, 3):
             for d in range(9):
                 brute = {
@@ -89,13 +119,6 @@ class TestDominant:
                     if sum(mu) <= d and list(mu) == sorted(mu, reverse=True)
                 }
                 assert set(dominant_tuples(n, d)) == brute, (n, d)
-
-    def test_tuples_respect_min_entry(self):
-        # budget counts entry - min_entry, so the floor tuple costs zero
-        got = set(dominant_tuples(2, 1, min_entry=-1))
-        assert got == {(-1, -1), (0, -1)}
-        got2 = set(dominant_tuples(2, 2, min_entry=-1))
-        assert got2 == {(-1, -1), (0, -1), (0, 0), (1, -1)}
 
 
 class TestCosets:
@@ -127,6 +150,17 @@ class TestCosets:
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cosets(4, (1, 0))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("lam", [-2, 0, 3])
+    def test_rank_one_single_scaled_unit(self, p, lam):
+        enum = enumerate_cosets(p, (lam,), n=1)
+        assert enum.representatives == (((Fraction(p) ** lam,),),)
+        assert (enum.n, enum.lam, enum.depth) == (1, (lam,), 1)
+
+    def test_rank_one_length_checked(self):
+        with pytest.raises(ValueError):
+            enumerate_cosets(2, (1, 0), n=1)
 
 
 class TestModulusDelta:
@@ -179,6 +213,36 @@ class TestSatakeTransform:
         with pytest.raises(ValueError):
             convolve(f, g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), fc=small_hecke_coeffs, gc=small_hecke_coeffs)
+    def test_homomorphism_property(self, p, fc, gc):
+        # S(f * g) == S(f) S(g), exactly, on combinations of double cosets
+        f, g = HeckeFn(2, p, fc), HeckeFn(2, p, gc)
+        assert satake_transform(convolve(f, g)) == satake_transform(f) * satake_transform(g)
+
+
+class TestRankOne:
+    """GL_1: double cosets are single cosets p^m Z_p^x, delta is trivial and
+    convolution adds exponents."""
+
+    def test_transform_is_identity_on_coefficients(self):
+        f = HeckeFn(1, 3, {(2,): 5, (-1,): Fraction(1, 2), (0,): 0})
+        assert satake_transform(f) == SymLaurent(1, {(2,): 5, (-1,): Fraction(1, 2)})
+
+    def test_convolution_adds_exponents(self):
+        f = HeckeFn(1, 2, {(1,): 2, (0,): 1})
+        g = HeckeFn(1, 2, {(2,): 1, (-1,): 3})
+        got = convolve(f, g)
+        assert got.coeffs == {(3,): 2, (0,): 6, (2,): 1, (-1,): 3}
+        assert satake_transform(got) == satake_transform(f) * satake_transform(g)
+
+    def test_radial_table(self):
+        half = satake_truncated_radial(Fraction(1, 2), 4, n=1, p=5)
+        assert half.coeffs == {(m,): SqrtP.half_power(5, -m) for m in range(5)}
+        for sigma in (0.3, 0.25 + 1j):
+            val = satake_truncated_radial(sigma, 3, n=1, p=3)
+            assert val.coeffs == {(m,): complex(3) ** (-complex(sigma) * m) for m in range(4)}
+
 
 class TestRadial:
     def test_exact_identity_at_center(self):
@@ -200,6 +264,14 @@ class TestRadial:
         val = satake_truncated_radial(Fraction(3, 2), 2, p=3)
         for lam, c in val.coeffs.items():
             assert c == SqrtP.half_power(3, -2 * (lam[0] + lam[1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from(PRIMES), d=st.integers(0, 8),
+           sigma=st.sampled_from([Fraction(1, 2), 0.5]))
+    def test_constant_at_center_property(self, p, d, sigma):
+        val = satake_truncated_radial(sigma, d, p=p)
+        assert set(val.coeffs) == set(dominant_tuples(2, d))
+        assert all(c == 1 for c in val.coeffs.values())
 
 
 class TestLocalFactors:
@@ -247,6 +319,24 @@ class TestLocalFactors:
                 if sum(lam) == k and min(lam) >= 0:
                     orbit_sum += eval_character(SymLaurent.orbit(lam, 1), chi)
             assert abs(series[k] - orbit_sum) < 1e-13
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        polar=st.lists(
+            st.tuples(st.floats(0.05, 0.8), st.floats(-math.pi, math.pi)),
+            min_size=1, max_size=3,
+        ),
+        d=st.integers(0, 12),
+    )
+    def test_trace_against_orbit_oracle(self, polar, d):
+        chi = tuple(r * complex(math.cos(a), math.sin(a)) for r, a in polar)
+        got = trace_truncated(SatakeParam(len(chi), 2, chi), d)
+        want = orbit_trace_oracle(chi, d)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_trace_rejects_negative_depth(self):
+        with pytest.raises(ValueError):
+            trace_truncated(SatakeParam(1, 2, (0.5,)), -1)
 
     def test_trace_against_geometric_value(self):
         chi = SatakeParam(2, 2, (0.5, 0.3))
