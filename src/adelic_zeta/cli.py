@@ -13,7 +13,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from ._backend import BACKEND
 from .numkit import NonConvergenceError, PoleError
 from . import lfun, polya, records, satake, theta
 
@@ -45,7 +44,6 @@ def _report(command: str, inputs: dict, outputs: dict, provenance: list[str]) ->
     return {
         "schema": _SCHEMA,
         "command": command,
-        "backend": BACKEND,
         "inputs": inputs,
         "outputs": outputs,
         "provenance": provenance,
@@ -170,16 +168,12 @@ def _cmd_theta_feq(args) -> dict:
 
 def _cmd_theta_mellin(args) -> dict:
     f = _test_fn(args)
-    value = theta.mellin_E(f, args.s, method=args.method)
+    value = theta.mellin_E(f, args.s)
     return _report(
         "theta.mellin",
-        {"s": args.s, "fn": args.fn, "p": args.p, "method": args.method},
+        {"s": args.s, "fn": args.fn, "p": args.p},
         {"value": value},
-        [
-            "reflected two-sided half-line integral with explicit pole terms"
-            if args.method == "reflected"
-            else "defining integral truncated at t = e^-6.9 (cross-check route)"
-        ],
+        ["reflected two-sided half-line integral with explicit pole terms"],
     )
 
 
@@ -373,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=float, required=True)
         elif extra == "s":
             p.add_argument("--s", type=_complex_arg, required=True)
-            p.add_argument("--method", choices=("reflected", "direct"), default="reflected")
         else:
             p.add_argument("--n", type=int, required=True)
         p.add_argument("--fn", choices=("gaussian", "s0"), default="gaussian")
@@ -417,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--m-pi", dest="m_pi", type=int, default=1)
     p.add_argument("--rule-variant", dest="rule_variant",
-                   choices=("literal", "strict-literal", "inclusive"), default="literal")
+                   choices=("literal", "inclusive"), default="literal")
     p.set_defaults(handler=_cmd_polya_spectrum)
 
     p = polya_ops.add_parser("residual", parents=[fmt], help="annihilator residual at t")

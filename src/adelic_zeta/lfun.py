@@ -36,9 +36,7 @@ __all__ = [
     "EulerProductValue",
     "zeta_product",
     "delta_product",
-    "to_normalization",
     "euler_product_eval",
-    "dirichlet_partial_sum",
     "completed_lambda_zeta",
     "completed_lambda_delta",
 ]
@@ -153,8 +151,8 @@ def zeta_em(s: complex, terms: int = 100, order: int = 10) -> complex:
 @dataclass(frozen=True)
 class EulerProduct:
     """Descriptor of a degree-d Euler product: per-prime local polynomial
-    coefficients (ascending in x = p^-s), the center of the functional
-    equation, and which normalization the variable s lives in.
+    coefficients (ascending in x = p^-s) and which normalization the
+    variable s lives in.
 
     weight is the motivic weight: the unitary variable is
     s_unitary = s_arithmetic - weight/2.
@@ -163,7 +161,6 @@ class EulerProduct:
     label: str
     degree: int
     local_coeffs: Callable[[int], Sequence[complex]]
-    fe_center: float
     normalization: str
     weight: int = 0
 
@@ -180,7 +177,6 @@ def zeta_product() -> EulerProduct:
         label="zeta",
         degree=1,
         local_coeffs=lambda p: (1.0, -1.0),
-        fe_center=0.5,
         normalization="unitary",
         weight=0,
     )
@@ -193,49 +189,19 @@ def delta_product(table: CoeffTable, normalization: str = "arithmetic") -> Euler
 
         def local(p: int):
             return (1.0, -float(table.a(p)), float(p) ** 11)
-
-        center = 6.0
     elif normalization == "unitary":
 
         def local(p: int):
             ap = table.a(p) / float(p) ** 5.5
             return (1.0, -ap, 1.0)
-
-        center = 0.5
     else:
         raise ValueError("normalization must be arithmetic or unitary")
     return EulerProduct(
         label="delta",
         degree=2,
         local_coeffs=local,
-        fe_center=center,
         normalization=normalization,
         weight=11,
-    )
-
-
-def to_normalization(L: EulerProduct, normalization: str) -> EulerProduct:
-    """Rewrite the descriptor in the other variable: s_unitary =
-    s_arithmetic - weight/2; local coefficients pick up p^(k*weight/2)."""
-    if normalization not in ("arithmetic", "unitary"):
-        raise ValueError("normalization must be arithmetic or unitary")
-    if normalization == L.normalization:
-        return L
-    sign = 1.0 if normalization == "arithmetic" else -1.0
-    shift = sign * L.weight / 2.0
-    old = L.local_coeffs
-
-    def local(p: int):
-        row = old(p)
-        return tuple(c * float(p) ** (shift * k) for k, c in enumerate(row))
-
-    return EulerProduct(
-        label=L.label,
-        degree=L.degree,
-        local_coeffs=local,
-        fe_center=L.fe_center + shift,
-        normalization=normalization,
-        weight=L.weight,
     )
 
 
@@ -268,16 +234,6 @@ def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerPr
     value = kernels.euler_product(prime_arr, coeff_rows, s)
     tail = L.degree * prime_bound ** (1.0 - sigma) / (sigma - 1.0)
     return EulerProductValue(complex(value), float(tail), len(ps))
-
-
-def dirichlet_partial_sum(table: CoeffTable, s: complex, n_terms: int | None = None) -> complex:
-    """sum a_n n^-s over the table (arithmetic normalization); a slow
-    independent cross-check for the Euler product route."""
-    s = complex(s)
-    n_terms = len(table) if n_terms is None else min(n_terms, len(table))
-    n_arr = np.arange(1, n_terms + 1, dtype=float)
-    a_arr = np.array(table.values[:n_terms], dtype=float)
-    return complex(sum_compensated(a_arr * np.exp(-s * np.log(n_arr))))
 
 
 def _cutoff(decay_rate: float, growth: float, tol: float = 1e-18) -> float:
@@ -360,9 +316,7 @@ def _delta_series(y: np.ndarray, table: CoeffTable) -> np.ndarray:
     return out
 
 
-def completed_lambda_delta(
-    s: complex, table: CoeffTable | None = None, abs_tol: float = 1e-12
-) -> complex:
+def completed_lambda_delta(s: complex, abs_tol: float = 1e-12) -> complex:
     """Completed L-function of the weight-12 cusp form,
     (2 pi)^(-s) gamma(s) L(s), via
 
@@ -378,7 +332,7 @@ def completed_lambda_delta(
         raise ValueError(
             f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
         )
-    table = table or _default_delta_table()
+    table = _default_delta_table()
     growth = max(abs(s.real), abs(12.0 - s.real), 1.0)
     v_max = _cutoff(2.0 * math.pi, growth)
 

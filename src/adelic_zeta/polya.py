@@ -6,9 +6,8 @@ lines, scans them for sign-change zeros with bisection refinement, and
 turns zero lists into eigenvalue data under an explicit multiplicity
 counting rule.  A uniformly discretized weighted band on [-T, T] models
 the translation generator (multiplication by it after Fourier
-transform); its resolvent is available both in closed diagonal form and
-through a Laplace-transform quadrature of the flow, and the norm of the
-shift operator is checked against the weight-growth bound
+transform); its resolvent is applied in closed diagonal form, and the
+norm of the shift operator is checked against the weight-growth bound
 2^(delta/4) (1 + a^2)^(delta/4).
 """
 
@@ -22,19 +21,16 @@ from functools import cached_property
 import numpy as np
 
 from .lfun import completed_lambda_delta, completed_lambda_zeta
-from .numkit import NonConvergenceError, bracket_and_bisect, gamma
+from .numkit import bracket_and_bisect, gamma
 
 _FD_STEP = 1e-3
 _KINDS = ("zeta", "delta")
 # |t| windows of the completed functions on each critical line
 _T_MAX = {"zeta": 60.0, "delta": 50.0}
-# canonical names for the two multiplicity-rule readings; "strict-literal"
-# is accepted as an alias for the default
-_RULE_VARIANTS = {
-    "literal": "literal",
-    "strict-literal": "literal",
-    "inclusive": "inclusive",
-}
+_RULE_VARIANTS = ("literal", "inclusive")
+# grid of the weighted-shift norm check
+_NORM_T_MAX = 20.0
+_NORM_H = 0.05
 
 
 class CriticalLineFn:
@@ -192,7 +188,7 @@ def n_rho(mult: int, delta: float, variant: str = "literal") -> int:
     variant "inclusive": relaxes the second comparison to n <= mult, the
     reading under which simple zeros contribute; kept behind this flag
     because the two readings genuinely disagree and neither is treated
-    as ground truth here.  "strict-literal" is an alias for "literal".
+    as ground truth here.
     """
     if int(mult) != mult or mult < 1:
         raise ValueError("mult must be an integer >= 1")
@@ -200,9 +196,8 @@ def n_rho(mult: int, delta: float, variant: str = "literal") -> int:
         raise ValueError("delta must exceed 1")
     if variant not in _RULE_VARIANTS:
         raise ValueError("variant must be one of %r" % sorted(_RULE_VARIANTS))
-    canon = _RULE_VARIANTS[variant]
     n_cap = math.ceil(delta - 1.0) - 1  # largest integer strictly below delta-1
-    if canon == "literal":
+    if variant == "literal":
         return max(0, min(n_cap, int(mult) - 1))
     return max(0, min(n_cap, int(mult)))
 
@@ -256,12 +251,11 @@ def build_spectrum(
         raise ValueError("m_pi must be an integer >= 1")
     if variant not in _RULE_VARIANTS:
         raise ValueError("variant must be one of %r" % sorted(_RULE_VARIANTS))
-    canon = _RULE_VARIANTS[variant]
     entries = []
     for z in zeros:
         lit = n_rho(z.mult_assumed, delta, "literal")
         inc = n_rho(z.mult_assumed, delta, "inclusive")
-        active = lit if canon == "literal" else inc
+        active = lit if variant == "literal" else inc
         entries.append(
             SpectrumEntry(
                 rho=z.rho,
@@ -272,7 +266,7 @@ def build_spectrum(
             )
         )
     return PolyaSpectrum(
-        delta=float(delta), m_pi=int(m_pi), rule_variant=canon, entries=tuple(entries)
+        delta=float(delta), m_pi=int(m_pi), rule_variant=variant, entries=tuple(entries)
     )
 
 
@@ -355,51 +349,10 @@ def generator_apply(band: BandDiscretization, v) -> np.ndarray:
     return 1j * band.grid * v
 
 
-_GL20 = np.polynomial.legendre.leggauss(20)
-
-
-def _laplace_symbols(t_grid: np.ndarray, kappa: complex, tol: float) -> np.ndarray:
-    """Resolvent symbol 1/(it - kappa) via the Laplace transform of the
-    flow: -int_0^inf e^(-kappa tau) e^(i t tau) dtau for Re kappa > 0 and
-    the mirrored integral +int_0^inf e^(kappa tau) e^(-i t tau) dtau for
-    Re kappa < 0 (mirroring keeps the integrand decaying)."""
-    if kappa.real < 0.0:
-        return -_laplace_symbols(-t_grid, -kappa, tol)
-    tau_max = 42.0 / kappa.real
-    xs, ws = _GL20
-
-    def integrate(panels: int) -> np.ndarray:
-        acc = np.zeros(len(t_grid), dtype=complex)
-        width = tau_max / panels
-        for j in range(panels):
-            mid = (j + 0.5) * width
-            tau = mid + 0.5 * width * xs
-            w = 0.5 * width * ws
-            phases = np.exp(np.outer(tau, 1j * t_grid))
-            acc += (w * np.exp(-kappa * tau)) @ phases
-        return -acc
-
-    panels = 8
-    prev = integrate(panels)
-    for _ in range(10):
-        panels *= 2
-        cur = integrate(panels)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
-    raise NonConvergenceError("Laplace resolvent quadrature did not settle")
-
-
-def resolvent_apply(
-    band: BandDiscretization, v, kappa: complex, route: str = "diagonal"
-) -> np.ndarray:
-    """Apply the resolvent (D - kappa)^(-1) of the band-model generator.
-
-    route "diagonal" is the closed form v_j / (i t_j - kappa); route
-    "laplace" reproduces it by quadrature of the transform of the
-    translation flow, tying the discretization to the operator picture.
-    kappa on the imaginary axis is rejected: that line carries the
-    spectrum.
+def resolvent_apply(band: BandDiscretization, v, kappa: complex) -> np.ndarray:
+    """Apply the resolvent (D - kappa)^(-1) of the band-model generator in
+    its closed form v_j / (i t_j - kappa).  kappa on the imaginary axis is
+    rejected: that line carries the spectrum.
     """
     kappa = complex(kappa)
     if kappa.real == 0.0:
@@ -407,40 +360,29 @@ def resolvent_apply(
     v = np.asarray(v, dtype=complex)
     if v.shape != band.grid.shape:
         raise ValueError("vector length does not match the grid")
-    if route == "diagonal":
-        return v / (1j * band.grid - kappa)
-    if route == "laplace":
-        return _laplace_symbols(band.grid, kappa, tol=1e-9) * v
-    raise ValueError("route must be 'diagonal' or 'laplace'")
+    return v / (1j * band.grid - kappa)
 
 
-def norm_bound_check(
-    a: float,
-    delta: float,
-    trials: int,
-    t_max: float = 20.0,
-    h: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float]:
+def norm_bound_check(a: float, delta: float, trials: int, seed: int = 0) -> tuple[float, float]:
     """Estimate the weighted operator norm of translation by `a` and
     compare it to the growth bound 2^(delta/4) (1 + a^2)^(delta/4).
 
-    The shift acts on the [-t_max, t_max] grid with weight
+    The shift acts on the grid of step 0.05 on [-20, 20] with weight
     (1 + t^2)^(delta/2); `trials` seeded random unit vectors are pushed
     through 30 power-iteration steps each and the largest Rayleigh
     quotient is reported.  The estimate can only undershoot the true
     norm, which itself never exceeds the bound, so measured <= bound up
-    to roundoff.  `a` must be an integer multiple of h.
+    to roundoff.  `a` must be an integer multiple of 0.05.
     """
     a, delta = float(a), float(delta)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if int(trials) != trials or trials < 1:
         raise ValueError("trials must be an integer >= 1")
-    k = int(round(a / h))
-    if abs(k * h - a) > 1e-9 * max(1.0, abs(a)):
-        raise ValueError("a must be an integer multiple of the grid step h")
-    band = BandDiscretization(t_max=t_max, h=h, delta=delta)
+    k = int(round(a / _NORM_H))
+    if abs(k * _NORM_H - a) > 1e-9 * max(1.0, abs(a)):
+        raise ValueError(f"a must be an integer multiple of the grid step {_NORM_H:g}")
+    band = BandDiscretization(t_max=_NORM_T_MAX, h=_NORM_H, delta=delta)
     w = band.weights
     m = band.size
     # (T v)_j = v_{j+k}; in the weighted norm T^* T is diagonal with

@@ -110,7 +110,9 @@ class SqrtP:
         if isinstance(other, Rational):
             return self.b == 0 and self.a == Fraction(other)
         if isinstance(other, (float, complex)):
-            return complex(self) == complex(other)
+            # exact, like Fraction == float, so equal values hash equal
+            other = complex(other)
+            return self.b == 0 and other.imag == 0 and self.a == other.real
         return NotImplemented
 
     def __hash__(self):
@@ -289,6 +291,9 @@ class HeckeFn:
     @classmethod
     def unit(cls, n: int, p: int) -> "HeckeFn":
         return cls(n, p, {(0,) * n: 1})
+
+    def __hash__(self):
+        return hash((self.n, self.p, frozenset(self.coeffs)))
 
 
 @dataclass(frozen=True)

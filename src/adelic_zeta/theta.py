@@ -26,7 +26,7 @@ from .numkit import (
     PoleError,
     QuadratureSpec,
     _check_prime,
-    integrate_finite,
+    integrate_finite,  # not called here; e2ebench/tracer.py wraps theta.integrate_finite
     integrate_halfline,
     sum_compensated,
 )
@@ -143,13 +143,10 @@ class ArchTestFn:
 
     def fourier(self) -> "ArchTestFn":
         out = [0j] * (len(self.coeffs))
-        deg = 0
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            q = _QPOLYS[k]
-            deg = max(deg, len(q))
-            for j, qc in enumerate(q):
+            for j, qc in enumerate(_QPOLYS[k]):
                 out[j] += c * qc
         return ArchTestFn(tuple(out))
 
@@ -299,7 +296,7 @@ _MELLIN_SPEC = QuadratureSpec(target_abs_tol=1e-11, max_refinements=9)
 _POLE_GUARD = 0.05
 
 
-def _halfline_mellin_part(f: AdelicTestFn, a: complex, spec: QuadratureSpec) -> complex:
+def _halfline_mellin_part(f: AdelicTestFn, a: complex) -> complex:
     """int_0^inf E(f, e^v) e^(a v) dv, the t >= 1 half of a Mellin integral
     in logarithmic coordinates."""
 
@@ -312,57 +309,31 @@ def _halfline_mellin_part(f: AdelicTestFn, a: complex, spec: QuadratureSpec) -> 
         out[live] = ev[nonzero] * np.exp(a * v[live])
         return out
 
-    return integrate_halfline(integrand, spec).value
+    return integrate_halfline(integrand, _MELLIN_SPEC).value
 
 
-def mellin_E(
-    f: AdelicTestFn,
-    s: complex,
-    spec: QuadratureSpec | None = None,
-    method: str = "reflected",
-) -> complex:
-    """Mellin transform int_0^inf E(f)(t) t^s dt/t.
-
-    method='reflected' (default) evaluates the everywhere-convergent form
+def mellin_E(f: AdelicTestFn, s: complex) -> complex:
+    """Mellin transform int_0^inf E(f)(t) t^s dt/t, evaluated in the
+    everywhere-convergent form
 
         int_1^inf E(f,t) t^(s-1) dt + int_1^inf E(fhat,t) t^(-s-1) dt
         + fhat(0)/(s - 1/2) - f(0)/(s + 1/2),
 
     obtained by folding (0,1] through the Poisson identity; it analytically
     continues the transform to all s away from the two explicit poles
-    (which are absent exactly on S0).  method='direct' integrates the
-    defining integral and needs Re s > 1/2.  Near an active pole
-    (distance < 0.05 with a nonvanishing residue) a PoleError is raised.
+    (which are absent exactly on S0).  Near an active pole (distance
+    < 0.05 with a nonvanishing residue) a PoleError is raised.
     """
     s = complex(s)
-    spec = spec or _MELLIN_SPEC
     fhat = f.fourier()
     f0 = f.at_zero()
     fhat0 = fhat.at_zero()
-    if method == "direct":
-        # Literal evaluation of E near t = 0 needs ~1/t lattice terms, so
-        # the defining integral is truncated at t0 = e^-W, W = 6.9; the omitted mass
-        # is bounded by |fhat(0)| e^{-(Re s - 1/2) W}/(Re s - 1/2), which is
-        # why this route is a cross-check for Re s comfortably above 1/2,
-        # not the production path.
-        if s.real <= 0.5 + 1e-9:
-            raise ValueError("direct Mellin integration needs Re s > 1/2")
-        upper = _halfline_mellin_part(f, s, spec)
-        lower = integrate_finite(
-            lambda v: E_batch(f, np.exp(-v)) * np.exp(-s * v),
-            0.0,
-            6.9,
-            QuadratureSpec(spec.target_abs_tol, max(spec.max_refinements, 8)),
-        ).value
-        return upper + lower
-    if method != "reflected":
-        raise ValueError("method must be 'reflected' or 'direct'")
     if abs(fhat0) > 1e-13 and abs(s - 0.5) < _POLE_GUARD:
         raise PoleError("Mellin transform pole at s = 1/2 (fhat(0) != 0)")
     if abs(f0) > 1e-13 and abs(s + 0.5) < _POLE_GUARD:
         raise PoleError("Mellin transform pole at s = -1/2 (f(0) != 0)")
-    part_f = _halfline_mellin_part(f, s, spec)
-    part_fhat = _halfline_mellin_part(fhat, -s, spec)
+    part_f = _halfline_mellin_part(f, s)
+    part_fhat = _halfline_mellin_part(fhat, -s)
     out = part_f + part_fhat
     if fhat0 != 0j:
         out += fhat0 / (s - 0.5)
@@ -376,7 +347,6 @@ def mellin_residue_probe(
     center: complex,
     radius: float = 0.3,
     n_points: int = 32,
-    spec: QuadratureSpec | None = None,
 ) -> complex:
     """(1/2 pi i) of the contour integral of mellin_E around a circle:
     equals the residue inside (0 when the transform is analytic there).
@@ -388,7 +358,7 @@ def mellin_residue_probe(
     for k in range(n_points):
         theta = 2.0 * math.pi * k / n_points
         w = complex(math.cos(theta), math.sin(theta))
-        total.append(mellin_E(f, center + radius * w, spec=spec) * w)
+        total.append(mellin_E(f, center + radius * w) * w)
     return complex(sum_compensated(total)) * radius / n_points
 
 

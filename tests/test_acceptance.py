@@ -12,6 +12,7 @@ import time
 
 import mpmath as mp
 import numpy as np
+from reference_routes import laplace_resolvent
 
 from adelic_zeta.lfun import (
     completed_lambda_delta,
@@ -275,8 +276,8 @@ class TestAcceptance:
         smooth = band.sample(lambda t: math.exp(-0.01 * t * t))
         laplace = max(
             band.norm(
-                resolvent_apply(band, smooth, kappa, route="laplace")
-                - resolvent_apply(band, smooth, kappa, route="diagonal")
+                laplace_resolvent(band, smooth, kappa)
+                - resolvent_apply(band, smooth, kappa)
             )
             / band.norm(smooth)
             for kappa in (1.0, -1.0)

@@ -4,11 +4,22 @@ import csv
 import io
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from adelic_zeta import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """The `adelic-zeta ...` lines of the README's "Command line" block."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("adelic-zeta ")]
 
 
 def run(capsys, argv):
@@ -28,7 +39,7 @@ class TestReports:
         doc = run_json(capsys, ["lfun", "zeta", "--s", "2"])
         assert doc["schema"] == "adelic-zeta.report.v1"
         assert doc["command"] == "lfun.zeta"
-        assert doc["backend"] == cli.BACKEND
+        assert set(doc) == {"schema", "command", "inputs", "outputs", "provenance"}
         assert doc["inputs"]["s"] == {"im": 0.0, "re": 2.0}
         assert doc["inputs"]["terms"] == 100
         assert abs(doc["outputs"]["value"]["re"] - 1.6449340668482264) < 1e-12
@@ -84,6 +95,12 @@ class TestReports:
         assert doc["outputs"]["primes_used"] == 168
         assert 0.0 < doc["outputs"]["tail_log_bound"] < 1e-2
         assert abs(doc["outputs"]["value"]["re"] - math.pi**2 / 6) < 1e-3
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_example_runs(capsys, line):
+    code, out, err = run(capsys, shlex.split(line)[1:])
+    assert code == 0 and out, (line, err)
 
 
 class TestFormats:
@@ -174,11 +191,16 @@ class TestExitCodes:
         assert code == 2 and err
 
     def test_direct_mellin_domain(self, capsys):
-        code, _, _ = run(
-            capsys,
-            ["theta", "mellin", "--fn", "gaussian", "--s", "0.3", "--method", "direct"],
-        )
-        assert code == 2
+        # the direct route lives in the tests; its flag is an unknown option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theta", "mellin", "--fn", "gaussian", "--s", "3.7", "--method", "direct"])
+        assert exc.value.code == 2
+
+    def test_strict_literal_variant_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["polya", "spectrum", "--from", "10", "--to", "15", "--delta", "3",
+                      "--rule-variant", "strict-literal"])
+        assert exc.value.code == 2
 
     def test_pole_guard(self, capsys):
         code, _, _ = run(capsys, ["theta", "mellin", "--fn", "gaussian", "--s", "0.52"])

@@ -8,22 +8,23 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference_routes import dirichlet_partial_sum
 
 from adelic_zeta import records
 from adelic_zeta.lfun import (
     CoeffTable,
+    _delta_series,
     completed_lambda_delta,
     completed_lambda_zeta,
     delta_product,
-    dirichlet_partial_sum,
     euler_product_eval,
     primes_up_to,
     sigma_k,
     tau_coefficients,
-    to_normalization,
     zeta_em,
     zeta_product,
 )
@@ -156,10 +157,8 @@ class TestEulerProducts:
     def test_delta_normalizations_agree_after_shift(self):
         # arithmetic at s equals unitary at s - 11/2
         table = tau_coefficients(2000)
-        arith = delta_product(table, "arithmetic")
-        unit = to_normalization(arith, "unitary")
-        a = euler_product_eval(arith, 13.0, 2000).value
-        u = euler_product_eval(unit, 13.0 - 5.5, 2000).value
+        a = euler_product_eval(delta_product(table, "arithmetic"), 13.0, 2000).value
+        u = euler_product_eval(delta_product(table, "unitary"), 13.0 - 5.5, 2000).value
         assert abs(a - u) <= 1e-12 * abs(a)
 
     def test_descriptor_round_trip(self):
@@ -173,15 +172,9 @@ class TestEulerProducts:
                 zeta_product() if L.label == "zeta"
                 else delta_product(table, normalization=L.normalization)
             )
-            assert (back.label, back.degree, back.normalization, back.fe_center) == (
-                L.label, L.degree, L.normalization, L.fe_center)
+            assert (back.label, back.degree, back.normalization, back.weight) == (
+                L.label, L.degree, L.normalization, L.weight)
             assert euler_product_eval(back, s, 500).value == euler_product_eval(L, s, 500).value
-        # a converted descriptor matches the canonical build of the same
-        # family (same values up to one rounding in the local coeffs)
-        conv = to_normalization(delta_product(table), "unitary")
-        a = euler_product_eval(delta_product(table, "unitary"), s, 500).value
-        b = euler_product_eval(conv, s, 500).value
-        assert abs(a - b) <= 1e-14 * abs(a)
 
 
 def dyadic(lo: float, hi: float):
@@ -280,7 +273,9 @@ class TestCompletedLambda:
             assert math.isfinite(completed_lambda_delta(s).real)
 
     def test_delta_short_table_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="table too short"):
+            _delta_series(np.array([1.0, 2.0]), tau_coefficients(2))
+        with pytest.raises(TypeError):
             completed_lambda_delta(6.0 + 1.0j, table=tau_coefficients(2))
 
 
@@ -289,3 +284,11 @@ class TestDirichletPartialSum:
         table = CoeffTable(tuple([1] * 400))
         got = dirichlet_partial_sum(table, 8.0)
         assert abs(got - zeta_em(8.0)) < 1e-12
+
+    def test_matches_delta_euler_product(self):
+        # both truncations leave tails near 2000^-6 at unitary Re s >= 7
+        table = tau_coefficients(2000)
+        for s in (13.0, 12.5 + 3.0j):
+            want = dirichlet_partial_sum(table, s)
+            got = euler_product_eval(delta_product(table), s, 2000).value
+            assert abs(got - want) <= 1e-13 * abs(want), s

@@ -10,6 +10,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
+from reference_routes import laplace_resolvent
 
 from adelic_zeta import records
 from adelic_zeta.lfun import tau_coefficients
@@ -229,17 +230,14 @@ class TestCountingRule:
             assert n_rho(mult, delta, "literal") == lit, (mult, delta)
             assert n_rho(mult, delta, "inclusive") == inc, (mult, delta)
 
-    def test_alias(self):
-        for mult, delta in NRHO_TABLE:
-            assert n_rho(mult, delta, "strict-literal") == n_rho(mult, delta, "literal")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             n_rho(0, 3.0)
         with pytest.raises(ValueError):
             n_rho(1, 1.0)
-        with pytest.raises(ValueError):
-            n_rho(1, 3.0, variant="maximal")
+        for variant in ("maximal", "strict-literal"):
+            with pytest.raises(ValueError):
+                n_rho(1, 3.0, variant=variant)
 
 
 class TestSpectrum:
@@ -260,11 +258,10 @@ class TestSpectrum:
         assert [e.is_eigenvalue for e in spec] == [False, True]
         assert [(e.n_literal, e.n_inclusive) for e in spec] == [(0, 1), (1, 1)]
 
-    def test_build_inclusive_and_alias(self):
+    def test_build_inclusive(self):
         inc = build_spectrum(self.zeros(), delta=3.0, m_pi=2, variant="inclusive")
+        assert inc.rule_variant == "inclusive"
         assert [e.eig_mult for e in inc] == [2, 2]
-        ali = build_spectrum(self.zeros(), delta=3.0, variant="strict-literal")
-        assert ali.rule_variant == "literal"
 
     def test_empty(self):
         spec = build_spectrum(ZeroList("zeta", ()), delta=3.0)
@@ -273,8 +270,9 @@ class TestSpectrum:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_spectrum(self.zeros(), delta=3.0, m_pi=0)
-        with pytest.raises(ValueError):
-            build_spectrum(self.zeros(), delta=3.0, variant="nope")
+        for variant in ("nope", "strict-literal"):
+            with pytest.raises(ValueError):
+                build_spectrum(self.zeros(), delta=3.0, variant=variant)
 
     def test_json_round_trip(self):
         spec = build_spectrum(self.zeros(), delta=3.0, m_pi=2)
@@ -415,8 +413,8 @@ class TestResolvent:
         band = self.band()
         v = band.sample(lambda t: math.exp(-0.01 * t * t))
         for kappa in (1.0, -1.0, 1.0 + 0.5j):
-            a = resolvent_apply(band, v, kappa, route="diagonal")
-            b = resolvent_apply(band, v, kappa, route="laplace")
+            a = resolvent_apply(band, v, kappa)
+            b = laplace_resolvent(band, v, kappa)
             assert band.norm(a - b) <= 1e-6 * band.norm(v), kappa
 
     def test_contraction_along_real_axis(self):
@@ -443,8 +441,8 @@ class TestResolvent:
             resolvent_apply(band, v, 2.0j)
         with pytest.raises(ValueError):
             resolvent_apply(band, np.ones(3), 1.0)
-        with pytest.raises(ValueError):
-            resolvent_apply(band, v, 1.0, route="contour")
+        with pytest.raises(TypeError):
+            resolvent_apply(band, v, 1.0, route="laplace")
 
 
 class TestNormBound:
@@ -465,9 +463,12 @@ class TestNormBound:
                 assert measured <= bound + 1e-12, (a, delta)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integer multiple of the grid step 0.05"):
             norm_bound_check(0.513, 2.0, trials=2)
         with pytest.raises(ValueError):
             norm_bound_check(0.5, 2.0, trials=0)
         with pytest.raises(ValueError):
             norm_bound_check(0.5, -1.0, trials=2)
+        for grid in ({"t_max": 20.0}, {"h": 0.05}):
+            with pytest.raises(TypeError):
+                norm_bound_check(0.5, 2.0, trials=2, **grid)

@@ -51,7 +51,7 @@ spectra = st.builds(
     zero_lists,
     delta=st.floats(min_value=1.0, max_value=20.0, exclude_min=True),
     m_pi=st.integers(1, 4),
-    variant=st.sampled_from(("literal", "strict-literal", "inclusive")),
+    variant=st.sampled_from(("literal", "inclusive")),
 )
 
 coeff_tables = st.builds(

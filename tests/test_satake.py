@@ -102,6 +102,28 @@ class TestSqrtP:
         assert SqrtP(2, Fraction(3, 2)) == Fraction(3, 2)
         assert hash(SqrtP(2, Fraction(3, 2))) == hash(SqrtP(7, Fraction(3, 2)))
 
+    def test_float_equality_is_exact(self):
+        # an irrational element equals no float, so eq agrees with hash
+        root = SqrtP(2, 0, 1)
+        assert root != math.sqrt(2) and root != complex(math.sqrt(2))
+        assert math.sqrt(2) not in {root}
+        # a rational element equals the float or complex of the same value
+        half = SqrtP(2, Fraction(1, 2))
+        for x in (0.5, 0.5 + 0j):
+            assert half == x and hash(half) == hash(x) and x in {half}
+        assert half != 0.5 + 1e-300j
+        assert SqrtP(3, Fraction(1, 3)) != 1 / 3
+
+
+class TestHeckeFn:
+    def test_equal_functions_hash_equal(self):
+        a = HeckeFn.unit(2, 3)
+        b = HeckeFn(2, 3, {(0, 0): Fraction(1)})
+        assert a == b and hash(a) == hash(b)
+        table = {a: "unit", HeckeFn.double_coset(2, 3, (1, 0)): "T_p"}
+        assert table[b] == "unit"
+        assert table[HeckeFn(2, 3, {(1, 0): 1})] == "T_p"
+
 
 class TestDominant:
     def test_dominant_sorts(self):

