@@ -18,9 +18,12 @@ import numpy as np
 
 from ._backend import kernels
 from .numkit import (
+    _GL_ORDER,
     NonConvergenceError,
     PoleError,
     QuadratureSpec,
+    _gauss_legendre_level,
+    _level_cache,
     gamma,  # not called here; e2ebench/tracer.py wraps lfun.gamma
     integrate_finite,
     sum_compensated,
@@ -39,6 +42,7 @@ __all__ = [
     "euler_product_eval",
     "completed_lambda_zeta",
     "completed_lambda_delta",
+    "completed_lambda_line",
 ]
 
 _MAX_TAU = 100_000
@@ -248,14 +252,6 @@ def _cutoff(decay_rate: float, growth: float, tol: float = 1e-18) -> float:
     return v
 
 
-def _theta_integral(integrand: Callable, v_max: float, abs_tol: float) -> complex:
-    """int_0^v_max of an array integrand at tolerance min(abs_tol, 2e-13)
-    with up to 14 refinements: the quadrature of both completed
-    functions."""
-    spec = QuadratureSpec(min(abs_tol, 2e-13) if abs_tol else 2e-13, 14)
-    return integrate_finite(integrand, 0.0, v_max, spec).value
-
-
 def _omega_zeta(y: np.ndarray) -> np.ndarray:
     """omega(y) = sum_{m>=1} exp(-pi m^2 y) for y >= 1 (4 terms suffice
     below 1e-19 there)."""
@@ -263,37 +259,6 @@ def _omega_zeta(y: np.ndarray) -> np.ndarray:
     for m in range(1, 5):
         out += np.exp(-math.pi * m * m * y)
     return out
-
-
-def completed_lambda_zeta(s: complex, abs_tol: float = 1e-12) -> complex:
-    """Completed zeta pi^(-s/2) gamma(s/2) zeta(s) by the incomplete-theta
-    representation
-
-        -1/s - 1/(1-s) + int_0^inf omega(e^v) (e^(vs/2) + e^(v(1-s)/2)) dv,
-
-    which is entire apart from the two explicit poles and symmetric under
-    s <-> 1-s exactly as written.  Accurate to ~1e-12 absolutely for
-    |Re s| <= 40, |Im s| <= 60 (beyond that the s=40 magnitudes make the
-    *relative* double-precision floor dominate); ValueError outside it.
-    NonConvergenceError where the rounding noise of the integral stays
-    above the tolerance, far from the critical strip.
-    """
-    s = complex(s)
-    if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
-        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= 60")
-    if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
-        raise PoleError("completed zeta has poles at s = 0 and s = 1")
-    growth = max(abs(s.real), abs(1.0 - s.real)) / 2.0 + 1.0
-    v_max = _cutoff(math.pi, growth)
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return _omega_zeta(np.exp(v)) * (
-            np.exp(0.5 * s * v) + np.exp(0.5 * (1.0 - s) * v)
-        )
-
-    # pole terms grouped so the sum is commutative in s <-> 1-s and the
-    # reflection symmetry holds bitwise, not just to rounding
-    return _theta_integral(integrand, v_max, abs_tol) - (1.0 / s + 1.0 / (1.0 - s))
 
 
 @lru_cache(maxsize=1)
@@ -316,6 +281,90 @@ def _delta_series(y: np.ndarray, table: CoeffTable) -> np.ndarray:
     return out
 
 
+@_level_cache
+def _theta_factor(kind: str, v_max: float, panels: int) -> np.ndarray:
+    """The s-independent factor of the theta integrand on the nodes of
+    integrate_finite's level of ``panels`` panels over [0, v_max]:
+    omega(e^v) for zeta, Delta(e^v) for delta."""
+    y = np.exp(_gauss_legendre_level(0.0, v_max, panels)[0])
+    if kind == "zeta":
+        return _omega_zeta(y)
+    return _delta_series(y, _default_delta_table())
+
+
+def _theta_integrals(kind: str, exponents: list, v_max: float, abs_tol: float) -> list[complex]:
+    """int_0^v_max g(e^v) (e^(a v) + e^(b v)) dv for each pair (a, b) of
+    ``exponents``, g the kind's _theta_factor: one integrate_finite batch
+    at tolerance min(abs_tol, 2e-13) with up to 14 refinements, the
+    quadrature of both completed functions.  Each point pays only for its
+    own exponential row."""
+    a = np.array([[e[0]] for e in exponents])
+    b = np.array([[e[1]] for e in exponents])
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        g = _theta_factor(kind, v_max, v.size // _GL_ORDER)
+        return g * (np.exp(a * v) + np.exp(b * v))
+
+    spec = QuadratureSpec(min(abs_tol, 2e-13) if abs_tol else 2e-13, 14)
+    return integrate_finite(integrand, 0.0, v_max, spec).value.tolist()
+
+
+def _zeta_point(s: complex) -> complex:
+    """s as a complex, refused outside the window of completed_lambda_zeta
+    (ValueError) and at its poles (PoleError)."""
+    s = complex(s)
+    if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
+        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= 60")
+    if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
+        raise PoleError("completed zeta has poles at s = 0 and s = 1")
+    return s
+
+
+def _delta_point(s: complex) -> complex:
+    """s as a complex, refused (ValueError) outside the window of
+    completed_lambda_delta."""
+    s = complex(s)
+    if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
+        raise ValueError(
+            f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
+        )
+    return s
+
+
+def _lambda_zeta_rows(ss: list[complex], abs_tol: float) -> list[complex]:
+    """Completed zeta at points of one real part, in one batch."""
+    sigma = ss[0].real
+    v_max = _cutoff(math.pi, max(abs(sigma), abs(1.0 - sigma)) / 2.0 + 1.0)
+    vals = _theta_integrals("zeta", [(0.5 * s, 0.5 * (1.0 - s)) for s in ss], v_max, abs_tol)
+    # pole terms grouped so the sum is commutative in s <-> 1-s and the
+    # reflection symmetry holds bitwise, not just to rounding
+    return [v - (1.0 / s + 1.0 / (1.0 - s)) for v, s in zip(vals, ss)]
+
+
+def _lambda_delta_rows(ss: list[complex], abs_tol: float) -> list[complex]:
+    """Completed cusp-form L-function at points of one real part, in one
+    batch."""
+    sigma = ss[0].real
+    v_max = _cutoff(2.0 * math.pi, max(abs(sigma), abs(12.0 - sigma), 1.0))
+    return _theta_integrals("delta", [(s, 12.0 - s) for s in ss], v_max, abs_tol)
+
+
+def completed_lambda_zeta(s: complex, abs_tol: float = 1e-12) -> complex:
+    """Completed zeta pi^(-s/2) gamma(s/2) zeta(s) by the incomplete-theta
+    representation
+
+        -1/s - 1/(1-s) + int_0^inf omega(e^v) (e^(vs/2) + e^(v(1-s)/2)) dv,
+
+    which is entire apart from the two explicit poles and symmetric under
+    s <-> 1-s exactly as written.  Accurate to ~1e-12 absolutely for
+    |Re s| <= 40, |Im s| <= 60 (beyond that the s=40 magnitudes make the
+    *relative* double-precision floor dominate); ValueError outside it.
+    NonConvergenceError where the rounding noise of the integral stays
+    above the tolerance, far from the critical strip.
+    """
+    return _lambda_zeta_rows([_zeta_point(s)], abs_tol)[0]
+
+
 def completed_lambda_delta(s: complex, abs_tol: float = 1e-12) -> complex:
     """Completed L-function of the weight-12 cusp form,
     (2 pi)^(-s) gamma(s) L(s), via
@@ -327,18 +376,34 @@ def completed_lambda_delta(s: complex, abs_tol: float = 1e-12) -> complex:
     ValueError outside that window.  NonConvergenceError where the rounding
     noise of the integral stays above the tolerance, far from Re s = 6.
     """
-    s = complex(s)
-    if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
-        raise ValueError(
-            f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
-        )
-    table = _default_delta_table()
-    growth = max(abs(s.real), abs(12.0 - s.real), 1.0)
-    v_max = _cutoff(2.0 * math.pi, growth)
+    return _lambda_delta_rows([_delta_point(s)], abs_tol)[0]
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return _delta_series(np.exp(v), table) * (
-            np.exp(s * v) + np.exp((12.0 - s) * v)
-        )
 
-    return _theta_integral(integrand, v_max, abs_tol)
+# points per quadrature batch of completed_lambda_line.  On the central
+# lines every point settles by level 3 (160 nodes; measured at 3001 points
+# across each window), so a batch array holds at most 64 x 160 values; a
+# 31-point scan grid is one batch.
+_LINE_ROWS = 64
+
+
+def completed_lambda_line(kind: str, ts, abs_tol: float = 1e-12) -> np.ndarray:
+    """completed_lambda_zeta(1/2 + it) (kind "zeta") or
+    completed_lambda_delta(6 + it) (kind "delta") for every t of ``ts``,
+    bitwise, as one complex array.
+
+    Both central lines share one quadrature layout, so the points go
+    through integrate_finite _LINE_ROWS at a time and share each level's
+    nodes, weights and theta factor.  ValueError, before any sampling,
+    if a t lies outside the kind's window (|t| <= 60 resp. 50).
+    """
+    if kind == "zeta":
+        center, point, rows = 0.5, _zeta_point, _lambda_zeta_rows
+    elif kind == "delta":
+        center, point, rows = 6.0, _delta_point, _lambda_delta_rows
+    else:
+        raise ValueError(f"kind must be zeta or delta, got {kind!r}")
+    ss = [point(complex(center, t)) for t in np.asarray(ts, dtype=float).ravel().tolist()]
+    out = []
+    for at in range(0, len(ss), _LINE_ROWS):
+        out += rows(ss[at : at + _LINE_ROWS], abs_tol)
+    return np.array(out, dtype=complex)

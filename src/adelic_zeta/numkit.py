@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,10 +101,12 @@ class QuadResult:
     """Value and error estimate of a quadrature, with the refinement level
     it stopped at and ``nodes``, the number of distinct integrand
     evaluations it made.  The half-line rule reuses the nodes of coarser
-    levels, so there this is fewer than the nodes summed over all levels."""
+    levels, so there this is fewer than the nodes summed over all levels.
+    For a batch of integrands (integrate_finite) value and error_estimate
+    are arrays with one entry per integrand."""
 
-    value: complex
-    error_estimate: float
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
     refinements: int
     nodes: int
 
@@ -225,6 +228,45 @@ def integrate_halfline(f: Callable, spec: QuadratureSpec | None = None) -> QuadR
 
 _GL_ORDER = 20
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+# Levels kept by the node and factor caches: at most _LEVEL_SLOTS of them,
+# each of at most _CACHED_PANELS panels (1280 nodes, 20 kB of nodes and
+# weights).  Finer levels, which only points far from the critical strip
+# reach, are rebuilt on every call, so the caches stay below 1 MB.
+_CACHED_PANELS = 64
+_LEVEL_SLOTS = 32
+
+
+def _level_cache(build: Callable) -> Callable:
+    """Wrap ``build(*key, panels)``, which returns an array or a tuple of
+    arrays, in a least-recently-used cache of read-only results holding
+    only levels of at most _CACHED_PANELS panels, at most _LEVEL_SLOTS of
+    them; ``cache_info`` reports its size."""
+
+    def frozen(*key):
+        out = build(*key)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        return out
+
+    cached = lru_cache(maxsize=_LEVEL_SLOTS)(frozen)
+
+    def level(*key):
+        return (cached if key[-1] <= _CACHED_PANELS else build)(*key)
+
+    level.cache_info = cached.cache_info
+    return level
+
+
+@_level_cache
+def _gauss_legendre_level(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``panels`` equal 20-point Gauss-Legendre panels
+    on [a, b], the level that integrate_finite evaluates for that count."""
+    edges = np.linspace(a, b, panels + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * _gl_nodes[None, :]).ravel()
+    weights = (half[:, None] * _gl_weights[None, :]).ravel()
+    return nodes, weights
 
 
 def integrate_finite(
@@ -233,31 +275,42 @@ def integrate_finite(
     """Integrate f over [a, b] by composite 20-point Gauss-Legendre panels,
     doubling the panel count until two levels agree.
 
-    f receives one ndarray of all nodes of a level and must return the
-    matching array of values.  Raises NonConvergenceError when
-    max_refinements doublings cannot reach the tolerance.
+    f receives one ndarray of all nodes of a level and returns the matching
+    values: an array of that shape for one integrand, or of shape
+    (rows, nodes) for a batch of integrands sharing the nodes.  Each row is
+    a correctly rounded sum (``kernels.neumaier_sum``) and keeps the level
+    at which its own two latest levels agree, so every row of a batch is
+    bitwise the value that row would get on its own.  A batch is evaluated
+    until its last row settles; its ``value`` and ``error_estimate`` are
+    arrays of one entry per row, ``refinements`` is the level of the last
+    row and ``nodes`` counts the nodes, each shared by all rows.  Raises
+    NonConvergenceError when max_refinements doublings leave a row above
+    the tolerance.
     """
     spec = spec or QuadratureSpec()
     if not (a < b):
         raise ValueError("need a < b")
     prev = None
     total_nodes = 0
-    panels = 1
     for level in range(spec.max_refinements + 1):
-        edges = np.linspace(a, b, panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mids[:, None] + half[:, None] * _gl_nodes[None, :]).ravel()
-        weights = (half[:, None] * _gl_weights[None, :]).ravel()
+        nodes, weights = _gauss_legendre_level(a, b, 1 << level)
         vals = np.asarray(f(nodes), dtype=complex)
-        cur = complex(kernels.neumaier_sum(vals * weights))
+        rows = vals.reshape(-1, nodes.size)
+        cur = [complex(kernels.neumaier_sum(row * weights)) for row in rows]
         total_nodes += nodes.size
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= spec.target_abs_tol:
-                return QuadResult(cur, err, level, total_nodes)
+        if prev is None:
+            value, err, open_rows = [None] * len(cur), [None] * len(cur), set(range(len(cur)))
+        else:
+            for i in list(open_rows):
+                diff = abs(cur[i] - prev[i])
+                if diff <= spec.target_abs_tol:
+                    value[i], err[i] = cur[i], diff
+                    open_rows.discard(i)
+            if not open_rows:
+                if vals.ndim == 1:
+                    return QuadResult(value[0], err[0], level, total_nodes)
+                return QuadResult(np.array(value), np.array(err), level, total_nodes)
         prev = cur
-        panels *= 2
     raise NonConvergenceError(
         f"finite-interval quadrature stalled above tol={spec.target_abs_tol:g} "
         f"after {spec.max_refinements} refinements"
@@ -277,8 +330,12 @@ def sum_compensated(terms: Sequence[complex]) -> complex:
     return kernels.neumaier_sum(terms)
 
 
+# most grid nodes one bracket_and_bisect call samples
+_MAX_GRID_NODES = 1_000_000
+
+
 def bracket_and_bisect(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     step: float,
@@ -290,6 +347,14 @@ def bracket_and_bisect(
     bisect each sign change down to width tol.  A window narrower than
     step is the one cell [a, b].
 
+    f is an array callable: it takes an ndarray of points and returns the
+    matching array of real values.  The whole grid is one call, and each
+    bisection step one call with a single midpoint.  Raises ValueError
+    for a grid of more than _MAX_GRID_NODES nodes (before sampling
+    anything), and for a tol that is not finite or lies below
+    math.ulp(b), the float spacing at the window's top, which no bracket
+    in the window can get under.
+
     Even-order roots (no sign change) are invisible to this scheme; that is
     a documented limitation, not a failure mode.
     """
@@ -297,12 +362,21 @@ def bracket_and_bisect(
         raise ValueError("need a < b")
     if not step > 0.0:
         raise ValueError("step must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = max(1, int(math.ceil((b - a) / step - 1e-12)))
-    xs = [a + i * step for i in range(n)]
+    floor = math.ulp(b)
+    if not (math.isfinite(tol) and tol >= floor):
+        raise ValueError(
+            f"tol must be finite and at least {floor!r}, "
+            f"the float spacing at {b!r} (got {tol!r})"
+        )
+    cells = (b - a) / step - 1e-12
+    if not cells <= _MAX_GRID_NODES - 1:  # the grid has ceil(cells) + 1 nodes
+        raise ValueError(
+            f"step {step:g} over [{a:g}, {b:g}] needs more than {_MAX_GRID_NODES} grid nodes"
+        )
+    n = max(1, math.ceil(cells))
+    xs = (a + np.arange(n) * step).tolist()
     xs.append(b)
-    vals = [f(x) for x in xs]
+    vals = np.asarray(f(np.array(xs)), dtype=float).tolist()
     roots: list[float] = []
     for i in range(len(xs) - 1):
         fa, fb = vals[i], vals[i + 1]
@@ -316,7 +390,7 @@ def bracket_and_bisect(
             it = 0
             while hi - lo > tol and it < max_iter:
                 mid = 0.5 * (lo + hi)
-                fm = f(mid)
+                fm = float(f(np.array([mid]))[0])
                 if fm == 0.0:
                     lo = hi = mid
                     break

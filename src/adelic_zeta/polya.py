@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lfun import completed_lambda_delta, completed_lambda_zeta
+from .lfun import completed_lambda_delta, completed_lambda_line, completed_lambda_zeta
 from .numkit import bracket_and_bisect, gamma
 
 _FD_STEP = 1e-3
@@ -48,8 +48,16 @@ class CriticalLineFn:
     bracketing robust in double precision.  ``complex_value`` returns the
     literal completed value.
 
-    Samples are cached append-only behind a lock, so one instance can be
-    shared by concurrent scans.
+    ``values(ts)`` samples an array of ordinates in one call: the points
+    not yet cached go through lfun.completed_lambda_line together, which
+    shares each quadrature level's nodes and theta factor among them, and
+    every value is bitwise the one-point value.  Calling the instance on
+    one t is a one-element ``values``.
+
+    The cache maps |t| (the samplers are even) to the normalized value and
+    only grows; ``cache_size`` counts its entries.  A lock guards it, so
+    one instance can be shared by concurrent scans; the sampling itself
+    runs outside the lock.
 
     Accuracy: the integral evaluators carry an absolute floor near
     3e-17 (zeta) and 2e-18 (delta), so normalized values are reliable to
@@ -85,16 +93,22 @@ class CriticalLineFn:
             return math.pi ** -0.25 * abs(gamma(complex(0.25, 0.5 * t)))
         return (2.0 * math.pi) ** -6.0 * abs(gamma(complex(6.0, t)))
 
+    def values(self, ts) -> np.ndarray:
+        """Normalized samples at every t of ``ts``, as a float array of the
+        same length; ValueError if a t lies outside the kind's window."""
+        keys = np.abs(np.asarray(ts, dtype=float).ravel()).tolist()  # even in t
+        with self._lock:
+            missing = sorted({k for k in keys if k not in self._cache})
+        if missing:
+            lam = completed_lambda_line(self.kind, missing, abs_tol=1e-14).real.tolist()
+            fresh = {k: v / self.envelope(k) for k, v in zip(missing, lam)}
+            with self._lock:
+                self._cache.update(fresh)
+        with self._lock:
+            return np.array([self._cache[k] for k in keys])
+
     def __call__(self, t: float) -> float:
-        key = abs(float(t))  # even in t, so cache the fold
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = self.complex_value(key).real / self.envelope(key)
-        with self._lock:
-            self._cache[key] = value
-        return value
+        return float(self.values([t])[0])
 
     @property
     def cache_size(self) -> int:
@@ -150,15 +164,19 @@ def scan_zeros(
 ) -> ZeroList:
     """Locate the sign-change zeros of F on [t_from, t_to].
 
-    numkit.bracket_and_bisect samples the window every `step`, refines
-    each sign change by bisection until the bracket is narrower than
-    `tol`, and keeps exact zero hits at grid nodes as-is (except t = 0).
-    Only odd-order zeros flip the sign, so even-order zeros are missed by
+    numkit.bracket_and_bisect samples the whole grid (every `step`) in one
+    ``F.values`` call, refines each sign change by bisection, one
+    one-point call a step, until the bracket is narrower than `tol`, and
+    keeps exact zero hits at grid nodes as-is (except t = 0).  Only
+    odd-order zeros flip the sign, so even-order zeros are missed by
     construction; everything returned was bracketed by a verified sign
     change.
 
-    Requires step <= 0.2 and 0 <= t_from < t_to <= 60 for zeta, <= 50 for
-    delta (the window of completed_lambda_delta).  The upper end of that
+    Requires step <= 0.2, a finite tol no finer than math.ulp(t_to) (the
+    float spacing at the window's top), a grid of at most
+    numkit._MAX_GRID_NODES nodes, and 0 <= t_from < t_to <= 60 for zeta,
+    <= 50 for delta (the window of completed_lambda_delta); ValueError
+    otherwise, before anything is sampled.  The upper end of that
     window exceeds where the samplers resolve zeros sharply (see
     CriticalLineFn); locations returned above t ~ 40 (zeta) / t ~ 25
     (delta) are increasingly noise-limited.
@@ -169,10 +187,7 @@ def scan_zeros(
         raise ValueError(f"window must satisfy 0 <= t_from < t_to <= {t_max:g} for {F.kind}")
     if not (0.0 < step <= 0.2):
         raise ValueError("step must lie in (0, 0.2]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
-    roots = bracket_and_bisect(F, t_from, t_to, step, tol)
+    roots = bracket_and_bisect(F.values, t_from, t_to, step, tol)
     return ZeroList(
         kind=F.kind,
         zeros=tuple(ZeroEntry(rho=r, refined_tol=tol) for r in roots if r > 0.0),
@@ -275,8 +290,9 @@ def annihilator_residual(F: CriticalLineFn, rho: float, k: int) -> float:
 
     Small exactly when the k-th derivative point mass at rho annihilates
     products against F, i.e. when rho is a zero of order > k.  Step is
-    fixed at 1e-3; k in {0, 1, 2}.  Raises ValueError unless every sample,
-    t +- 2e-3 for k >= 1, lies in the kind's window.
+    fixed at 1e-3; k in {0, 1, 2}.  The stencil is one ``F.values`` call.
+    Raises ValueError unless every sample, t +- 2e-3 for k >= 1, lies in
+    the kind's window.
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
@@ -290,11 +306,11 @@ def annihilator_residual(F: CriticalLineFn, rho: float, k: int) -> float:
         )
     if k == 0:
         return abs(F(rho))
-    fm2, fm1, fp1, fp2 = F(rho - 2 * h), F(rho - h), F(rho + h), F(rho + 2 * h)
+    offsets = (-2, -1, 1, 2) if k == 1 else (-2, -1, 0, 1, 2)
+    f = dict(zip(offsets, F.values([rho + j * h for j in offsets]).tolist()))
     if k == 1:
-        return abs((fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h))
-    f0 = F(rho)
-    return abs((-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h))
+        return abs((f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * h))
+    return abs((-f[-2] + 16.0 * f[-1] - 30.0 * f[0] + 16.0 * f[1] - f[2]) / (12.0 * h * h))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,18 @@ compare the package's single route against it.
   form of polya.resolvent_apply.
 * dirichlet_partial_sum: a truncated Dirichlet series, against the Euler
   products of lfun.
+* lambda_one_point, sampler_one_point, scan_one_point: the completed
+  functions, the critical-line sampler and the zero scan one point at a
+  time, each integrand built and integrated on its own with nodes rebuilt
+  per level, against the batched sampler (lfun.completed_lambda_line,
+  polya.CriticalLineFn.values) and polya.scan_zeros.
 """
+
+import math
 
 import numpy as np
 
-from adelic_zeta import theta
+from adelic_zeta import lfun, polya, theta
 from adelic_zeta.numkit import NonConvergenceError, integrate_finite, sum_compensated
 
 # Literal evaluation of E near t = 0 needs ~1/t lattice terms, so the
@@ -92,3 +99,94 @@ def dirichlet_partial_sum(table, s: complex) -> complex:
     n_arr = np.arange(1, len(table) + 1, dtype=float)
     a_arr = np.array(table.values, dtype=float)
     return complex(sum_compensated(a_arr * np.exp(-s * np.log(n_arr))))
+
+
+def _integrate_one(f, a: float, b: float, tol: float, max_refinements: int) -> complex:
+    """One integrand over [a, b] by composite 20-point Gauss-Legendre
+    panels, doubling the panel count until two levels agree, every level's
+    nodes and weights built afresh."""
+    xs, ws = _GL20
+    prev = None
+    panels = 1
+    for _ in range(max_refinements + 1):
+        edges = np.linspace(a, b, panels + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mids[:, None] + half[:, None] * xs[None, :]).ravel()
+        weights = (half[:, None] * ws[None, :]).ravel()
+        cur = complex(sum_compensated(np.asarray(f(nodes), dtype=complex) * weights))
+        if prev is not None and abs(cur - prev) <= tol:
+            return cur
+        prev = cur
+        panels *= 2
+    raise NonConvergenceError("one-point theta integral did not settle")
+
+
+def lambda_one_point(kind: str, s: complex, abs_tol: float = 1e-12) -> complex:
+    """completed_lambda_zeta / completed_lambda_delta at one s inside their
+    windows, with the theta factor evaluated on each level's nodes."""
+    s = complex(s)
+    tol = min(abs_tol, 2e-13) if abs_tol else 2e-13
+    if kind == "zeta":
+        v_max = lfun._cutoff(math.pi, max(abs(s.real), abs(1.0 - s.real)) / 2.0 + 1.0)
+
+        def integrand(v):
+            return lfun._omega_zeta(np.exp(v)) * (
+                np.exp(0.5 * s * v) + np.exp(0.5 * (1.0 - s) * v)
+            )
+
+        return _integrate_one(integrand, 0.0, v_max, tol, 14) - (1.0 / s + 1.0 / (1.0 - s))
+    table = lfun.tau_coefficients(64)
+    v_max = lfun._cutoff(2.0 * math.pi, max(abs(s.real), abs(12.0 - s.real), 1.0))
+
+    def integrand(v):
+        return lfun._delta_series(np.exp(v), table) * (np.exp(s * v) + np.exp((12.0 - s) * v))
+
+    return _integrate_one(integrand, 0.0, v_max, tol, 14)
+
+
+def sampler_one_point(kind: str):
+    """The normalized critical-line sampler of polya.CriticalLineFn, one
+    uncached point per call."""
+    F = polya.CriticalLineFn(kind)
+
+    def sample(t: float) -> float:
+        key = abs(float(t))
+        return lambda_one_point(kind, complex(F.center, key), 1e-14).real / F.envelope(key)
+
+    return sample
+
+
+def scan_one_point(kind: str, t_from: float, t_to: float, step: float = 0.05,
+                   tol: float = 1e-10) -> tuple[float, ...]:
+    """polya.scan_zeros ordinates by sampling the grid point by point and
+    bisecting each sign change with sampler_one_point."""
+    f = sampler_one_point(kind)
+    n = max(1, int(math.ceil((t_to - t_from) / step - 1e-12)))
+    xs = [t_from + i * step for i in range(n)] + [t_to]
+    vals = [f(x) for x in xs]
+    roots = []
+    for i in range(len(xs) - 1):
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0:
+            if not roots or abs(roots[-1] - xs[i]) > tol:
+                roots.append(xs[i])
+            continue
+        if fa * fb < 0.0:
+            lo, hi, flo = xs[i], xs[i + 1], fa
+            for _ in range(200):
+                if hi - lo <= tol:
+                    break
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
+        roots.append(xs[-1])
+    return tuple(r for r in roots if r > 0.0)

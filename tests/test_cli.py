@@ -190,6 +190,23 @@ class TestExitCodes:
         code, _, err = run(capsys, ["polya", "zeros", "--from", "10", "--to", "5"])
         assert code == 2 and err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e-300"])
+    def test_scan_tol_below_float_spacing_refused(self, capsys, tol):
+        # the floor is math.ulp(15.0), the float spacing at the window's top
+        code, out, err = run(capsys, ["polya", "zeros", "--from", "10", "--to", "15", "--tol", tol])
+        assert code == 2 and out == ""
+        assert "at least 1.7763568394002505e-15, the float spacing at 15.0" in err
+
+    def test_scan_grid_over_the_cap_refused(self, capsys):
+        # 50 / 5e-5 cells make 1000001 nodes, one over the cap
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["polya", "zeros", "--from", "0", "--to", "50", "--step", "5e-5"]
+        )
+        assert code == 2 and out == ""
+        assert "more than 1000000 grid nodes" in err
+        assert time.perf_counter() - start < 0.5
+
     def test_direct_mellin_domain(self, capsys):
         # the direct route lives in the tests; its flag is an unknown option
         with pytest.raises(SystemExit) as exc:

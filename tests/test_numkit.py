@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic_zeta import numkit
 from adelic_zeta.numkit import (
     NonConvergenceError,
     PoleError,
@@ -161,6 +162,31 @@ class TestFiniteQuadrature:
         with pytest.raises(NonConvergenceError):
             integrate_finite(lambda x: 1e8 * np.exp(40j * x), 0.0, 3.0)
 
+    def test_rows_match_one_row_calls_bitwise(self):
+        # rows of different frequency settle at different levels; each row
+        # keeps its own level's value and error estimate
+        freqs = np.array([[0.5], [4.0], [9.0], [17.0]])
+        batch = integrate_finite(lambda x: np.exp(-x / 5.0) * np.sin(freqs * x), 0.0, 10.0)
+        singles = [integrate_finite(lambda x: np.exp(-x / 5.0) * np.sin(w * x), 0.0, 10.0)
+                   for w in freqs[:, 0].tolist()]
+        assert len({q.refinements for q in singles}) > 1
+        assert batch.value.tolist() == [q.value for q in singles]
+        assert batch.error_estimate.tolist() == [q.error_estimate for q in singles]
+        assert batch.refinements == max(q.refinements for q in singles)
+        assert batch.nodes == max(q.nodes for q in singles)
+
+    def test_batch_refused_when_one_row_stalls(self):
+        with pytest.raises(NonConvergenceError):
+            integrate_finite(lambda x: np.array([x, 1e8 * np.exp(40j * x)]), 0.0, 3.0)
+
+    def test_cached_levels_are_read_only(self):
+        nodes, weights = numkit._gauss_legendre_level(0.0, 1.0, 4)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert numkit._gauss_legendre_level(0.0, 1.0, 4)[0] is nodes
+        big = numkit._CACHED_PANELS * 2
+        assert numkit._gauss_legendre_level(0.0, 1.0, big)[0] is not (
+            numkit._gauss_legendre_level(0.0, 1.0, big)[0])
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(target_abs_tol=-1.0)
@@ -199,14 +225,14 @@ class TestSumCompensated:
 
 class TestBracketAndBisect:
     def test_cosine_roots(self):
-        roots = bracket_and_bisect(math.cos, 0.0, 10.0, step=0.4, tol=1e-12)
+        roots = bracket_and_bisect(np.cos, 0.0, 10.0, step=0.4, tol=1e-12)
         expect = [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2]
         assert len(roots) == 3
         for r, e in zip(roots, expect):
             assert abs(r - e) < 1e-10
 
     def test_exact_node_hit(self):
-        roots = bracket_and_bisect(math.sin, 0.0, 7.0, step=0.5, tol=1e-12)
+        roots = bracket_and_bisect(np.sin, 0.0, 7.0, step=0.5, tol=1e-12)
         # sin hits zero exactly at the node x=0, then at pi and 2*pi
         assert abs(roots[0] - 0.0) < 1e-12
         assert abs(roots[1] - math.pi) < 1e-10
@@ -217,20 +243,42 @@ class TestBracketAndBisect:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bracket_and_bisect(math.cos, 2.0, 1.0, step=0.1)
+            bracket_and_bisect(np.cos, 2.0, 1.0, step=0.1)
         with pytest.raises(ValueError):
-            bracket_and_bisect(math.cos, 0.0, 1.0, step=0.0)
+            bracket_and_bisect(np.cos, 0.0, 1.0, step=0.0)
         with pytest.raises(ValueError):
-            bracket_and_bisect(math.cos, 0.0, 1.0, step=0.1, tol=0.0)
+            bracket_and_bisect(np.cos, 0.0, 1.0, step=0.1, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10, 1e-300, 0.5 * math.ulp(2.0)])
+    def test_tol_below_float_spacing_refused(self, tol):
+        with pytest.raises(ValueError, match=f"at least {math.ulp(2.0)!r}"):
+            bracket_and_bisect(np.cos, 0.0, 2.0, step=0.1, tol=tol)
+
+    def test_tol_at_float_spacing_converges(self):
+        (root,) = bracket_and_bisect(np.cos, 0.0, 2.0, step=0.1, tol=math.ulp(2.0), max_iter=60)
+        assert abs(root - math.pi / 2) <= 2 * math.ulp(2.0)
+
+    def test_grid_cap(self, monkeypatch):
+        # a grid of exactly the cap is sampled; one node more is refused
+        # before f is called
+        monkeypatch.setattr(numkit, "_MAX_GRID_NODES", 11)
+        seen = []
+        bracket_and_bisect(lambda x: seen.extend(x.tolist()) or np.ones_like(x), 0.0, 1.0, 0.1)
+        assert len(seen) == 11
+        with pytest.raises(ValueError, match="more than 11 grid nodes"):
+            bracket_and_bisect(lambda x: seen.append(x) or x, 0.0, 1.0, step=0.0999)
+        with pytest.raises(ValueError, match="grid nodes"):
+            bracket_and_bisect(np.cos, 0.0, 1.0, step=5e-324)
+        assert len(seen) == 11
 
     def test_index_grid(self):
         # nodes are a + i*step, then b: no sliver cell from accumulated steps
         seen = []
-        bracket_and_bisect(lambda x: seen.append(x) or 1.0, 0.0, 1.0, step=0.1)
+        bracket_and_bisect(lambda x: seen.extend(x.tolist()) or np.ones_like(x), 0.0, 1.0, step=0.1)
         assert seen == [i * 0.1 for i in range(10)] + [1.0]
 
     def test_window_narrower_than_step(self):
         seen = []
-        roots = bracket_and_bisect(lambda x: seen.append(x) or x - 0.3, 0.0, 1.0, step=5.0)
+        roots = bracket_and_bisect(lambda x: seen.extend(x.tolist()) or x - 0.3, 0.0, 1.0, step=5.0)
         assert seen[:2] == [0.0, 1.0]
         assert abs(roots[0] - 0.3) < 1e-10

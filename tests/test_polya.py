@@ -10,10 +10,18 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
-from reference_routes import laplace_resolvent
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_routes import (
+    lambda_one_point,
+    laplace_resolvent,
+    sampler_one_point,
+    scan_one_point,
+)
 
-from adelic_zeta import records
+from adelic_zeta import lfun, numkit, records
 from adelic_zeta.lfun import tau_coefficients
+from adelic_zeta.numkit import NonConvergenceError
 from adelic_zeta.polya import (
     BandDiscretization,
     CriticalLineFn,
@@ -110,6 +118,84 @@ class TestCriticalLineFn:
         assert F.cache_size == 2
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def _line_batches(draw, t_max):
+    """1-64 ordinates in [-t_max, t_max], unsorted, some repeated."""
+    ts = draw(st.lists(st.floats(-t_max, t_max), min_size=1, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(ts), max_size=24))
+    return draw(st.permutations(ts + repeats))
+
+
+def _lambda_or_refusal(fn, *args):
+    try:
+        return repr(fn(*args))
+    except NonConvergenceError:
+        return "refused"
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("kind, t_max", [("zeta", 60.0), ("delta", 50.0)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_values_bitwise_match_one_point_route(self, kind, t_max, data):
+        ts = data.draw(_line_batches(t_max))
+        F = CriticalLineFn(kind)
+        got = F.values(ts)
+        oracle = sampler_one_point(kind)
+        assert got.shape == (len(ts),)
+        assert _bits(got) == _bits([oracle(t) for t in ts])
+        assert F.cache_size == len({abs(t) for t in ts})
+        assert _bits(F.values(ts[::-1])) == _bits(got[::-1])  # served from the cache
+        # the completed functions themselves, at points of the benchmark's
+        # point boxes (zeta: Re s in [-6, 7], |Im s| <= 60, away from the
+        # poles; delta: Re s in [-0.75, 12.95], |Im s| <= 50)
+        sigma = data.draw(st.floats(-6.0, 7.0) if kind == "zeta" else st.floats(-0.75, 12.95))
+        s = complex(sigma, data.draw(st.floats(-t_max, t_max)))
+        if kind == "zeta" and min(abs(s), abs(s - 1.0)) < 0.5:
+            s += 2.0
+        fn = lfun.completed_lambda_zeta if kind == "zeta" else lfun.completed_lambda_delta
+        assert _lambda_or_refusal(fn, s) == _lambda_or_refusal(lambda_one_point, kind, s)
+
+    def test_call_is_a_one_element_batch(self):
+        F = CriticalLineFn("delta")
+        assert F(-9.5) == F.values([9.5])[0] == sampler_one_point("delta")(9.5)
+        assert F.cache_size == 1
+
+    def test_window_refused_before_sampling(self):
+        F = CriticalLineFn("zeta")
+        with pytest.raises(ValueError, match="Im s"):
+            F.values([14.0, 60.5])
+        assert F.cache_size == 0
+
+    def test_refusal_far_from_the_strip_leaves_tables_bounded(self):
+        # the point needs all 14 refinements and is refused; only the levels
+        # of at most _CACHED_PANELS panels (7 of its 15) may enter a cache
+        before = (lfun._theta_factor.cache_info(), numkit._gauss_legendre_level.cache_info())
+        with pytest.raises(NonConvergenceError):
+            lfun.completed_lambda_delta(30 + 50j)
+        after = (lfun._theta_factor.cache_info(), numkit._gauss_legendre_level.cache_info())
+        levels_cached = int(math.log2(numkit._CACHED_PANELS)) + 1
+        for b, a in zip(before, after):
+            assert a.currsize <= a.maxsize == numkit._LEVEL_SLOTS
+            assert a.misses - b.misses <= levels_cached
+
+    def test_long_lines_run_in_batches(self, monkeypatch):
+        # more points than one batch holds go through integrate_finite
+        # _LINE_ROWS at a time, with the one-point values
+        calls = []
+        quad = lfun.integrate_finite
+        monkeypatch.setattr(lfun, "integrate_finite", lambda *a: calls.append(1) or quad(*a))
+        ts = np.linspace(10.0, 12.0, lfun._LINE_ROWS + 9)
+        whole = lfun.completed_lambda_line("zeta", ts, 1e-14)
+        assert len(calls) == 2
+        parts = [lfun.completed_lambda_zeta(complex(0.5, t), 1e-14) for t in ts]
+        assert whole.tobytes() == np.array(parts).tobytes()
+
+
 class TestScan:
     def test_zeta_first_three_against_mpmath(self):
         zeros = scan_zeros(CriticalLineFn("zeta"), 10.0, 26.0)
@@ -137,6 +223,26 @@ class TestScan:
         for got, ref in zip(zeros.ordinates(), want):
             assert abs(got - ref) < 2e-5
 
+    @pytest.mark.parametrize(
+        "kind, t_from, t_to",
+        # one-zero windows of width 1.5 as in the benchmark, then the two
+        # known-faulty windows, where the ordinates stay wrong the same way
+        [("zeta", 13.43, 14.93), ("zeta", 20.1, 21.6), ("zeta", 24.3, 25.8),
+         ("delta", 8.6, 10.1), ("delta", 13.2, 14.7), ("delta", 16.9, 18.4),
+         ("delta", 18.9, 20.4), ("zeta", 0.0, 60.0), ("delta", 0.0, 30.0)],
+    )
+    def test_ordinates_match_one_point_scan(self, kind, t_from, t_to):
+        got = scan_zeros(CriticalLineFn(kind), t_from, t_to).ordinates()
+        assert _bits(got) == _bits(scan_one_point(kind, t_from, t_to))
+
+    def test_grid_is_one_call_and_bisection_one_point_calls(self):
+        F = CriticalLineFn("zeta")
+        sizes = []
+        values = F.values
+        F.values = lambda ts: sizes.append(len(ts)) or values(ts)
+        scan_zeros(F, 13.5, 15.0)
+        assert sizes[0] == 31 and set(sizes[1:]) == {1} and len(sizes) > 1
+
     def test_window_gates(self):
         F = CriticalLineFn("zeta")
         for args in ((-1.0, 10.0), (10.0, 10.0), (12.0, 11.0), (10.0, 61.0)):
@@ -148,6 +254,12 @@ class TestScan:
             scan_zeros(F, 10.0, 15.0, step=0.0)
         with pytest.raises(ValueError):
             scan_zeros(F, 10.0, 15.0, tol=0.0)
+        for tol in (math.nan, math.inf, 1e-300, 0.5 * math.ulp(15.0)):
+            with pytest.raises(ValueError, match="float spacing at 15.0"):
+                scan_zeros(F, 10.0, 15.0, tol=tol)
+        with pytest.raises(ValueError, match="1000000 grid nodes"):
+            scan_zeros(F, 0.0, 50.0, step=5e-5)
+        assert F.cache_size == 0
 
     def test_delta_window_ends_at_fifty(self):
         # completed_lambda_delta refuses |Im s| > 50, so the scan refuses
@@ -171,6 +283,9 @@ class TestScan:
 
             def __call__(self, t):
                 return 0.0 if t == 3.0 else math.cos(1.7 * t) + 0.1
+
+            def values(self, ts):
+                return np.array([self(t) for t in ts.tolist()])
 
         F, tol = Stub(), 1e-10
         n = int(math.ceil((t_to - t_from) / step - 1e-12))
@@ -353,6 +468,21 @@ class TestAnnihilator:
         h = 5e-4
         two_point = abs((F(rho + h) - F(rho - h)) / (2.0 * h))
         assert abs(annihilator_residual(F, rho, 1) - two_point) < 1e-4
+
+    @pytest.mark.parametrize("k, points", [(0, 1), (1, 4), (2, 5)])
+    def test_stencil_is_one_call(self, k, points):
+        F = CriticalLineFn("delta")
+        sizes = []
+        values = F.values
+        F.values = lambda ts: sizes.append(len(ts)) or values(ts)
+        rho, h = 9.2223793, 1e-3
+        got = annihilator_residual(F, rho, k)
+        assert sizes == [points]
+        f = sampler_one_point("delta")
+        fm2, fm1, f0, fp1, fp2 = (f(rho + j * h) for j in (-2, -1, 0, 1, 2))
+        want = (abs(f0), abs((fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)),
+                abs((-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)))[k]
+        assert got == want
 
     def test_orders_and_validation(self):
         F = CriticalLineFn("zeta")
