@@ -18,12 +18,9 @@ import numpy as np
 
 from ._backend import kernels
 from .numkit import (
-    _GL_ORDER,
     NonConvergenceError,
     PoleError,
     QuadratureSpec,
-    _gauss_legendre_level,
-    _level_cache,
     gamma,  # not called here; e2ebench/tracer.py wraps lfun.gamma
     integrate_finite,
     sum_compensated,
@@ -281,15 +278,35 @@ def _delta_series(y: np.ndarray, table: CoeffTable) -> np.ndarray:
     return out
 
 
-@_level_cache
-def _theta_factor(kind: str, v_max: float, panels: int) -> np.ndarray:
-    """The s-independent factor of the theta integrand on the nodes of
-    integrate_finite's level of ``panels`` panels over [0, v_max]:
-    omega(e^v) for zeta, Delta(e^v) for delta."""
-    y = np.exp(_gauss_legendre_level(0.0, v_max, panels)[0])
+# theta factors kept by _theta_factor: at most _FACTOR_SLOTS node sets of
+# at most _FACTOR_NODES nodes each (10 kB a factor, 20 kB with its key).
+# The central lines settle by 160 nodes; larger node sets, which only points
+# far from the strip reach, are recomputed on every call.
+_FACTOR_NODES = 1280
+_FACTOR_SLOTS = 32
+
+
+def _factor(kind: str, v: np.ndarray) -> np.ndarray:
+    y = np.exp(v)
     if kind == "zeta":
         return _omega_zeta(y)
     return _delta_series(y, _default_delta_table())
+
+
+@lru_cache(maxsize=_FACTOR_SLOTS)
+def _cached_factor(kind: str, nodes: bytes) -> np.ndarray:
+    g = _factor(kind, np.frombuffer(nodes))
+    g.flags.writeable = False
+    return g
+
+
+def _theta_factor(kind: str, v: np.ndarray) -> np.ndarray:
+    """The s-independent factor of the theta integrand at the nodes v:
+    omega(e^v) for zeta, Delta(e^v) for delta.  Keyed on the nodes
+    themselves, so it holds whatever levels integrate_finite uses."""
+    if v.size > _FACTOR_NODES:
+        return _factor(kind, v)
+    return _cached_factor(kind, v.tobytes())
 
 
 def _theta_integrals(kind: str, exponents: list, v_max: float, abs_tol: float) -> list[complex]:
@@ -302,8 +319,7 @@ def _theta_integrals(kind: str, exponents: list, v_max: float, abs_tol: float) -
     b = np.array([[e[1]] for e in exponents])
 
     def integrand(v: np.ndarray) -> np.ndarray:
-        g = _theta_factor(kind, v_max, v.size // _GL_ORDER)
-        return g * (np.exp(a * v) + np.exp(b * v))
+        return _theta_factor(kind, v) * (np.exp(a * v) + np.exp(b * v))
 
     spec = QuadratureSpec(min(abs_tol, 2e-13) if abs_tol else 2e-13, 14)
     return integrate_finite(integrand, 0.0, v_max, spec).value.tolist()
@@ -384,12 +400,15 @@ def completed_lambda_delta(s: complex, abs_tol: float = 1e-12) -> complex:
 # across each window), so a batch array holds at most 64 x 160 values; a
 # 31-point scan grid is one batch.
 _LINE_ROWS = 64
+# absolute tolerance of completed_lambda_line, the one the critical-line
+# samplers of polya use
+_LINE_TOL = 1e-14
 
 
-def completed_lambda_line(kind: str, ts, abs_tol: float = 1e-12) -> np.ndarray:
+def completed_lambda_line(kind: str, ts) -> np.ndarray:
     """completed_lambda_zeta(1/2 + it) (kind "zeta") or
-    completed_lambda_delta(6 + it) (kind "delta") for every t of ``ts``,
-    bitwise, as one complex array.
+    completed_lambda_delta(6 + it) (kind "delta") at abs_tol _LINE_TOL for
+    every t of ``ts``, bitwise, as one complex array.
 
     Both central lines share one quadrature layout, so the points go
     through integrate_finite _LINE_ROWS at a time and share each level's
@@ -405,5 +424,5 @@ def completed_lambda_line(kind: str, ts, abs_tol: float = 1e-12) -> np.ndarray:
     ss = [point(complex(center, t)) for t in np.asarray(ts, dtype=float).ravel().tolist()]
     out = []
     for at in range(0, len(ss), _LINE_ROWS):
-        out += rows(ss[at : at + _LINE_ROWS], abs_tol)
+        out += rows(ss[at : at + _LINE_ROWS], _LINE_TOL)
     return np.array(out, dtype=complex)

@@ -228,45 +228,35 @@ def integrate_halfline(f: Callable, spec: QuadratureSpec | None = None) -> QuadR
 
 _GL_ORDER = 20
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-# Levels kept by the node and factor caches: at most _LEVEL_SLOTS of them,
-# each of at most _CACHED_PANELS panels (1280 nodes, 20 kB of nodes and
-# weights).  Finer levels, which only points far from the critical strip
-# reach, are rebuilt on every call, so the caches stay below 1 MB.
+# Levels kept by the node cache: at most _LEVEL_SLOTS of them, each of at
+# most _CACHED_PANELS panels (1280 nodes, 20 kB of nodes and weights).
+# Finer levels, which only points far from the critical strip reach, are
+# rebuilt on every call, so the cache stays below 1 MB.
 _CACHED_PANELS = 64
 _LEVEL_SLOTS = 32
 
 
-def _level_cache(build: Callable) -> Callable:
-    """Wrap ``build(*key, panels)``, which returns an array or a tuple of
-    arrays, in a least-recently-used cache of read-only results holding
-    only levels of at most _CACHED_PANELS panels, at most _LEVEL_SLOTS of
-    them; ``cache_info`` reports its size."""
-
-    def frozen(*key):
-        out = build(*key)
-        for arr in out if isinstance(out, tuple) else (out,):
-            arr.flags.writeable = False
-        return out
-
-    cached = lru_cache(maxsize=_LEVEL_SLOTS)(frozen)
-
-    def level(*key):
-        return (cached if key[-1] <= _CACHED_PANELS else build)(*key)
-
-    level.cache_info = cached.cache_info
-    return level
-
-
-@_level_cache
-def _gauss_legendre_level(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``panels`` equal 20-point Gauss-Legendre panels
-    on [a, b], the level that integrate_finite evaluates for that count."""
+def _build_level(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + half[:, None] * _gl_nodes[None, :]).ravel()
     weights = (half[:, None] * _gl_weights[None, :]).ravel()
     return nodes, weights
+
+
+@lru_cache(maxsize=_LEVEL_SLOTS)
+def _cached_level(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = _build_level(a, b, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_legendre_level(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``panels`` equal 20-point Gauss-Legendre panels
+    on [a, b], the level that integrate_finite evaluates for that count;
+    read-only and cached up to _CACHED_PANELS panels."""
+    return (_cached_level if panels <= _CACHED_PANELS else _build_level)(a, b, panels)
 
 
 def integrate_finite(
@@ -352,8 +342,8 @@ def bracket_and_bisect(
     bisection step one call with a single midpoint.  Raises ValueError
     for a grid of more than _MAX_GRID_NODES nodes (before sampling
     anything), and for a tol that is not finite or lies below
-    math.ulp(b), the float spacing at the window's top, which no bracket
-    in the window can get under.
+    math.ulp(max(|a|, |b|)), the float spacing at the window's end
+    farthest from 0, which a bracket there cannot get under.
 
     Even-order roots (no sign change) are invisible to this scheme; that is
     a documented limitation, not a failure mode.
@@ -362,11 +352,12 @@ def bracket_and_bisect(
         raise ValueError("need a < b")
     if not step > 0.0:
         raise ValueError("step must be positive")
-    floor = math.ulp(b)
+    edge = max(abs(a), abs(b))
+    floor = math.ulp(edge)
     if not (math.isfinite(tol) and tol >= floor):
         raise ValueError(
             f"tol must be finite and at least {floor!r}, "
-            f"the float spacing at {b!r} (got {tol!r})"
+            f"the float spacing at {edge!r} (got {tol!r})"
         )
     cells = (b - a) / step - 1e-12
     if not cells <= _MAX_GRID_NODES - 1:  # the grid has ceil(cells) + 1 nodes
@@ -374,32 +365,31 @@ def bracket_and_bisect(
             f"step {step:g} over [{a:g}, {b:g}] needs more than {_MAX_GRID_NODES} grid nodes"
         )
     n = max(1, math.ceil(cells))
-    xs = (a + np.arange(n) * step).tolist()
-    xs.append(b)
-    vals = np.asarray(f(np.array(xs)), dtype=float).tolist()
+    xs = np.append(a + np.arange(n) * step, b)
+    vals = np.asarray(f(xs), dtype=float)
+    # only nodes with an exact zero or a sign change up to the next node
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
     roots: list[float] = []
-    for i in range(len(xs) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
+    for i in hits.tolist():
+        if vals[i] == 0.0:
             if not roots or abs(roots[-1] - xs[i]) > tol:
-                roots.append(xs[i])
+                roots.append(float(xs[i]))
             continue
-        if fa * fb < 0.0:
-            lo, hi = xs[i], xs[i + 1]
-            flo = fa
-            it = 0
-            while hi - lo > tol and it < max_iter:
-                mid = 0.5 * (lo + hi)
-                fm = float(f(np.array([mid]))[0])
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-                it += 1
-            roots.append(0.5 * (lo + hi))
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        flo = float(vals[i])
+        it = 0
+        while hi - lo > tol and it < max_iter:
+            mid = 0.5 * (lo + hi)
+            fm = float(f(np.array([mid]))[0])
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+            it += 1
+        roots.append(0.5 * (lo + hi))
     if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
-        roots.append(xs[-1])
+        roots.append(float(xs[-1]))
     return roots

@@ -20,7 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .lfun import completed_lambda_delta, completed_lambda_line, completed_lambda_zeta
+from .lfun import (
+    _LINE_ROWS,
+    _LINE_TOL,
+    completed_lambda_delta,
+    completed_lambda_line,
+    completed_lambda_zeta,
+)
 from .numkit import bracket_and_bisect, gamma
 
 _FD_STEP = 1e-3
@@ -48,11 +54,13 @@ class CriticalLineFn:
     bracketing robust in double precision.  ``complex_value`` returns the
     literal completed value.
 
-    ``values(ts)`` samples an array of ordinates in one call: the points
-    not yet cached go through lfun.completed_lambda_line together, which
-    shares each quadrature level's nodes and theta factor among them, and
-    every value is bitwise the one-point value.  Calling the instance on
-    one t is a one-element ``values``.
+    ``values(ts)`` samples an array of ordinates in one call.  It walks
+    them lfun._LINE_ROWS at a time: the points of a block not yet cached
+    go through lfun.completed_lambda_line together, which shares each
+    quadrature level's nodes and theta factor among them, and enter the
+    cache before the next block, so a long grid holds no more than the
+    cache and one block at a time.  Every value is bitwise the one-point
+    value.  Calling the instance on one t is a one-element ``values``.
 
     The cache maps |t| (the samplers are even) to the normalized value and
     only grows; ``cache_size`` counts its entries.  A lock guards it, so
@@ -83,8 +91,8 @@ class CriticalLineFn:
         """Literal completed value at center + it (no envelope, no cache)."""
         s = complex(self.center, float(t))
         if self.kind == "zeta":
-            return completed_lambda_zeta(s, abs_tol=1e-14)
-        return completed_lambda_delta(s, abs_tol=1e-14)
+            return completed_lambda_zeta(s, abs_tol=_LINE_TOL)
+        return completed_lambda_delta(s, abs_tol=_LINE_TOL)
 
     def envelope(self, t: float) -> float:
         """Positive decay profile divided out by the normalized sampler."""
@@ -95,17 +103,26 @@ class CriticalLineFn:
 
     def values(self, ts) -> np.ndarray:
         """Normalized samples at every t of ``ts``, as a float array of the
-        same length; ValueError if a t lies outside the kind's window."""
-        keys = np.abs(np.asarray(ts, dtype=float).ravel()).tolist()  # even in t
-        with self._lock:
-            missing = sorted({k for k in keys if k not in self._cache})
-        if missing:
-            lam = completed_lambda_line(self.kind, missing, abs_tol=1e-14).real.tolist()
-            fresh = {k: v / self.envelope(k) for k, v in zip(missing, lam)}
+        same length; ValueError, before any sampling, if a t lies outside
+        the kind's window."""
+        keys = np.abs(np.asarray(ts, dtype=float).ravel())  # even in t
+        t_max = _T_MAX[self.kind]
+        if keys.size and not keys.max() <= t_max:
+            worst = float(keys.max())
+            raise ValueError(f"{self.kind}: |t| = {worst!r} lies outside |Im s| <= {t_max:g}")
+        out = np.empty(keys.size)
+        for at in range(0, keys.size, _LINE_ROWS):
+            chunk = keys[at : at + _LINE_ROWS].tolist()
             with self._lock:
-                self._cache.update(fresh)
-        with self._lock:
-            return np.array([self._cache[k] for k in keys])
+                missing = sorted({k for k in chunk if k not in self._cache})
+            if missing:
+                lam = completed_lambda_line(self.kind, missing).real.tolist()
+                fresh = {k: v / self.envelope(k) for k, v in zip(missing, lam)}
+                with self._lock:
+                    self._cache.update(fresh)
+            with self._lock:
+                out[at : at + len(chunk)] = [self._cache[k] for k in chunk]
+        return out
 
     def __call__(self, t: float) -> float:
         return float(self.values([t])[0])

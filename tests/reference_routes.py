@@ -152,7 +152,7 @@ def sampler_one_point(kind: str):
 
     def sample(t: float) -> float:
         key = abs(float(t))
-        return lambda_one_point(kind, complex(F.center, key), 1e-14).real / F.envelope(key)
+        return lambda_one_point(kind, complex(F.center, key), lfun._LINE_TOL).real / F.envelope(key)
 
     return sample
 

@@ -254,6 +254,15 @@ class TestBracketAndBisect:
         with pytest.raises(ValueError, match=f"at least {math.ulp(2.0)!r}"):
             bracket_and_bisect(np.cos, 0.0, 2.0, step=0.1, tol=tol)
 
+    def test_tol_floor_taken_at_the_wider_end(self):
+        # a root near -4.7 has a float spacing of ulp(4.7) > ulp(1)
+        with pytest.raises(ValueError, match=f"at least {math.ulp(8.0)!r}"):
+            bracket_and_bisect(np.cos, -8.0, 1.0, step=0.1, tol=math.ulp(1.0))
+        roots = bracket_and_bisect(np.cos, -8.0, 1.0, step=0.1, tol=math.ulp(8.0), max_iter=60)
+        assert len(roots) == 3
+        for root, want in zip(roots, (-2.5 * math.pi, -1.5 * math.pi, -0.5 * math.pi)):
+            assert abs(root - want) <= 2 * math.ulp(8.0)
+
     def test_tol_at_float_spacing_converges(self):
         (root,) = bracket_and_bisect(np.cos, 0.0, 2.0, step=0.1, tol=math.ulp(2.0), max_iter=60)
         assert abs(root - math.pi / 2) <= 2 * math.ulp(2.0)

@@ -19,7 +19,7 @@ from reference_routes import (
     scan_one_point,
 )
 
-from adelic_zeta import lfun, numkit, records
+from adelic_zeta import lfun, numkit, polya, records
 from adelic_zeta.lfun import tau_coefficients
 from adelic_zeta.numkit import NonConvergenceError
 from adelic_zeta.polya import (
@@ -173,15 +173,19 @@ class TestBatchedSampler:
 
     def test_refusal_far_from_the_strip_leaves_tables_bounded(self):
         # the point needs all 14 refinements and is refused; only the levels
-        # of at most _CACHED_PANELS panels (7 of its 15) may enter a cache
-        before = (lfun._theta_factor.cache_info(), numkit._gauss_legendre_level.cache_info())
+        # of at most _CACHED_PANELS panels (7 of its 15) may enter the node
+        # cache, and only node sets of at most _FACTOR_NODES the factor cache
+        nodes_before = numkit._cached_level.cache_info()
+        factors_before = lfun._cached_factor.cache_info()
         with pytest.raises(NonConvergenceError):
             lfun.completed_lambda_delta(30 + 50j)
-        after = (lfun._theta_factor.cache_info(), numkit._gauss_legendre_level.cache_info())
+        nodes_after = numkit._cached_level.cache_info()
+        factors_after = lfun._cached_factor.cache_info()
         levels_cached = int(math.log2(numkit._CACHED_PANELS)) + 1
-        for b, a in zip(before, after):
-            assert a.currsize <= a.maxsize == numkit._LEVEL_SLOTS
-            assert a.misses - b.misses <= levels_cached
+        assert nodes_after.currsize <= nodes_after.maxsize == numkit._LEVEL_SLOTS
+        assert nodes_after.misses - nodes_before.misses <= levels_cached
+        assert factors_after.currsize <= factors_after.maxsize == lfun._FACTOR_SLOTS
+        assert factors_after.misses - factors_before.misses <= levels_cached
 
     def test_long_lines_run_in_batches(self, monkeypatch):
         # more points than one batch holds go through integrate_finite
@@ -190,10 +194,25 @@ class TestBatchedSampler:
         quad = lfun.integrate_finite
         monkeypatch.setattr(lfun, "integrate_finite", lambda *a: calls.append(1) or quad(*a))
         ts = np.linspace(10.0, 12.0, lfun._LINE_ROWS + 9)
-        whole = lfun.completed_lambda_line("zeta", ts, 1e-14)
+        whole = lfun.completed_lambda_line("zeta", ts)
         assert len(calls) == 2
-        parts = [lfun.completed_lambda_zeta(complex(0.5, t), 1e-14) for t in ts]
+        parts = [lfun.completed_lambda_zeta(complex(0.5, t), lfun._LINE_TOL) for t in ts]
         assert whole.tobytes() == np.array(parts).tobytes()
+
+    def test_long_grids_fill_the_cache_block_by_block(self, monkeypatch):
+        # values sends at most one block of misses to the line at a time
+        sizes = []
+        line = polya.completed_lambda_line
+        monkeypatch.setattr(
+            polya, "completed_lambda_line", lambda k, ts: sizes.append(len(ts)) or line(k, ts)
+        )
+        F = CriticalLineFn("zeta")
+        ts = np.linspace(10.0, 12.0, 2 * lfun._LINE_ROWS + 9)
+        got = F.values(ts[::-1])
+        assert sizes == [lfun._LINE_ROWS, lfun._LINE_ROWS, 9]
+        oracle = sampler_one_point("zeta")
+        assert got.tobytes() == np.array([oracle(t) for t in ts[::-1]]).tobytes()
+        assert F.cache_size == ts.size
 
 
 class TestScan:
