@@ -249,23 +249,25 @@ class TestBracketAndBisect:
         with pytest.raises(ValueError):
             bracket_and_bisect(np.cos, 0.0, 1.0, step=0.1, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10, 1e-300, 0.5 * math.ulp(2.0)])
-    def test_tol_below_float_spacing_refused(self, tol):
-        with pytest.raises(ValueError, match=f"at least {math.ulp(2.0)!r}"):
-            bracket_and_bisect(np.cos, 0.0, 2.0, step=0.1, tol=tol)
+    @pytest.mark.parametrize(
+        "a, b, tol",
+        [(0.0, 2.0, tol) for tol in (math.nan, math.inf, -1e-10, 1e-300, 0.5 * math.ulp(2.0))]
+        # the roots near -4.7 and -7.9 are spaced by more than ulp(1)
+        + [(-8.0, 1.0, math.ulp(1.0))],
+    )
+    def test_tol_below_float_spacing_refused(self, a, b, tol):
+        floor = math.ulp(max(abs(a), abs(b)))
+        with pytest.raises(ValueError, match=f"at least {floor!r}"):
+            bracket_and_bisect(np.cos, a, b, step=0.1, tol=tol)
 
-    def test_tol_floor_taken_at_the_wider_end(self):
-        # a root near -4.7 has a float spacing of ulp(4.7) > ulp(1)
-        with pytest.raises(ValueError, match=f"at least {math.ulp(8.0)!r}"):
-            bracket_and_bisect(np.cos, -8.0, 1.0, step=0.1, tol=math.ulp(1.0))
-        roots = bracket_and_bisect(np.cos, -8.0, 1.0, step=0.1, tol=math.ulp(8.0), max_iter=60)
-        assert len(roots) == 3
-        for root, want in zip(roots, (-2.5 * math.pi, -1.5 * math.pi, -0.5 * math.pi)):
-            assert abs(root - want) <= 2 * math.ulp(8.0)
-
-    def test_tol_at_float_spacing_converges(self):
-        (root,) = bracket_and_bisect(np.cos, 0.0, 2.0, step=0.1, tol=math.ulp(2.0), max_iter=60)
-        assert abs(root - math.pi / 2) <= 2 * math.ulp(2.0)
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-8.0, 1.0)])
+    def test_tol_at_float_spacing_converges(self, a, b):
+        floor = math.ulp(max(abs(a), abs(b)))
+        roots = bracket_and_bisect(np.cos, a, b, step=0.1, tol=floor, max_iter=60)
+        want = [(k + 0.5) * math.pi for k in range(-3, 1) if a < (k + 0.5) * math.pi < b]
+        assert len(roots) == len(want)
+        for root, w in zip(roots, want):
+            assert abs(root - w) <= 2 * floor
 
     def test_grid_cap(self, monkeypatch):
         # a grid of exactly the cap is sampled; one node more is refused
