@@ -10,6 +10,7 @@ poles), 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from fractions import Fraction
 
@@ -19,11 +20,23 @@ from . import lfun, polya, records, satake, theta
 _SCHEMA = "adelic-zeta.report.v1"
 
 
-def _complex_arg(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a complex number, got %r" % text)
+def _finite_number(parse, name: str):
+    """An argparse type: ``parse`` of the text, refused unless finite."""
+
+    def arg(text: str):
+        try:
+            value = parse(text.replace(" ", ""))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {name}, got {text!r}")
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite {name}, got {text!r}")
+        return value
+
+    return arg
+
+
+_complex_arg = _finite_number(complex, "complex number")
+_finite_arg = _finite_number(float, "real number")
 
 
 def _int_tuple_arg(text: str) -> tuple[int, ...]:
@@ -34,10 +47,7 @@ def _int_tuple_arg(text: str) -> tuple[int, ...]:
 
 
 def _complex_tuple_arg(text: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(part.replace(" ", "")) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated complex numbers")
+    return tuple(_complex_arg(part) for part in text.split(","))
 
 
 def _report(command: str, inputs: dict, outputs: dict, provenance: list[str]) -> dict:
@@ -77,20 +87,20 @@ def _cmd_lfun_zeta(args) -> dict:
 
 
 def _cmd_lfun_lambda_zeta(args) -> dict:
-    value = lfun.completed_lambda_zeta(args.s, abs_tol=args.tol)
+    value = lfun.completed_lambda_zeta(args.s)
     return _report(
         "lfun.lambda-zeta",
-        {"s": args.s, "tol": args.tol},
+        {"s": args.s},
         {"value": value},
         ["incomplete-theta integral, exactly symmetric under s <-> 1-s"],
     )
 
 
 def _cmd_lfun_lambda_delta(args) -> dict:
-    value = lfun.completed_lambda_delta(args.s, abs_tol=args.tol)
+    value = lfun.completed_lambda_delta(args.s)
     return _report(
         "lfun.lambda-delta",
-        {"s": args.s, "tol": args.tol},
+        {"s": args.s},
         {"value": value},
         ["q-expansion integral, exactly symmetric under s <-> 12-s"],
     )
@@ -299,14 +309,12 @@ def _cmd_polya_residual(args) -> dict:
 
 
 def _cmd_polya_norm_bound(args) -> dict:
-    measured, bound = polya.norm_bound_check(
-        args.a, args.delta, args.trials, seed=args.seed
-    )
+    measured, bound = polya.norm_bound_check(args.a, args.delta)
     return _report(
         "polya.norm-bound",
-        {"a": args.a, "delta": args.delta, "trials": args.trials, "seed": args.seed},
+        {"a": args.a, "delta": args.delta},
         {"measured": measured, "bound": bound, "within_bound": measured <= bound * (1 + 1e-6)},
-        ["seeded power iteration on the weighted shift, compared to the growth bound"],
+        ["exact norm of the weighted shift on the grid, compared to the growth bound"],
     )
 
 
@@ -335,12 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = lfun_ops.add_parser("lambda-zeta", parents=[fmt], help="completed zeta")
     p.add_argument("--s", type=_complex_arg, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_lfun_lambda_zeta)
 
     p = lfun_ops.add_parser("lambda-delta", parents=[fmt], help="completed cusp-form L")
     p.add_argument("--s", type=_complex_arg, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_lfun_lambda_delta)
 
     p = lfun_ops.add_parser("euler", parents=[fmt], help="finite Euler product with tail bound")
@@ -383,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = satake_ops.add_parser("radial", parents=[fmt], help="radial transform values")
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--sigma", type=_finite_arg, default=0.5)
     p.add_argument("--dmax", type=int, default=4)
     p.set_defaults(handler=_cmd_satake_radial)
 
@@ -407,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_polya_zeros)
 
     p = polya_ops.add_parser("spectrum", parents=[fmt, scan], help="zeros to eigenvalue data")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_finite_arg, required=True)
     p.add_argument("--m-pi", dest="m_pi", type=int, default=1)
     p.add_argument("--rule-variant", dest="rule_variant",
                    choices=("literal", "inclusive"), default="literal")
@@ -420,10 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_polya_residual)
 
     p = polya_ops.add_parser("norm-bound", parents=[fmt], help="weighted shift norm check")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--a", type=_finite_arg, required=True)
+    p.add_argument("--delta", type=_finite_arg, required=True)
     p.set_defaults(handler=_cmd_polya_norm_bound)
 
     return parser

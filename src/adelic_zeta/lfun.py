@@ -309,28 +309,35 @@ def _theta_factor(kind: str, v: np.ndarray) -> np.ndarray:
     return _cached_factor(kind, v.tobytes())
 
 
-def _theta_integrals(kind: str, exponents: list, v_max: float, abs_tol: float) -> list[complex]:
+def _theta_integrals(kind: str, exponents: list, v_max: float, tol: float) -> list[complex]:
     """int_0^v_max g(e^v) (e^(a v) + e^(b v)) dv for each pair (a, b) of
     ``exponents``, g the kind's _theta_factor: one integrate_finite batch
-    at tolerance min(abs_tol, 2e-13) with up to 14 refinements, the
-    quadrature of both completed functions.  Each point pays only for its
-    own exponential row."""
+    at absolute tolerance tol with up to 14 refinements, the quadrature of
+    both completed functions.  Each point pays only for its own
+    exponential row."""
     a = np.array([[e[0]] for e in exponents])
     b = np.array([[e[1]] for e in exponents])
 
     def integrand(v: np.ndarray) -> np.ndarray:
         return _theta_factor(kind, v) * (np.exp(a * v) + np.exp(b * v))
 
-    spec = QuadratureSpec(min(abs_tol, 2e-13) if abs_tol else 2e-13, 14)
-    return integrate_finite(integrand, 0.0, v_max, spec).value.tolist()
+    return integrate_finite(integrand, 0.0, v_max, QuadratureSpec(tol, 14)).value.tolist()
+
+
+# center and |Im s| window of each kind's critical line
+_LINES = {"zeta": (0.5, 60.0), "delta": (6.0, 50.0)}
+# fixed absolute targets: one point of completed_lambda_zeta/_delta, and
+# completed_lambda_line, the critical-line samplers' route
+_POINT_TOL = 2e-13
+_LINE_TOL = 1e-14
 
 
 def _zeta_point(s: complex) -> complex:
     """s as a complex, refused outside the window of completed_lambda_zeta
     (ValueError) and at its poles (PoleError)."""
-    s = complex(s)
-    if not (abs(s.real) <= 40.0 and abs(s.imag) <= 60.0):
-        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= 60")
+    s, t_max = complex(s), _LINES["zeta"][1]
+    if not (abs(s.real) <= 40.0 and abs(s.imag) <= t_max):
+        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= {t_max:g}")
     if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
         raise PoleError("completed zeta has poles at s = 0 and s = 1")
     return s
@@ -339,60 +346,63 @@ def _zeta_point(s: complex) -> complex:
 def _delta_point(s: complex) -> complex:
     """s as a complex, refused (ValueError) outside the window of
     completed_lambda_delta."""
-    s = complex(s)
-    if not (abs(s.imag) <= 50.0 and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
+    s, t_max = complex(s), _LINES["delta"][1]
+    if not (abs(s.imag) <= t_max and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
         raise ValueError(
-            f"lambda-delta: s = {s} lies outside |Im s| <= 50, |Re s| <= 40, |12 - Re s| <= 40"
+            f"lambda-delta: s = {s} lies outside |Im s| <= {t_max:g}, |Re s| <= 40, "
+            "|12 - Re s| <= 40"
         )
     return s
 
 
-def _lambda_zeta_rows(ss: list[complex], abs_tol: float) -> list[complex]:
+def _lambda_zeta_rows(ss: list[complex], tol: float) -> list[complex]:
     """Completed zeta at points of one real part, in one batch."""
     sigma = ss[0].real
     v_max = _cutoff(math.pi, max(abs(sigma), abs(1.0 - sigma)) / 2.0 + 1.0)
-    vals = _theta_integrals("zeta", [(0.5 * s, 0.5 * (1.0 - s)) for s in ss], v_max, abs_tol)
+    vals = _theta_integrals("zeta", [(0.5 * s, 0.5 * (1.0 - s)) for s in ss], v_max, tol)
     # pole terms grouped so the sum is commutative in s <-> 1-s and the
     # reflection symmetry holds bitwise, not just to rounding
     return [v - (1.0 / s + 1.0 / (1.0 - s)) for v, s in zip(vals, ss)]
 
 
-def _lambda_delta_rows(ss: list[complex], abs_tol: float) -> list[complex]:
+def _lambda_delta_rows(ss: list[complex], tol: float) -> list[complex]:
     """Completed cusp-form L-function at points of one real part, in one
     batch."""
     sigma = ss[0].real
     v_max = _cutoff(2.0 * math.pi, max(abs(sigma), abs(12.0 - sigma), 1.0))
-    return _theta_integrals("delta", [(s, 12.0 - s) for s in ss], v_max, abs_tol)
+    return _theta_integrals("delta", [(s, 12.0 - s) for s in ss], v_max, tol)
 
 
-def completed_lambda_zeta(s: complex, abs_tol: float = 1e-12) -> complex:
+def completed_lambda_zeta(s: complex) -> complex:
     """Completed zeta pi^(-s/2) gamma(s/2) zeta(s) by the incomplete-theta
     representation
 
         -1/s - 1/(1-s) + int_0^inf omega(e^v) (e^(vs/2) + e^(v(1-s)/2)) dv,
 
     which is entire apart from the two explicit poles and symmetric under
-    s <-> 1-s exactly as written.  Accurate to ~1e-12 absolutely for
-    |Re s| <= 40, |Im s| <= 60 (beyond that the s=40 magnitudes make the
-    *relative* double-precision floor dominate); ValueError outside it.
-    NonConvergenceError where the rounding noise of the integral stays
-    above the tolerance, far from the critical strip.
+    s <-> 1-s exactly as written.  At the fixed target _POINT_TOL = 2e-13
+    it is accurate to ~1e-12 absolutely for |Re s| <= 40, |Im s| <= 60
+    (beyond that the s=40 magnitudes make the *relative* double-precision
+    floor dominate); ValueError outside it.  NonConvergenceError where the
+    rounding noise of the integral stays above the target, far from the
+    critical strip.
     """
-    return _lambda_zeta_rows([_zeta_point(s)], abs_tol)[0]
+    return _lambda_zeta_rows([_zeta_point(s)], _POINT_TOL)[0]
 
 
-def completed_lambda_delta(s: complex, abs_tol: float = 1e-12) -> complex:
+def completed_lambda_delta(s: complex) -> complex:
     """Completed L-function of the weight-12 cusp form,
     (2 pi)^(-s) gamma(s) L(s), via
 
         int_0^inf Delta(e^v) (e^(sv) + e^((12-s)v)) dv
 
     (entire; exactly symmetric under s <-> 12-s as written).  Valid for
-    |Im s| <= 50 and |Re s|, |12 - Re s| <= 40 at ~1e-12 absolute accuracy;
-    ValueError outside that window.  NonConvergenceError where the rounding
-    noise of the integral stays above the tolerance, far from Re s = 6.
+    |Im s| <= 50 and |Re s|, |12 - Re s| <= 40 at ~1e-12 absolute accuracy
+    (fixed target _POINT_TOL = 2e-13); ValueError outside that window.
+    NonConvergenceError where the rounding noise of the integral stays
+    above the target, far from Re s = 6.
     """
-    return _lambda_delta_rows([_delta_point(s)], abs_tol)[0]
+    return _lambda_delta_rows([_delta_point(s)], _POINT_TOL)[0]
 
 
 # points per quadrature batch of completed_lambda_line.  On the central
@@ -400,15 +410,13 @@ def completed_lambda_delta(s: complex, abs_tol: float = 1e-12) -> complex:
 # across each window), so a batch array holds at most 64 x 160 values; a
 # 31-point scan grid is one batch.
 _LINE_ROWS = 64
-# absolute tolerance of completed_lambda_line, the one the critical-line
-# samplers of polya use
-_LINE_TOL = 1e-14
 
 
 def completed_lambda_line(kind: str, ts) -> np.ndarray:
-    """completed_lambda_zeta(1/2 + it) (kind "zeta") or
-    completed_lambda_delta(6 + it) (kind "delta") at abs_tol _LINE_TOL for
-    every t of ``ts``, bitwise, as one complex array.
+    """The completed function of ``kind`` on its critical line (_LINES),
+    1/2 + it for "zeta" and 6 + it for "delta", at the fixed target
+    _LINE_TOL = 1e-14 for every t of ``ts``, bitwise the one-point value,
+    as one complex array.
 
     Both central lines share one quadrature layout, so the points go
     through integrate_finite _LINE_ROWS at a time and share each level's
@@ -416,11 +424,12 @@ def completed_lambda_line(kind: str, ts) -> np.ndarray:
     if a t lies outside the kind's window (|t| <= 60 resp. 50).
     """
     if kind == "zeta":
-        center, point, rows = 0.5, _zeta_point, _lambda_zeta_rows
+        point, rows = _zeta_point, _lambda_zeta_rows
     elif kind == "delta":
-        center, point, rows = 6.0, _delta_point, _lambda_delta_rows
+        point, rows = _delta_point, _lambda_delta_rows
     else:
         raise ValueError(f"kind must be zeta or delta, got {kind!r}")
+    center = _LINES[kind][0]
     ss = [point(complex(center, t)) for t in np.asarray(ts, dtype=float).ravel().tolist()]
     out = []
     for at in range(0, len(ss), _LINE_ROWS):

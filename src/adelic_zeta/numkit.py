@@ -330,7 +330,6 @@ def bracket_and_bisect(
     b: float,
     step: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> list[float]:
     """Locate simple real roots of f on [a, b]: sample f on the grid
     a + i*step below b plus b itself, keep exact zeros at the nodes, and
@@ -344,6 +343,12 @@ def bracket_and_bisect(
     anything), and for a tol that is not finite or lies below
     math.ulp(max(|a|, |b|)), the float spacing at the window's end
     farthest from 0, which a bracket there cannot get under.
+
+    Bisection stops on width alone, and the tol floor makes it stop:
+    while a bracket is wider than tol, its rounded midpoint lies strictly
+    inside, so each step about halves it.  A bracket starts no wider than
+    2 max(|a|, |b|), under 2^54 float spacings, so a root takes at most
+    about 55 steps.
 
     Even-order roots (no sign change) are invisible to this scheme; that is
     a documented limitation, not a failure mode.
@@ -377,8 +382,7 @@ def bracket_and_bisect(
             continue
         lo, hi = float(xs[i]), float(xs[i + 1])
         flo = float(vals[i])
-        it = 0
-        while hi - lo > tol and it < max_iter:
+        while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             fm = float(f(np.array([mid]))[0])
             if fm == 0.0:
@@ -388,7 +392,6 @@ def bracket_and_bisect(
                 hi = mid
             else:
                 lo, flo = mid, fm
-            it += 1
         roots.append(0.5 * (lo + hi))
     if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
         roots.append(float(xs[-1]))

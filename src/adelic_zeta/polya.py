@@ -22,17 +22,16 @@ import numpy as np
 
 from .lfun import (
     _LINE_ROWS,
-    _LINE_TOL,
-    completed_lambda_delta,
+    _LINES,
     completed_lambda_line,
+    # not called here; e2ebench/tracer.py wraps polya.completed_lambda_*
+    completed_lambda_delta,
     completed_lambda_zeta,
 )
 from .numkit import bracket_and_bisect, gamma
 
 _FD_STEP = 1e-3
-_KINDS = ("zeta", "delta")
-# |t| windows of the completed functions on each critical line
-_T_MAX = {"zeta": 60.0, "delta": 50.0}
+_KINDS = tuple(_LINES)
 _RULE_VARIANTS = ("literal", "inclusive")
 # grid of the weighted-shift norm check
 _NORM_T_MAX = 20.0
@@ -52,7 +51,8 @@ class CriticalLineFn:
     That rescales the exponentially decaying completed function to order
     one without moving a single zero or sign, which is what makes
     bracketing robust in double precision.  ``complex_value`` returns the
-    literal completed value.
+    literal completed value from the same line route, so the normalized
+    sample is bitwise ``complex_value(t).real / envelope(t)``.
 
     ``values(ts)`` samples an array of ordinates in one call.  It walks
     them lfun._LINE_ROWS at a time: the points of a block not yet cached
@@ -84,15 +84,12 @@ class CriticalLineFn:
 
     @property
     def center(self) -> float:
-        """Real part of the critical line in the stored normalization."""
-        return 0.5 if self.kind == "zeta" else 6.0
+        """Real part of the critical line (lfun._LINES)."""
+        return _LINES[self.kind][0]
 
     def complex_value(self, t: float) -> complex:
-        """Literal completed value at center + it (no envelope, no cache)."""
-        s = complex(self.center, float(t))
-        if self.kind == "zeta":
-            return completed_lambda_zeta(s, abs_tol=_LINE_TOL)
-        return completed_lambda_delta(s, abs_tol=_LINE_TOL)
+        """The line route's value at center + it (no envelope, no cache)."""
+        return complex(completed_lambda_line(self.kind, [t])[0])
 
     def envelope(self, t: float) -> float:
         """Positive decay profile divided out by the normalized sampler."""
@@ -106,7 +103,7 @@ class CriticalLineFn:
         same length; ValueError, before any sampling, if a t lies outside
         the kind's window."""
         keys = np.abs(np.asarray(ts, dtype=float).ravel())  # even in t
-        t_max = _T_MAX[self.kind]
+        t_max = _LINES[self.kind][1]
         if keys.size and not keys.max() <= t_max:
             worst = float(keys.max())
             raise ValueError(f"{self.kind}: |t| = {worst!r} lies outside |Im s| <= {t_max:g}")
@@ -199,7 +196,7 @@ def scan_zeros(
     (delta) are increasingly noise-limited.
     """
     t_from, t_to, step, tol = float(t_from), float(t_to), float(step), float(tol)
-    t_max = _T_MAX[F.kind]
+    t_max = _LINES[F.kind][1]
     if not (0.0 <= t_from < t_to <= t_max):
         raise ValueError(f"window must satisfy 0 <= t_from < t_to <= {t_max:g} for {F.kind}")
     if not (0.0 < step <= 0.2):
@@ -314,7 +311,7 @@ def annihilator_residual(F: CriticalLineFn, rho: float, k: int) -> float:
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
     rho, h = float(rho), _FD_STEP
-    reach, t_max = (2 * h if k else 0.0), _T_MAX[F.kind]
+    reach, t_max = (2 * h if k else 0.0), _LINES[F.kind][1]
     if not abs(rho) + reach <= t_max:
         stencil = f" with its stencil t +- {reach:g}" if k else ""
         raise ValueError(
@@ -396,49 +393,30 @@ def resolvent_apply(band: BandDiscretization, v, kappa: complex) -> np.ndarray:
     return v / (1j * band.grid - kappa)
 
 
-def norm_bound_check(a: float, delta: float, trials: int, seed: int = 0) -> tuple[float, float]:
-    """Estimate the weighted operator norm of translation by `a` and
-    compare it to the growth bound 2^(delta/4) (1 + a^2)^(delta/4).
+def norm_bound_check(a: float, delta: float) -> tuple[float, float]:
+    """The weighted operator norm of translation by `a`, exactly, and the
+    growth bound 2^(delta/4) (1 + a^2)^(delta/4) it is checked against.
 
-    The shift acts on the grid of step 0.05 on [-20, 20] with weight
-    (1 + t^2)^(delta/2); `trials` seeded random unit vectors are pushed
-    through 30 power-iteration steps each and the largest Rayleigh
-    quotient is reported.  The estimate can only undershoot the true
-    norm, which itself never exceeds the bound, so measured <= bound up
-    to roundoff.  `a` must be an integer multiple of 0.05.
+    The shift (T v)_j = v_{j+k}, k = a / 0.05, acts on the grid of step
+    0.05 on [-20, 20] with weight w = (1 + t^2)^(delta/2).  T^* T is
+    diagonal, with entries w_{j-k}/w_j on the indices that survive the
+    shift, so the norm is the largest ratio of the bases 1 + t^2 to the
+    power delta/4 (no weight is formed, so none overflows), and 0 for a
+    shift past the grid.  ValueError unless a is a finite multiple of
+    0.05, delta is finite and nonnegative, and the bound is a float.
     """
     a, delta = float(a), float(delta)
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if int(trials) != trials or trials < 1:
-        raise ValueError("trials must be an integer >= 1")
-    k = int(round(a / _NORM_H))
-    if abs(k * _NORM_H - a) > 1e-9 * max(1.0, abs(a)):
+    if not (math.isfinite(a) and 0.0 <= delta < math.inf):
+        raise ValueError("a must be finite and delta finite and nonnegative")
+    if abs(math.remainder(a, _NORM_H)) > 1e-9 * max(1.0, abs(a)):
         raise ValueError(f"a must be an integer multiple of the grid step {_NORM_H:g}")
-    band = BandDiscretization(t_max=_NORM_T_MAX, h=_NORM_H, delta=delta)
-    w = band.weights
-    m = band.size
-    # (T v)_j = v_{j+k}; in the weighted norm T^* T is diagonal with
-    # entries w_{j-k}/w_j on the indices that survive the shift
-    ratios = np.zeros(m)
-    lo, hi = max(0, k), min(m, m + k)
-    idx = np.arange(lo, hi)
-    ratios[idx] = w[idx - k] / w[idx]
-
-    rng = np.random.default_rng(seed)
-    measured = 0.0
-    for _ in range(int(trials)):
-        v = rng.standard_normal(m)
-        v /= math.sqrt(float(np.sum(w * v * v)))
-        for _ in range(30):
-            v = ratios * v
-            nrm = math.sqrt(float(np.sum(w * v * v)))
-            if nrm == 0.0:
-                break
-            v /= nrm
-        num = float(np.sum(w * ratios * v * v))
-        den = float(np.sum(w * v * v))
-        if den > 0.0:
-            measured = max(measured, math.sqrt(num / den))
+    if delta * math.log2(2.0 + 2.0 * a * a) > 4 * 1023:  # 0 * inf is NaN: delta = 0 passes
+        raise ValueError(f"the growth bound overflows a float at a = {a!r}, delta = {delta!r}")
     bound = 2.0 ** (delta / 4.0) * (1.0 + a * a) ** (delta / 4.0)
-    return measured, bound
+    base = 1.0 + BandDiscretization(t_max=_NORM_T_MAX, h=_NORM_H, delta=delta).grid ** 2
+    m = base.size
+    k = round(max(-m, min(m, a / _NORM_H)))  # |k| = m: every index leaves the grid
+    if abs(k) == m:
+        return 0.0, bound
+    ratios = base[: m - k] / base[k:] if k >= 0 else base[-k:] / base[: m + k]
+    return float(ratios.max()) ** (delta / 4.0), bound

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
+_MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
 
 
 class SqrtP:
@@ -485,11 +486,15 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     Computed by summing Hermite-diagonal counts over all integral cosets
     of each determinant [the same counting route as satake_transform], so
     the constancy at sigma = (n-1)/2 is an output, not an input.  When
-    2*sigma is an integer the table is exact (SqrtP scalars).
+    2*sigma is an integer the table is exact (SqrtP scalars).  ValueError,
+    before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
+    p^(-sigma m) has some sigma m log10(p) digits.
     """
     _check_prime(p)
     if d < 0:
         raise ValueError("depth d must be >= 0")
+    if not abs(sigma) <= _MAX_RADIAL_SIGMA:
+        raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
     if n == 1:
         return SymLaurent(1, {(m,): _radial_weight(p, sigma, m) for m in range(d + 1)})
     if n != 2:

@@ -8,6 +8,8 @@ compare the package's single route against it.
 * laplace_resolvent: the band-model resolvent by quadrature of the
   Laplace transform of the translation flow, against the closed diagonal
   form of polya.resolvent_apply.
+* dense_shift_norm: the 2-norm of the weighted shift as a dense matrix,
+  against the closed diagonal form of polya.norm_bound_check.
 * dirichlet_partial_sum: a truncated Dirichlet series, against the Euler
   products of lfun.
 * lambda_one_point, sampler_one_point, scan_one_point: the completed
@@ -92,6 +94,18 @@ def laplace_resolvent(band, v, kappa: complex) -> np.ndarray:
     return _laplace_symbols(band.grid, complex(kappa)) * np.asarray(v, dtype=complex)
 
 
+def dense_shift_norm(a: float, delta: float) -> float:
+    """Weighted norm of translation by a (a multiple of polya._NORM_H) on
+    the norm-check grid: the spectral norm, by numpy's SVD, of the dense
+    matrix D T D^-1, with (T v)_j = v_{j+k} and D = diag(sqrt(w)) for the
+    grid weights w."""
+    band = polya.BandDiscretization(polya._NORM_T_MAX, polya._NORM_H, delta)
+    k = round(a / polya._NORM_H)
+    root_w = np.sqrt(band.weights)
+    shift = np.eye(band.size, k=k)
+    return float(np.linalg.norm(root_w[:, None] * shift / root_w[None, :], 2))
+
+
 def dirichlet_partial_sum(table, s: complex) -> complex:
     """sum a_n n^-s over every entry of a CoeffTable (arithmetic
     normalization)."""
@@ -122,11 +136,12 @@ def _integrate_one(f, a: float, b: float, tol: float, max_refinements: int) -> c
     raise NonConvergenceError("one-point theta integral did not settle")
 
 
-def lambda_one_point(kind: str, s: complex, abs_tol: float = 1e-12) -> complex:
+def lambda_one_point(kind: str, s: complex, tol: float = lfun._POINT_TOL) -> complex:
     """completed_lambda_zeta / completed_lambda_delta at one s inside their
-    windows, with the theta factor evaluated on each level's nodes."""
+    windows (absolute target tol; lfun._LINE_TOL gives the critical-line
+    values of lfun.completed_lambda_line), with the theta factor evaluated
+    on each level's nodes."""
     s = complex(s)
-    tol = min(abs_tol, 2e-13) if abs_tol else 2e-13
     if kind == "zeta":
         v_max = lfun._cutoff(math.pi, max(abs(s.real), abs(1.0 - s.real)) / 2.0 + 1.0)
 

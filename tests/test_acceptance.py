@@ -285,7 +285,7 @@ class TestAcceptance:
         bound_ok = True
         for a in (0.0, 0.5, 1.0, 2.0, 5.0):
             for delta in (0.0, 1.5, 3.0):
-                measured, bound = norm_bound_check(a, delta, trials=2)
+                measured, bound = norm_bound_check(a, delta)
                 bound_ok = bound_ok and measured <= bound + 1e-12
         dt = time.perf_counter() - t0
         ok = ident <= 1e-10 and laplace <= 1e-6 and bound_ok

@@ -171,7 +171,7 @@ class TestFormats:
         assert first and first == second
 
     def test_repeat_runs_are_byte_identical(self, capsys):
-        args = ["polya", "norm-bound", "--a", "0.5", "--delta", "2", "--trials", "3"]
+        args = ["polya", "norm-bound", "--a", "0.5", "--delta", "2"]
         _, first, _ = run(capsys, args)
         _, second, _ = run(capsys, args)
         assert first == second
@@ -196,6 +196,46 @@ class TestExitCodes:
         code, out, err = run(capsys, ["polya", "zeros", "--from", "10", "--to", "15", "--tol", tol])
         assert code == 2 and out == ""
         assert "at least 1.7763568394002505e-15, the float spacing at 15.0" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["lfun", "zeta", "--s"],
+        ["lfun", "lambda-zeta", "--s"],
+        ["lfun", "lambda-delta", "--s"],
+        ["lfun", "euler", "--s"],
+        ["theta", "mellin", "--s"],
+        ["satake", "radial", "--sigma"],
+        ["satake", "trace", "--chi"],
+        ["polya", "norm-bound", "--delta", "2", "--a"],
+        ["polya", "norm-bound", "--a", "0.5", "--delta"],
+        ["polya", "spectrum", "--from", "10", "--to", "15", "--delta"],
+    ])
+    def test_non_finite_number_refused(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected a finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["lfun", "lambda-zeta", "--s", "2", "--tol", "1e-12"],
+        ["lfun", "lambda-delta", "--s", "6", "--tol", "1e-12"],
+        ["polya", "norm-bound", "--a", "0.5", "--delta", "2", "--trials", "10"],
+        ["polya", "norm-bound", "--a", "0.5", "--delta", "2", "--seed", "0"],
+    ])
+    def test_removed_options_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_radial_sigma_cap_is_fast(self, capsys):
+        # refused before the exact power p^(-2 sigma) is formed
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["satake", "radial", "--sigma", "1e12", "--dmax", "1"])
+        assert code == 2 and out == ""
+        assert "|sigma| must be at most 40" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_scan_grid_over_the_cap_refused(self, capsys):
         # 50 / 5e-5 cells make 1000001 nodes, one over the cap

@@ -272,6 +272,14 @@ class TestCompletedLambda:
         for s in (6 - 50j, -28 + 2j, 40.0):
             assert math.isfinite(completed_lambda_delta(s).real)
 
+    def test_targets_are_fixed(self):
+        # no tolerance argument: point values use lfun._POINT_TOL
+        for fn in (completed_lambda_zeta, completed_lambda_delta):
+            with pytest.raises(TypeError):
+                fn(2.0, 1e-12)
+            with pytest.raises(TypeError):
+                fn(2.0, abs_tol=1e-12)
+
     def test_delta_short_table_rejected(self):
         with pytest.raises(ValueError, match="table too short"):
             _delta_series(np.array([1.0, 2.0]), tau_coefficients(2))

@@ -248,6 +248,8 @@ class TestBracketAndBisect:
             bracket_and_bisect(np.cos, 0.0, 1.0, step=0.0)
         with pytest.raises(ValueError):
             bracket_and_bisect(np.cos, 0.0, 1.0, step=0.1, tol=0.0)
+        with pytest.raises(TypeError):
+            bracket_and_bisect(np.cos, 0.0, 1.0, step=0.1, max_iter=60)
 
     @pytest.mark.parametrize(
         "a, b, tol",
@@ -262,10 +264,20 @@ class TestBracketAndBisect:
 
     @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-8.0, 1.0)])
     def test_tol_at_float_spacing_converges(self, a, b):
+        # bisection ends on width alone: at the tightest tol each root
+        # still costs at most 60 one-point calls after the grid call
         floor = math.ulp(max(abs(a), abs(b)))
-        roots = bracket_and_bisect(np.cos, a, b, step=0.1, tol=floor, max_iter=60)
+        calls = []
+        roots = bracket_and_bisect(
+            lambda x: calls.append(x.tolist()) or np.cos(x), a, b, step=0.1, tol=floor
+        )
         want = [(k + 0.5) * math.pi for k in range(-3, 1) if a < (k + 0.5) * math.pi < b]
         assert len(roots) == len(want)
+        grid, *steps = calls
+        assert len(grid) > 1 and all(len(x) == 1 for x in steps)
+        # each midpoint lies in its root's grid cell, 0.1 wide
+        for root in roots:
+            assert sum(abs(x - root) < 0.1 for [x] in steps) <= 60, root
         for root, w in zip(roots, want):
             assert abs(root - w) <= 2 * floor
 

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import threading
+import time
 from functools import lru_cache
 
 import mpmath as mp
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_routes import (
+    dense_shift_norm,
     lambda_one_point,
     laplace_resolvent,
     sampler_one_point,
@@ -105,12 +107,14 @@ class TestCriticalLineFn:
                 assert F.complex_value(t).imag == 0.0
 
     def test_normalization_divides_by_envelope(self):
-        F = CriticalLineFn("zeta")
-        for t in (5.0, 14.5):
-            env = F.envelope(t)
-            assert env > 0.0
-            raw = F.complex_value(t).real
-            assert abs(raw - F(t) * env) <= 1e-12 * max(1.0, abs(raw))
+        # complex_value is the line route's value, so the normalized
+        # sample is its real part over the envelope, bitwise
+        for kind in ("zeta", "delta"):
+            F = CriticalLineFn(kind)
+            for t in (5.0, 14.5, -21.3):
+                env = F.envelope(t)
+                assert env > 0.0
+                assert F.complex_value(t).real / env == F(t), (kind, t)
 
     def test_cache_counts_distinct_ordinates(self):
         F = CriticalLineFn("zeta")
@@ -196,7 +200,7 @@ class TestBatchedSampler:
         ts = np.linspace(10.0, 12.0, lfun._LINE_ROWS + 9)
         whole = lfun.completed_lambda_line("zeta", ts)
         assert len(calls) == 2
-        parts = [lfun.completed_lambda_zeta(complex(0.5, t), lfun._LINE_TOL) for t in ts]
+        parts = [lambda_one_point("zeta", complex(0.5, t), lfun._LINE_TOL) for t in ts]
         assert whole.tobytes() == np.array(parts).tobytes()
 
     def test_long_grids_fill_the_cache_block_by_block(self, monkeypatch):
@@ -596,28 +600,48 @@ class TestResolvent:
 
 class TestNormBound:
     def test_identity_shift_is_exact(self):
-        measured, bound = norm_bound_check(0.0, 2.0, trials=3)
+        measured, bound = norm_bound_check(0.0, 2.0)
         assert measured == 1.0
         assert bound >= 1.0
 
     def test_unweighted_shift_is_isometric(self):
-        measured, bound = norm_bound_check(1.0, 0.0, trials=2)
-        assert measured == pytest.approx(1.0, abs=1e-12)
+        measured, bound = norm_bound_check(1.0, 0.0)
+        assert measured == 1.0
         assert bound == 1.0
 
     def test_bound_respected_on_grid(self):
         for a in (0.5, 2.0):
             for delta in (1.5, 3.0):
-                measured, bound = norm_bound_check(a, delta, trials=2)
+                measured, bound = norm_bound_check(a, delta)
                 assert measured <= bound + 1e-12, (a, delta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.integers(-900, 900), delta=st.floats(0.0, 4.0))
+    def test_exact_norm_matches_dense_oracle(self, steps, delta):
+        a = steps * polya._NORM_H
+        measured, bound = norm_bound_check(a, delta)
+        assert measured == pytest.approx(dense_shift_norm(a, delta), rel=1e-12, abs=0.0)
+        assert measured <= bound
+
+    @pytest.mark.parametrize("a", [40.05, -50.0, 1e300, -1.7e308])
+    def test_shift_past_the_grid_is_zero(self, a):
+        # every index leaves the 801-point grid; nothing of the size of
+        # a / 0.05 is built
+        start = time.perf_counter()
+        assert norm_bound_check(a, 0.0) == (0.0, 1.0)
+        assert time.perf_counter() - start < 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError, match="integer multiple of the grid step 0.05"):
-            norm_bound_check(0.513, 2.0, trials=2)
+            norm_bound_check(0.513, 2.0)
         with pytest.raises(ValueError):
-            norm_bound_check(0.5, 2.0, trials=0)
-        with pytest.raises(ValueError):
-            norm_bound_check(0.5, -1.0, trials=2)
-        for grid in ({"t_max": 20.0}, {"h": 0.05}):
+            norm_bound_check(0.5, -1.0)
+        for a, delta in ((math.inf, 2.0), (math.nan, 2.0), (0.5, math.inf), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                norm_bound_check(a, delta)
+        for a, delta in ((1e300, 2.0), (1e150, 8.0)):
+            with pytest.raises(ValueError, match="growth bound overflows"):
+                norm_bound_check(a, delta)
+        for knob in ({"trials": 2}, {"seed": 0}, {"t_max": 20.0}, {"h": 0.05}):
             with pytest.raises(TypeError):
-                norm_bound_check(0.5, 2.0, trials=2, **grid)
+                norm_bound_check(0.5, 2.0, **knob)

@@ -10,6 +10,7 @@ that trace_truncated uses.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,21 @@ class TestRadial:
         val = satake_truncated_radial(Fraction(3, 2), 2, p=3)
         for lam, c in val.coeffs.items():
             assert c == SqrtP.half_power(3, -2 * (lam[0] + lam[1]))
+
+    @pytest.mark.parametrize(
+        "sigma", [1e12, 1e7, -40.5, Fraction(81, 2), 30 + 30j, 1e12j, math.nan]
+    )
+    def test_large_sigma_refused_fast(self, sigma):
+        # refused before any power p^(-sigma m) is formed
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 40"):
+            satake_truncated_radial(sigma, 1, p=2)
+        assert time.perf_counter() - start < 0.5
+
+    def test_sigma_on_the_cap_accepted(self):
+        # the orbit (1, 0) is 1 at sigma = 1/2 and gains p^(1/2 + 40)
+        val = satake_truncated_radial(-40, 1, p=2)
+        assert val.coeffs[(1, 0)] == SqrtP.half_power(2, 81)
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from(PRIMES), d=st.integers(0, 8),
