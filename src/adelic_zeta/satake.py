@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
+_MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
 
 
@@ -359,16 +360,9 @@ def _order_classes(p: int, m: int):
         c = m - a
         # b runs mod p^a; bucket by its exact order
         for t in list(range(a)) + [None]:
-            if t is None:
-                count = 1
-            elif t == a - 1:
-                count = p - 1 if a >= 1 else 0
-            else:
-                count = p ** (a - t) - p ** (a - t - 1)
-            if count <= 0:
-                continue
             if a and c and t != 0:
                 continue
+            count = 1 if t is None else p ** (a - t) - p ** (a - t - 1)
             classes.append((a, c, t, count))
     return tuple(classes)
 
@@ -379,7 +373,8 @@ def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration
     Rank 1 is the single scaled unit; rank 2 yields the Hermite forms
     [[p^a, b], [0, p^c]] (a + c = lam1 + lam2, b mod p^a) whose elementary
     divisors are exactly lam.  Entries are exact rationals; negative
-    weights give denominators.
+    weights give denominators.  ValueError, before any is built, when the
+    rank-2 count p^m + p^(m-1) (m = lam1 - lam2 >= 1) exceeds _MAX_COSETS.
     """
     _check_prime(p)
     lam = tuple(int(x) for x in lam)
@@ -395,6 +390,12 @@ def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration
     if n != 2:
         raise ValueError("explicit enumeration is implemented for rank <= 2")
     m = lam[0] - lam[1]
+    count = (p + 1) * p ** (m - 1) if m else 1
+    if count > _MAX_COSETS:
+        raise ValueError(
+            f"K diag(p^lambda) K at p = {p}, lambda = {lam} has {count} representatives,"
+            f" more than {_MAX_COSETS}"
+        )
     shift = Fraction(p) ** lam[1]
     reps = []
     for a in range(m + 1):

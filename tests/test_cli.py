@@ -1,5 +1,6 @@
 """Command-line interface: report schema, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -41,7 +42,6 @@ class TestReports:
         assert doc["command"] == "lfun.zeta"
         assert set(doc) == {"schema", "command", "inputs", "outputs", "provenance"}
         assert doc["inputs"]["s"] == {"im": 0.0, "re": 2.0}
-        assert doc["inputs"]["terms"] == 100
         assert abs(doc["outputs"]["value"]["re"] - 1.6449340668482264) < 1e-12
         assert doc["outputs"]["value"]["im"] == 0.0
         assert isinstance(doc["provenance"], list) and doc["provenance"]
@@ -95,6 +95,51 @@ class TestReports:
         assert doc["outputs"]["primes_used"] == 168
         assert 0.0 < doc["outputs"]["tail_log_bound"] < 1e-2
         assert abs(doc["outputs"]["value"]["re"] - math.pi**2 / 6) < 1e-3
+
+
+# one valid argv tail per operation; the invariant test below fails for an
+# operation of the parser that has no entry here
+VALID_ARGS = {
+    ("lfun", "zeta"): ["--s", "2"],
+    ("lfun", "lambda-zeta"): ["--s", "2"],
+    ("lfun", "lambda-delta"): ["--s", "6"],
+    ("lfun", "euler"): ["--s", "2", "--pmax", "100"],
+    ("lfun", "tau"): ["--n", "5"],
+    ("theta", "eval"): ["--t", "1"],
+    ("theta", "feq"): ["--t", "1"],
+    ("theta", "mellin"): ["--s", "2"],
+    ("theta", "decay"): ["--n", "2"],
+    ("satake", "cosets"): ["--p", "2", "--lambda", "1,0"],
+    ("satake", "radial"): ["--dmax", "1"],
+    ("satake", "trace"): ["--chi", "1,0.5", "--d", "3"],
+    ("polya", "zeros"): ["--from", "10", "--to", "15"],
+    ("polya", "spectrum"): ["--from", "10", "--to", "15", "--delta", "3"],
+    ("polya", "residual"): ["--t", "14"],
+    ("polya", "norm-bound"): ["--a", "0.5", "--delta", "2"],
+}
+
+
+def _subparsers(parser):
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+OPERATIONS = [
+    (module, operation, sub)
+    for module, ops in _subparsers(cli._build_parser()).items()
+    for operation, sub in _subparsers(ops).items()
+]
+
+
+@pytest.mark.parametrize(
+    "module, operation, sub", OPERATIONS, ids=[f"{m}.{o}" for m, o, _ in OPERATIONS]
+)
+def test_report_names_command_and_every_flag(capsys, module, operation, sub):
+    doc = run_json(capsys, [module, operation] + VALID_ARGS[module, operation])
+    assert doc["command"] == f"{module}.{operation}"
+    dests = {a.dest for a in sub._actions if a.option_strings and a.default != argparse.SUPPRESS}
+    assert set(doc["inputs"]) == dests - {"format"}
 
 
 @pytest.mark.parametrize("line", readme_commands())
@@ -222,6 +267,7 @@ class TestExitCodes:
         ["lfun", "lambda-delta", "--s", "6", "--tol", "1e-12"],
         ["polya", "norm-bound", "--a", "0.5", "--delta", "2", "--trials", "10"],
         ["polya", "norm-bound", "--a", "0.5", "--delta", "2", "--seed", "0"],
+        ["lfun", "zeta", "--s", "0.5+50j", "--terms", "5"],
     ])
     def test_removed_options_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -236,6 +282,46 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "|sigma| must be at most 40" in err
         assert time.perf_counter() - start < 0.5
+
+    def test_radial_digit_cap_is_fast(self, capsys):
+        # the largest exact entry would have about 40.5 * 30 * log10(10007)
+        # = 4860 digits; refused before any table is computed
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["satake", "radial", "--sigma", "40", "--p", "10007",
+                                      "--dmax", "30"])
+        assert code == 2 and out == ""
+        assert all(flag in err for flag in ("--sigma", "--p", "--dmax"))
+        assert "at most 4000" in err
+        assert time.perf_counter() - start < 0.5
+
+    def test_radial_just_below_the_digit_cap_prints(self, capsys):
+        # about 3888 digits: the exact table prints in full
+        table = run_json(capsys, ["satake", "radial", "--sigma", "40", "--p", "10007",
+                                  "--dmax", "24"])["outputs"]["table"]
+        assert len(table) == 25
+
+    def test_large_coset_enumeration_is_fast(self, capsys):
+        # (7919 + 1) * 7919^3 representatives; refused before any is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["satake", "cosets", "--p", "7919", "--lambda", "4,0"])
+        assert code == 2 and out == ""
+        assert "p = 7919, lambda = (4, 0)" in err
+        assert time.perf_counter() - start < 0.5
+        doc = run_json(capsys, ["satake", "cosets", "--p", "7", "--lambda", "3,0"])
+        assert doc["outputs"]["count"] == 392
+
+    @pytest.mark.parametrize(
+        "s", ["0.5+1000j", "-15", "-1.01+3j", "0.5+150.01j", "2-150.01j", "1.01e15"]
+    )
+    def test_zeta_outside_window_refused(self, capsys, s):
+        code, out, err = run(capsys, ["lfun", "zeta", "--s=" + s])
+        assert code == 2 and out == ""
+        assert "-1 <= Re s <= 1e15, |Im s| <= 150" in err
+
+    @pytest.mark.parametrize("s", ["-1", "-1+150j", "0.5-150j", "1e15"])
+    def test_zeta_accepted_on_window_edges(self, capsys, s):
+        doc = run_json(capsys, ["lfun", "zeta", "--s=" + s])
+        assert math.isfinite(doc["outputs"]["value"]["re"])
 
     def test_scan_grid_over_the_cap_refused(self, capsys):
         # 50 / 5e-5 cells make 1000001 nodes, one over the cap

@@ -136,6 +136,31 @@ class TestZetaEM:
         with pytest.raises(ValueError):
             zeta_em(-40.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        re=st.one_of(st.floats(-1.0, 8.0), st.floats(8.0, 1e15)),
+        im=st.floats(-150.0, 150.0),
+    )
+    @example(re=-1.0, im=-5.0)
+    @example(re=-1.0, im=150.0)
+    @example(re=1e15, im=-150.0)
+    def test_against_mpmath_over_window_property(self, re, im):
+        s = complex(re, im)
+        assume(abs(s - 1.0) > 1e-3)
+        mp.mp.dps = 30
+        ref = complex(mp.zeta(mp.mpc(re, im)))
+        assert abs(zeta_em(s) - ref) <= 1e-11 * max(1.0, abs(ref)), s
+
+    @pytest.mark.parametrize(
+        "s", [0.5 + 1000j, -15.0, -1.01 + 3j, 0.5 + 150.01j, 2 - 150.01j, 1.01e15,
+              complex(math.nan, 0.0)]
+    )
+    def test_outside_window_refused(self, s):
+        # at 0.5+1000i the truncation used to return -86.4+349.0i (true
+        # value 0.356+0.932i), at -15 it returned -2.3e15 (true 0.443)
+        with pytest.raises(ValueError, match="outside -1 <= Re s <= 1e15"):
+            zeta_em(s)
+
 
 class TestEulerProducts:
     def test_zeta_value_within_tail_bound(self):

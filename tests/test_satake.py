@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic_zeta import satake
 from adelic_zeta.satake import (
     HeckeFn,
     SatakeParam,
@@ -154,6 +155,21 @@ class TestCosets:
     def test_counts_match_snf_oracle(self, p, lam):
         got = len(enumerate_cosets(p, lam).representatives)
         assert got == snf_count_oracle(p, lam)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_count_formula(self, p, m):
+        # p^m + p^(m-1) representatives for m >= 1, one for m = 0
+        want = (p + 1) * p ** (m - 1) if m else 1
+        assert len(enumerate_cosets(p, (m, 0)).representatives) == want
+        assert sum(count for *_, count in satake._order_classes(p, m)) == want
+
+    def test_enumeration_bound_refuses_before_building(self, monkeypatch):
+        # the bound is on the count, so it holds on the cap and refuses past it
+        monkeypatch.setattr(satake, "_MAX_COSETS", 392)
+        assert len(enumerate_cosets(7, (3, 0)).representatives) == 392
+        with pytest.raises(ValueError, match="p = 7, lambda = \\(4, 0\\)"):
+            enumerate_cosets(7, (4, 0))
 
     def test_representatives_are_upper_triangular_with_right_det(self):
         enum = enumerate_cosets(3, (2, 1))
