@@ -16,6 +16,11 @@ import numpy as np
 
 BACKEND_NAME = "python"
 
+# exp(-x) is at most the smallest subnormal double for x >= EXP_UNDERFLOW,
+# so a lattice weight exp(-pi x^2) is masked to 0 (and so is its term
+# bound) from pi x^2 = EXP_UNDERFLOW on
+EXP_UNDERFLOW = 745.0
+
 _MAX_LATTICE_TERMS = 5_000_000
 # lattice terms evaluated per chunk (rows x columns) of a batched lattice
 # sum, so memory stays bounded however many terms a small scale needs
@@ -78,21 +83,22 @@ def row_sums(a):
 def _quiet_from(deg, amax, x_stop, tail_tol):
     """Where the lattice truncation test starts to pass: the smallest double
     x >= x_stop whose term bound 2*amax*max(1,x)^deg*exp(-pi x^2) lies below
-    ``tail_tol`` (the bound is 0 once the weight underflows, pi x^2 >= 745).
+    ``tail_tol`` (the bound is 0 once the weight underflows, pi x^2 >=
+    EXP_UNDERFLOW).
     Past x_stop the bound decreases, so bisection over the doubles finds it;
     Newton's method on the log of the bound narrows the bracket first.
     None when the test never passes (tail_tol <= 0 or nan)."""
 
     def quiet(x):
         px = math.pi * x * x
-        bound = 0.0 if px >= 745.0 else 2.0 * amax * max(1.0, x) ** deg * math.exp(-px)
+        bound = 0.0 if px >= EXP_UNDERFLOW else 2.0 * amax * max(1.0, x) ** deg * math.exp(-px)
         return bound < tail_tol
 
     lo = x_stop
     if quiet(lo):
         return lo
-    hi = math.sqrt(745.0 / math.pi)
-    while math.pi * hi * hi < 745.0:
+    hi = math.sqrt(EXP_UNDERFLOW / math.pi)
+    while math.pi * hi * hi < EXP_UNDERFLOW:
         hi = math.nextafter(hi, math.inf)
     if not quiet(hi):
         return None
@@ -125,7 +131,7 @@ def _lattice_block(scales, ks, last, even):
     the first axis."""
     x = scales[:, None] * ks
     px = (math.pi * x) * x
-    live = (px < 745.0) & (ks <= last[:, None])
+    live = (px < EXP_UNDERFLOW) & (ks <= last[:, None])
     y = np.where(live, x * x, 0.0)
     w2 = np.where(live, 2.0 * np.exp(-px), 0.0)
     top = even[-1]

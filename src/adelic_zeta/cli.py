@@ -148,6 +148,8 @@ def _cmd_satake_cosets(inputs: dict) -> dict:
 
 def _cmd_satake_radial(inputs: dict) -> dict:
     p, sigma, dmax = inputs["p"], inputs["sigma"], inputs["dmax"]
+    if dmax < 0:
+        raise ValueError(f"--dmax must be >= 0 (got {dmax})")
     # the largest exact entry, about p^((|sigma| + 1/2) dmax), must print
     # within the digit limit; past the sigma cap the library refuses instead
     digits = (abs(sigma) + 0.5) * dmax * math.log10(max(p, 2))
@@ -156,10 +158,13 @@ def _cmd_satake_radial(inputs: dict) -> dict:
             f"--sigma {sigma}, --p {p} and --dmax {dmax} give exact entries of about"
             f" {digits:.0f} digits; at most {_MAX_RADIAL_DIGITS} are printed"
         )
+    # row d is the table to dmax restricted to |mu| <= d: no entry depends
+    # on where the table is truncated
+    full = satake.satake_truncated_radial(sigma, dmax, p=p)
     rows = []
     for d in range(dmax + 1):
-        value = satake.satake_truncated_radial(sigma, d, p=p)
-        rows.append({"total_degree": d, "value": str(value)})
+        kept = {mu: c for mu, c in full.coeffs.items() if sum(mu) <= d}
+        rows.append({"total_degree": d, "value": str(satake.SymLaurent(full.n, kept))})
     return {"table": rows}
 
 

@@ -218,7 +218,9 @@ def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerPr
     tail estimate degree * P^(1-sigma)/(sigma-1) on |log| of the omitted
     factors (sigma the unitary-normalized real part).
 
-    Raises PoleError outside the half-plane of absolute convergence.
+    Raises PoleError outside the half-plane of absolute convergence, and
+    ValueError when a prime up to prime_bound lies past the coefficient
+    table of L (a delta_product built from too short a table).
     """
     s = complex(s)
     sigma = s.real - (0.0 if L.normalization == "unitary" else L.weight / 2.0)
@@ -231,7 +233,10 @@ def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerPr
     if not ps:
         raise ValueError("prime_bound below 2")
     prime_arr = np.array(ps, dtype=np.int64)
-    coeff_rows = np.array([L.local_coeffs(int(p)) for p in ps], dtype=complex)
+    try:
+        coeff_rows = np.array([L.local_coeffs(int(p)) for p in ps], dtype=complex)
+    except IndexError as exc:
+        raise ValueError(f"prime_bound {prime_bound} for {L.label}: {exc}") from None
     value = kernels.euler_product(prime_arr, coeff_rows, s)
     tail = L.degree * prime_bound ** (1.0 - sigma) / (sigma - 1.0)
     return EulerProductValue(complex(value), float(tail), len(ps))

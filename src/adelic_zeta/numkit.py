@@ -1,6 +1,7 @@
-"""Numerical substrate: complex gamma, quadrature on (0, infinity) and on
-finite intervals, compensated summation, sign-change root location, and
-the primality check that every module taking a prime p shares.
+"""Numerical substrate: complex gamma, quadrature on finite intervals (the
+production rule) and on (0, infinity) (the tests' reference rule),
+compensated summation, sign-change root location, and the primality check
+that every module taking a prime p shares.
 
 Complex numbers are plain builtin ``complex`` throughout; callers are
 expected to keep both components finite.  All routines are deterministic:
@@ -100,10 +101,11 @@ class QuadratureSpec:
 class QuadResult:
     """Value and error estimate of a quadrature, with the refinement level
     it stopped at and ``nodes``, the number of distinct integrand
-    evaluations it made.  The half-line rule reuses the nodes of coarser
-    levels, so there this is fewer than the nodes summed over all levels.
-    For a batch of integrands (integrate_finite) value and error_estimate
-    are arrays with one entry per integrand."""
+    evaluations it made.  For a batch of integrands (integrate_finite)
+    value and error_estimate are arrays with one entry per integrand.  The
+    half-line rule, kept as the tests' reference, reuses the nodes of
+    coarser levels, so there ``nodes`` is fewer than the nodes summed over
+    all levels."""
 
     value: complex | np.ndarray
     error_estimate: float | np.ndarray
@@ -202,6 +204,11 @@ class _ExpSinhLevels:
 def integrate_halfline(f: Callable, spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate f over (0, infinity) by the double-exponential substitution
     t = exp((pi/2) sinh u), halving the step until two levels agree.
+
+    The reference rule: no route of the package calls it (theta.mellin_E
+    integrates on integrate_finite panels up to the point where its
+    integrand underflows), and the tests compare against it as an
+    independent rule.
 
     f receives one ndarray of the new nodes of a level and must return the
     matching array of values.  Suited to integrands with a finite limit at

@@ -26,8 +26,8 @@ from .numkit import (
     PoleError,
     QuadratureSpec,
     _check_prime,
-    integrate_finite,  # not called here; e2ebench/tracer.py wraps theta.integrate_finite
-    integrate_halfline,
+    integrate_finite,
+    integrate_halfline,  # not called here; e2ebench/tracer.py wraps theta.integrate_halfline
     sum_compensated,
 )
 
@@ -127,7 +127,7 @@ class ArchTestFn:
         for c in reversed(self.coeffs):
             val = val * u + c
         arg = math.pi * u * u
-        return val * (math.exp(-arg) if arg < 745.0 else 0.0)
+        return val * (math.exp(-arg) if arg < kernels.EXP_UNDERFLOW else 0.0)
 
     def at_zero(self) -> complex:
         return self.coeffs[0]
@@ -298,18 +298,26 @@ _POLE_GUARD = 0.05
 
 def _halfline_mellin_part(f: AdelicTestFn, a: complex) -> complex:
     """int_0^inf E(f, e^v) e^(a v) dv, the t >= 1 half of a Mellin integral
-    in logarithmic coordinates."""
+    in logarithmic coordinates, by Gauss-Legendre panels on [0, V].
+
+    Every lattice point of E(f, e^v) lies at x >= m_min e^v, m_min the
+    smallest scale of f, and the kernel masks each weight exp(-pi x^2) to 0
+    from pi x^2 = EXP_UNDERFLOW on; so past V = log(sqrt(EXP_UNDERFLOW/pi)
+    / m_min) the integrand is exactly 0, and for V <= 0 so is the half.
+    """
+    m_min = min(m for fin, _arch in f.summands for _c, m in fin.terms)
+    v_max = 0.5 * math.log(kernels.EXP_UNDERFLOW / math.pi) - math.log(m_min)
+    if v_max <= 0.0:
+        return 0j
 
     def integrand(v: np.ndarray) -> np.ndarray:
+        ev = E_batch(f, np.exp(v))
         out = np.zeros(v.shape, dtype=complex)
-        live = np.flatnonzero(v < 700.0)
-        ev = E_batch(f, np.exp(v[live]))
-        nonzero = ev != 0
-        live = live[nonzero]
-        out[live] = ev[nonzero] * np.exp(a * v[live])
+        nonzero = ev != 0  # e^(a v) may overflow where E is 0
+        out[nonzero] = ev[nonzero] * np.exp(a * v[nonzero])
         return out
 
-    return integrate_halfline(integrand, _MELLIN_SPEC).value
+    return integrate_finite(integrand, 0.0, v_max, _MELLIN_SPEC).value
 
 
 def mellin_E(f: AdelicTestFn, s: complex) -> complex:
@@ -323,6 +331,12 @@ def mellin_E(f: AdelicTestFn, s: complex) -> complex:
     continues the transform to all s away from the two explicit poles
     (which are absent exactly on S0).  Near an active pole (distance
     < 0.05 with a nonvanishing residue) a PoleError is raised.
+
+    Each t >= 1 integral is taken in v = log t by integrate_finite on
+    Gauss-Legendre panels over [0, V], V = log(sqrt(745/pi) / m_min) with
+    m_min the smallest scale of the function, past which every lattice
+    weight underflows and E(f, e^v) is exactly 0 (no panels when V <= 0);
+    each half is refined to an absolute 1e-11 between levels.
     """
     s = complex(s)
     fhat = f.fourier()

@@ -4,7 +4,10 @@ Each function here is a test oracle, not a production path: the tests
 compare the package's single route against it.
 
 * direct_mellin: the defining Mellin integral of E(f), truncated near
-  t = 0, against theta.mellin_E's Poisson-folded form.
+  t = 0, with its t >= 1 half on the exp-sinh half-line rule, against
+  theta.mellin_E's Poisson-folded form on Gauss-Legendre panels.
+* closed_form_mellin: the Mellin transform of E(f) as zeta times gamma
+  factors, by mpmath, against theta.mellin_E at any s off its poles.
 * laplace_resolvent: the band-model resolvent by quadrature of the
   Laplace transform of the translation flow, against the closed diagonal
   form of polya.resolvent_apply.
@@ -21,10 +24,16 @@ compare the package's single route against it.
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from adelic_zeta import lfun, polya, theta
-from adelic_zeta.numkit import NonConvergenceError, integrate_finite, sum_compensated
+from adelic_zeta.numkit import (
+    NonConvergenceError,
+    integrate_finite,
+    integrate_halfline,
+    sum_compensated,
+)
 
 # Literal evaluation of E near t = 0 needs ~1/t lattice terms, so the
 # defining integral is truncated at t0 = e^-W.
@@ -34,16 +43,25 @@ _DIRECT_W = 6.9
 def direct_mellin(f: theta.AdelicTestFn, s: complex) -> complex:
     """int_0^inf E(f)(t) t^s dt/t from the definition, Re s > 1/2.
 
-    The t >= 1 half is the exp-sinh integral that mellin_E also uses; the
-    e^-W <= t <= 1 half is Gauss-Legendre in v = -log t, both over E_batch.
-    The omitted mass below e^-W is bounded by
-    |fhat(0)| e^{-(Re s - 1/2) W}/(Re s - 1/2), so agreement needs Re s
+    The t >= 1 half is the exp-sinh integral in v = log t, with E taken as
+    0 past v = 700; the e^-W <= t <= 1 half is Gauss-Legendre in
+    v = -log t, both over E_batch.  The omitted mass below e^-W is bounded
+    by |fhat(0)| e^{-(Re s - 1/2) W}/(Re s - 1/2), so agreement needs Re s
     comfortably above 1/2.
     """
     s = complex(s)
     if s.real <= 0.5 + 1e-9:
         raise ValueError("direct Mellin integration needs Re s > 1/2")
-    upper = theta._halfline_mellin_part(f, s)
+
+    def upper_integrand(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape, dtype=complex)
+        live = np.flatnonzero(v < 700.0)
+        ev = theta.E_batch(f, np.exp(v[live]))
+        live, ev = live[ev != 0], ev[ev != 0]
+        out[live] = ev * np.exp(s * v[live])
+        return out
+
+    upper = integrate_halfline(upper_integrand, theta._MELLIN_SPEC).value
     lower = integrate_finite(
         lambda v: theta.E_batch(f, np.exp(-v)) * np.exp(-s * v),
         0.0,
@@ -51,6 +69,32 @@ def direct_mellin(f: theta.AdelicTestFn, s: complex) -> complex:
         theta._MELLIN_SPEC,
     ).value
     return upper + lower
+
+
+def closed_form_mellin(f: theta.AdelicTestFn, s: complex, dps: int = 30) -> complex:
+    """int_0^inf E(f)(t) t^s dt/t in closed form, continued to every s off
+    the poles s = +-1/2: with z = s + 1/2, each summand
+    (sum_i c_i 1_{m_i Zhat}) (x) P(u) exp(-pi u^2) gives
+
+        sum_i c_i m_i^-z zeta(z) sum_j a_2j pi^-(z+2j)/2 Gamma((z+2j)/2),
+
+    a_2j the even coefficients of P (the odd ones cancel between the
+    lattice points k and -k).  Evaluated by mpmath at ``dps`` digits."""
+    with mp.workdps(dps):
+        z = mp.mpc(s) + mp.mpf(1) / 2
+        zeta = mp.zeta(z)
+        total = mp.mpc(0)
+        for fin, arch in f.summands:
+            scales = mp.fsum(
+                mp.mpc(c) * (mp.mpf(m.numerator) / m.denominator) ** -z for c, m in fin.terms
+            )
+            gammas = mp.fsum(
+                mp.mpc(a) * mp.pi ** (-(z + k) / 2) * mp.gamma((z + k) / 2)
+                for k, a in enumerate(arch.coeffs)
+                if k % 2 == 0
+            )
+            total += scales * zeta * gammas
+        return complex(total)
 
 
 _GL20 = np.polynomial.legendre.leggauss(20)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from adelic_zeta import cli
+from adelic_zeta import cli, satake
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -190,6 +190,16 @@ class TestFormats:
         table = run_json(capsys, args)["outputs"]["table"]
         assert [r[1] for r in rows] == [row["value"] for row in table]
 
+    @pytest.mark.parametrize("p, sigma", [(2, 0.5), (3, 0.25), (5, -1.5)])
+    def test_radial_rows_are_the_truncated_tables(self, capsys, p, sigma):
+        # each row is the one table to dmax restricted to |mu| <= d, which
+        # must equal the library's own table truncated at d
+        table = run_json(capsys, ["satake", "radial", "--p", str(p), "--sigma", str(sigma),
+                                  "--dmax", "5"])["outputs"]["table"]
+        assert [row["value"] for row in table] == [
+            str(satake.satake_truncated_radial(sigma, d, p=p)) for d in range(6)
+        ]
+
     @pytest.mark.parametrize("argv", [
         ["theta", "eval", "--fn", "s0", "--p", "3", "--t", "0.7"],
         ["lfun", "euler", "--which", "zeta", "--s", "2+1j", "--pmax", "100"],
@@ -282,6 +292,11 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "|sigma| must be at most 40" in err
         assert time.perf_counter() - start < 0.5
+
+    def test_radial_negative_dmax_refused(self, capsys):
+        code, out, err = run(capsys, ["satake", "radial", "--dmax", "-1"])
+        assert code == 2 and out == ""
+        assert "--dmax must be >= 0 (got -1)" in err
 
     def test_radial_digit_cap_is_fast(self, capsys):
         # the largest exact entry would have about 40.5 * 30 * log10(10007)

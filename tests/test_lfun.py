@@ -179,6 +179,16 @@ class TestEulerProducts:
         with pytest.raises(PoleError):
             euler_product_eval(zeta_product(), 0.9, 100)
 
+    @pytest.mark.parametrize("normalization", ["arithmetic", "unitary"])
+    def test_table_ending_below_prime_bound_refused(self, normalization):
+        # 101 is the first prime past a table of length 100
+        L = delta_product(tau_coefficients(100), normalization)
+        for bound in (101, 1000):
+            with pytest.raises(ValueError, match=rf"prime_bound {bound} for delta: "
+                                                 r"coefficient a_101 outside table of length 100"):
+                euler_product_eval(L, 8.0 + 1.0j, bound)
+        assert euler_product_eval(L, 8.0 + 1.0j, 100).primes_used == 25
+
     def test_delta_normalizations_agree_after_shift(self):
         # arithmetic at s equals unitary at s - 11/2
         table = tau_coefficients(2000)
