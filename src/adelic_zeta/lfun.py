@@ -219,10 +219,13 @@ def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerPr
     factors (sigma the unitary-normalized real part).
 
     Raises PoleError outside the half-plane of absolute convergence, and
-    ValueError when a prime up to prime_bound lies past the coefficient
-    table of L (a delta_product built from too short a table).
+    ValueError for a non-finite s or when a prime up to prime_bound lies
+    past the coefficient table of L (a delta_product built from too short
+    a table).
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s must be finite, got {s}")
     sigma = s.real - (0.0 if L.normalization == "unitary" else L.weight / 2.0)
     if sigma <= 1.0:
         raise PoleError(

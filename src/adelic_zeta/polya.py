@@ -14,14 +14,12 @@ norm of the shift operator is checked against the weight-growth bound
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .lfun import (
-    _LINE_ROWS,
     _LINES,
     completed_lambda_line,
     # not called here; e2ebench/tracer.py wraps polya.completed_lambda_*
@@ -54,18 +52,16 @@ class CriticalLineFn:
     literal completed value from the same line route, so the normalized
     sample is bitwise ``complex_value(t).real / envelope(t)``.
 
-    ``values(ts)`` samples an array of ordinates in one call.  It walks
-    them lfun._LINE_ROWS at a time: the points of a block not yet cached
-    go through lfun.completed_lambda_line together, which shares each
-    quadrature level's nodes and theta factor among them, and enter the
-    cache before the next block, so a long grid holds no more than the
-    cache and one block at a time.  Every value is bitwise the one-point
-    value.  Calling the instance on one t is a one-element ``values``.
+    ``values(ts)`` samples an array of ordinates in one
+    lfun.completed_lambda_line call, which batches the points and shares
+    each quadrature level's nodes and theta factor among them; every value
+    is bitwise the one-point value.  Calling the instance on one t is a
+    one-element ``values``.
 
-    The cache maps |t| (the samplers are even) to the normalized value and
-    only grows; ``cache_size`` counts its entries.  A lock guards it, so
-    one instance can be shared by concurrent scans; the sampling itself
-    runs outside the lock.
+    The sampler keeps no per-ordinate state, so concurrent use of one
+    instance needs no lock.  ``cache_size`` is only the counter that
+    e2ebench/tracer.py reads around each call: the number of ordinates
+    this instance has sampled, exact when a single thread uses it.
 
     Accuracy: the integral evaluators carry an absolute floor near
     3e-17 (zeta) and 2e-18 (delta), so normalized values are reliable to
@@ -79,8 +75,7 @@ class CriticalLineFn:
         if kind not in _KINDS:
             raise ValueError("kind must be one of %r, got %r" % (_KINDS, kind))
         self.kind = kind
-        self._cache: dict[float, float] = {}
-        self._lock = threading.Lock()
+        self._sampled = 0
 
     @property
     def center(self) -> float:
@@ -88,7 +83,7 @@ class CriticalLineFn:
         return _LINES[self.kind][0]
 
     def complex_value(self, t: float) -> complex:
-        """The line route's value at center + it (no envelope, no cache)."""
+        """The line route's value at center + it (no envelope)."""
         return complex(completed_lambda_line(self.kind, [t])[0])
 
     def envelope(self, t: float) -> float:
@@ -107,27 +102,18 @@ class CriticalLineFn:
         if keys.size and not keys.max() <= t_max:
             worst = float(keys.max())
             raise ValueError(f"{self.kind}: |t| = {worst!r} lies outside |Im s| <= {t_max:g}")
-        out = np.empty(keys.size)
-        for at in range(0, keys.size, _LINE_ROWS):
-            chunk = keys[at : at + _LINE_ROWS].tolist()
-            with self._lock:
-                missing = sorted({k for k in chunk if k not in self._cache})
-            if missing:
-                lam = completed_lambda_line(self.kind, missing).real.tolist()
-                fresh = {k: v / self.envelope(k) for k, v in zip(missing, lam)}
-                with self._lock:
-                    self._cache.update(fresh)
-            with self._lock:
-                out[at : at + len(chunk)] = [self._cache[k] for k in chunk]
-        return out
+        lam = completed_lambda_line(self.kind, keys).real
+        self._sampled += keys.size
+        return lam / np.fromiter(map(self.envelope, keys.tolist()), float, keys.size)
 
     def __call__(self, t: float) -> float:
         return float(self.values([t])[0])
 
     @property
     def cache_size(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        # read by e2ebench/tracer.py around each call, which counts a hit
+        # when it did not move: ordinates sampled so far
+        return self._sampled
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ __all__ = [
 _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
+_MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
 
 
 class SqrtP:
@@ -186,6 +187,8 @@ class SatakeParam:
         vals = tuple(complex(c) for c in self.chi)
         if any(v == 0 for v in vals):
             raise ValueError("Satake eigenvalues must be nonzero")
+        if not all(map(cmath.isfinite, vals)):
+            raise ValueError(f"Satake eigenvalues must be finite, got {vals}")
         object.__setattr__(
             self, "chi", tuple(sorted(vals, key=lambda z: (abs(z), cmath.phase(z))))
         )
@@ -523,8 +526,11 @@ def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:
 
 
 def local_factor(chi: SatakeParam, s: complex) -> complex:
-    """prod_j (1 - chi_j p^{-s})^{-1}; PoleError when a factor vanishes."""
+    """prod_j (1 - chi_j p^{-s})^{-1}; PoleError when a factor vanishes,
+    ValueError unless s is finite."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     x = complex(chi.p) ** (-s)
     res = 1.0 + 0.0j
     for c in chi.chi:
@@ -537,9 +543,12 @@ def local_factor(chi: SatakeParam, s: complex) -> complex:
 
 def local_factor_series(chi: SatakeParam, d: int) -> list[complex]:
     """First d+1 coefficients of prod_j (1 - chi_j X)^{-1}: the complete
-    homogeneous sums h_k(chi)."""
+    homogeneous sums h_k(chi).  ValueError unless 0 <= d <= _MAX_TRACE_DEPTH
+    (10^6), before anything is allocated."""
     if d < 0:
         raise ValueError("need d >= 0")
+    if d > _MAX_TRACE_DEPTH:
+        raise ValueError(f"depth d = {d} exceeds the cap {_MAX_TRACE_DEPTH}")
     coeffs = [1.0 + 0.0j] + [0.0j] * d
     for c in chi.chi:
         # multiply by 1/(1 - c X) via the running recurrence

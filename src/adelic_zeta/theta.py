@@ -330,7 +330,8 @@ def mellin_E(f: AdelicTestFn, s: complex) -> complex:
     obtained by folding (0,1] through the Poisson identity; it analytically
     continues the transform to all s away from the two explicit poles
     (which are absent exactly on S0).  Near an active pole (distance
-    < 0.05 with a nonvanishing residue) a PoleError is raised.
+    < 0.05 with a nonvanishing residue) a PoleError is raised; a
+    non-finite s is refused with ValueError.
 
     Each t >= 1 integral is taken in v = log t by integrate_finite on
     Gauss-Legendre panels over [0, V], V = log(sqrt(745/pi) / m_min) with
@@ -339,6 +340,8 @@ def mellin_E(f: AdelicTestFn, s: complex) -> complex:
     each half is refined to an absolute 1e-11 between levels.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s must be finite, got {s}")
     fhat = f.fourier()
     f0 = f.at_zero()
     fhat0 = fhat.at_zero()
@@ -356,24 +359,22 @@ def mellin_E(f: AdelicTestFn, s: complex) -> complex:
     return out
 
 
-def mellin_residue_probe(
-    f: AdelicTestFn,
-    center: complex,
-    radius: float = 0.3,
-    n_points: int = 32,
-) -> complex:
-    """(1/2 pi i) of the contour integral of mellin_E around a circle:
-    equals the residue inside (0 when the transform is analytic there).
-    Trapezoid points on a circle converge geometrically for integrands
-    analytic in a neighborhood of the contour."""
-    if radius <= 0 or n_points < 8:
-        raise ValueError("need radius > 0 and at least 8 points")
+# contour of mellin_residue_probe: trapezoid points on a circle around center
+_PROBE_RADIUS = 0.3
+_PROBE_POINTS = 32
+
+
+def mellin_residue_probe(f: AdelicTestFn, center: complex) -> complex:
+    """(1/2 pi i) of the contour integral of mellin_E around the circle of
+    radius 0.3 about center: equals the residue inside (0 when the
+    transform is analytic there).  The 32 trapezoid points converge
+    geometrically for integrands analytic in a neighborhood of the contour."""
     total = []
-    for k in range(n_points):
-        theta = 2.0 * math.pi * k / n_points
+    for k in range(_PROBE_POINTS):
+        theta = 2.0 * math.pi * k / _PROBE_POINTS
         w = complex(math.cos(theta), math.sin(theta))
-        total.append(mellin_E(f, center + radius * w) * w)
-    return complex(sum_compensated(total)) * radius / n_points
+        total.append(mellin_E(f, center + _PROBE_RADIUS * w) * w)
+    return complex(sum_compensated(total)) * _PROBE_RADIUS / _PROBE_POINTS
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,15 @@ class TestExitCodes:
         assert "|sigma| must be at most 40" in err
         assert time.perf_counter() - start < 0.5
 
+    def test_trace_depth_cap_is_fast(self, capsys):
+        # refused before the coefficient list is allocated
+        start = time.perf_counter()
+        for d in ("1000001", "100000000"):
+            code, out, err = run(capsys, ["satake", "trace", "--chi", "0.5,0.3", "--d", d])
+            assert code == 2 and out == ""
+            assert f"depth d = {d} exceeds the cap 1000000" in err
+        assert time.perf_counter() - start < 0.5
+
     def test_radial_negative_dmax_refused(self, capsys):
         code, out, err = run(capsys, ["satake", "radial", "--dmax", "-1"])
         assert code == 2 and out == ""

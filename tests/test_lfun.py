@@ -179,6 +179,14 @@ class TestEulerProducts:
         with pytest.raises(PoleError):
             euler_product_eval(zeta_product(), 0.9, 100)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, complex(2.0, math.nan),
+                                   complex(math.nan, 1.0), complex(2.0, -math.inf)])
+    def test_non_finite_s_refused(self, s):
+        # a NaN real part used to pass the sigma <= 1 test and return NaN
+        for L in (zeta_product(), delta_product(tau_coefficients(100))):
+            with pytest.raises(ValueError, match="s must be finite"):
+                euler_product_eval(L, s, 100)
+
     @pytest.mark.parametrize("normalization", ["arithmetic", "unitary"])
     def test_table_ending_below_prime_bound_refused(self, normalization):
         # 101 is the first prime past a table of length 100

@@ -116,14 +116,19 @@ class TestCriticalLineFn:
                 assert env > 0.0
                 assert F.complex_value(t).real / env == F(t), (kind, t)
 
-    def test_cache_counts_distinct_ordinates(self):
-        F = CriticalLineFn("zeta")
-        F(2.0), F(-2.0), F(2.0), F(3.0)
-        assert F.cache_size == 2
-
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _record_line_calls(monkeypatch) -> list[int]:
+    """Sizes of the polya.completed_lambda_line calls made from now on."""
+    sizes = []
+    line = polya.completed_lambda_line
+    monkeypatch.setattr(
+        polya, "completed_lambda_line", lambda k, ts: sizes.append(len(ts)) or line(k, ts)
+    )
+    return sizes
 
 
 @st.composite
@@ -152,8 +157,7 @@ class TestBatchedSampler:
         oracle = sampler_one_point(kind)
         assert got.shape == (len(ts),)
         assert _bits(got) == _bits([oracle(t) for t in ts])
-        assert F.cache_size == len({abs(t) for t in ts})
-        assert _bits(F.values(ts[::-1])) == _bits(got[::-1])  # served from the cache
+        assert _bits(F.values(ts[::-1])) == _bits(got[::-1])
         # the completed functions themselves, at points of the benchmark's
         # point boxes (zeta: Re s in [-6, 7], |Im s| <= 60, away from the
         # poles; delta: Re s in [-0.75, 12.95], |Im s| <= 50)
@@ -167,13 +171,12 @@ class TestBatchedSampler:
     def test_call_is_a_one_element_batch(self):
         F = CriticalLineFn("delta")
         assert F(-9.5) == F.values([9.5])[0] == sampler_one_point("delta")(9.5)
-        assert F.cache_size == 1
 
-    def test_window_refused_before_sampling(self):
-        F = CriticalLineFn("zeta")
+    def test_window_refused_before_sampling(self, monkeypatch):
+        lines = _record_line_calls(monkeypatch)
         with pytest.raises(ValueError, match="Im s"):
-            F.values([14.0, 60.5])
-        assert F.cache_size == 0
+            CriticalLineFn("zeta").values([14.0, 60.5])
+        assert lines == []
 
     def test_refusal_far_from_the_strip_leaves_tables_bounded(self):
         # the point needs all 14 refinements and is refused; only the levels
@@ -203,20 +206,15 @@ class TestBatchedSampler:
         parts = [lambda_one_point("zeta", complex(0.5, t), lfun._LINE_TOL) for t in ts]
         assert whole.tobytes() == np.array(parts).tobytes()
 
-    def test_long_grids_fill_the_cache_block_by_block(self, monkeypatch):
-        # values sends at most one block of misses to the line at a time
-        sizes = []
-        line = polya.completed_lambda_line
-        monkeypatch.setattr(
-            polya, "completed_lambda_line", lambda k, ts: sizes.append(len(ts)) or line(k, ts)
-        )
-        F = CriticalLineFn("zeta")
+    def test_long_grid_is_one_line_call(self, monkeypatch):
+        # values hands the whole grid to completed_lambda_line, which alone
+        # decides how many points share a quadrature batch
+        lines = _record_line_calls(monkeypatch)
         ts = np.linspace(10.0, 12.0, 2 * lfun._LINE_ROWS + 9)
-        got = F.values(ts[::-1])
-        assert sizes == [lfun._LINE_ROWS, lfun._LINE_ROWS, 9]
+        got = CriticalLineFn("zeta").values(ts[::-1])
+        assert lines == [ts.size]
         oracle = sampler_one_point("zeta")
         assert got.tobytes() == np.array([oracle(t) for t in ts[::-1]]).tobytes()
-        assert F.cache_size == ts.size
 
 
 class TestScan:
@@ -266,8 +264,9 @@ class TestScan:
         scan_zeros(F, 13.5, 15.0)
         assert sizes[0] == 31 and set(sizes[1:]) == {1} and len(sizes) > 1
 
-    def test_window_gates(self):
+    def test_window_gates(self, monkeypatch):
         F = CriticalLineFn("zeta")
+        lines = _record_line_calls(monkeypatch)
         for args in ((-1.0, 10.0), (10.0, 10.0), (12.0, 11.0), (10.0, 61.0)):
             with pytest.raises(ValueError):
                 scan_zeros(F, *args)
@@ -282,15 +281,16 @@ class TestScan:
                 scan_zeros(F, 10.0, 15.0, tol=tol)
         with pytest.raises(ValueError, match="1000000 grid nodes"):
             scan_zeros(F, 0.0, 50.0, step=5e-5)
-        assert F.cache_size == 0
+        assert lines == []
 
-    def test_delta_window_ends_at_fifty(self):
+    def test_delta_window_ends_at_fifty(self, monkeypatch):
         # completed_lambda_delta refuses |Im s| > 50, so the scan refuses
         # such windows before it samples anything
         F = CriticalLineFn("delta")
+        lines = _record_line_calls(monkeypatch)
         with pytest.raises(ValueError, match="<= 50 for delta"):
             scan_zeros(F, 10.0, 50.5)
-        assert F.cache_size == 0
+        assert lines == []
         assert len(scan_zeros(F, 49.9, 50.0)) <= 2
         with pytest.raises(ValueError):
             F(50.5)
@@ -359,7 +359,6 @@ class TestThreads:
         assert len(results) == 4
         for row in results[1:]:
             assert row == results[0]
-        assert F.cache_size == len(ts)
 
 
 class TestCountingRule:

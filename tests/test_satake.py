@@ -392,6 +392,25 @@ class TestLocalFactors:
         with pytest.raises(ValueError):
             trace_truncated(SatakeParam(1, 2, (0.5,)), -1)
 
+    def test_depth_cap_refuses_before_allocating(self, monkeypatch):
+        # d = 10^8 would first build a list of 10^8 slots
+        chi = SatakeParam(2, 2, (0.5, 0.3))
+        assert satake._MAX_TRACE_DEPTH == 10**6
+        for call in (local_factor_series, trace_truncated):
+            for d in (10**6 + 1, 10**8):
+                with pytest.raises(ValueError, match=f"depth d = {d} exceeds the cap 1000000"):
+                    call(chi, d)
+        monkeypatch.setattr(satake, "_MAX_TRACE_DEPTH", 10)
+        assert len(local_factor_series(chi, 10)) == 11
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+                                     complex(math.inf, 0.0)])
+    def test_non_finite_input_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            SatakeParam(2, 2, (0.5, bad))
+        with pytest.raises(ValueError, match="must be finite"):
+            local_factor(SatakeParam(2, 2, (0.5, 0.3)), bad)
+
     def test_trace_against_geometric_value(self):
         chi = SatakeParam(2, 2, (0.5, 0.3))
         expect = 1.0 / ((1 - 0.5) * (1 - 0.3))

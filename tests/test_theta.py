@@ -308,6 +308,8 @@ class TestMellin:
         (mellin_E, {"method": "direct"}),
         (mellin_E, {"spec": theta._MELLIN_SPEC}),
         (mellin_residue_probe, {"spec": theta._MELLIN_SPEC}),
+        (mellin_residue_probe, {"radius": 0.3}),
+        (mellin_residue_probe, {"n_points": 32}),
     ])
     def test_route_and_spec_are_not_options(self, call, kwargs):
         with pytest.raises(TypeError):
@@ -416,11 +418,19 @@ class TestMellin:
         assert abs(mellin_residue_probe(f, 0.5)) < 1e-8
         assert abs(mellin_residue_probe(f, -0.5)) < 1e-8
 
-    def test_residue_probe_validation(self):
-        with pytest.raises(ValueError):
-            mellin_residue_probe(standard_gaussian(), 2.0, radius=0.0)
-        with pytest.raises(ValueError):
-            mellin_residue_probe(standard_gaussian(), 2.0, n_points=4)
+    @pytest.mark.parametrize("s", [math.nan, math.inf, complex(2.0, math.nan),
+                                   complex(-math.inf, 1.0)])
+    def test_non_finite_s_refused(self, monkeypatch, s):
+        # refused before any quadrature, not after every refinement
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature was called")
+
+        monkeypatch.setattr(theta, "integrate_finite", refuse)
+        for f in (standard_gaussian(), make_S0(2)):
+            with pytest.raises(ValueError, match="s must be finite"):
+                mellin_E(f, s)
+            with pytest.raises(ValueError, match="s must be finite"):
+                mellin_residue_probe(f, s)
 
 
 class TestDecay:
