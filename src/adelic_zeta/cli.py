@@ -20,6 +20,7 @@ from . import lfun, polya, records, satake, theta
 
 _SCHEMA = "adelic-zeta.report.v1"
 _MAX_RADIAL_DIGITS = 4000  # below Python's 4300-digit int-to-str limit
+_MAX_RADIAL_ENTRIES = 10**6  # bound on the entries of one satake radial report
 
 
 def _finite_number(parse, name: str):
@@ -150,6 +151,15 @@ def _cmd_satake_radial(inputs: dict) -> dict:
     p, sigma, dmax = inputs["p"], inputs["sigma"], inputs["dmax"]
     if dmax < 0:
         raise ValueError(f"--dmax must be >= 0 (got {dmax})")
+    # row d restates the d + 1 + d^2 // 4 dominant mu >= 0 with |mu| <= d;
+    # summed over d <= dmax (the d^2 // 4 terms add up to
+    # dmax (dmax + 2) (2 dmax - 1) // 24), about dmax^3 / 12 entries
+    entries = (dmax + 1) * (dmax + 2) // 2 + dmax * (dmax + 2) * (2 * dmax - 1) // 24
+    if entries > _MAX_RADIAL_ENTRIES:
+        raise ValueError(
+            f"--dmax {dmax} gives a report of {entries} entries;"
+            f" at most {_MAX_RADIAL_ENTRIES} are printed"
+        )
     # the largest exact entry, about p^((|sigma| + 1/2) dmax), must print
     # within the digit limit; past the sigma cap the library refuses instead
     digits = (abs(sigma) + 0.5) * dmax * math.log10(max(p, 2))

@@ -428,18 +428,25 @@ def completed_lambda_line(kind: str, ts) -> np.ndarray:
 
     Both central lines share one quadrature layout, so the points go
     through integrate_finite _LINE_ROWS at a time and share each level's
-    nodes, weights and theta factor.  ValueError, before any sampling,
-    if a t lies outside the kind's window (|t| <= 60 resp. 50).
+    nodes, weights and theta factor; only the current block exists as
+    Python complexes.  ValueError, before any sampling, if a t is NaN or
+    lies outside the kind's window (|t| <= 60 resp. 50): this is the one
+    window check of the critical-line samplers.
     """
     if kind == "zeta":
-        point, rows = _zeta_point, _lambda_zeta_rows
+        rows = _lambda_zeta_rows
     elif kind == "delta":
-        point, rows = _delta_point, _lambda_delta_rows
+        rows = _lambda_delta_rows
     else:
         raise ValueError(f"kind must be zeta or delta, got {kind!r}")
-    center = _LINES[kind][0]
-    ss = [point(complex(center, t)) for t in np.asarray(ts, dtype=float).ravel().tolist()]
-    out = []
-    for at in range(0, len(ss), _LINE_ROWS):
-        out += rows(ss[at : at + _LINE_ROWS], _LINE_TOL)
-    return np.array(out, dtype=complex)
+    center, t_max = _LINES[kind]
+    ts = np.asarray(ts, dtype=float).ravel()
+    outside = ~(np.abs(ts) <= t_max)  # NaN compares false
+    if outside.any():
+        bad = float(ts[outside][0])
+        raise ValueError(f"{kind}: t = {bad!r} lies outside |Im s| <= {t_max:g}")
+    out = np.empty(ts.size, dtype=complex)
+    for at in range(0, ts.size, _LINE_ROWS):
+        block = ts[at : at + _LINE_ROWS].tolist()
+        out[at : at + _LINE_ROWS] = rows([complex(center, t) for t in block], _LINE_TOL)
+    return out

@@ -55,8 +55,9 @@ class CriticalLineFn:
     ``values(ts)`` samples an array of ordinates in one
     lfun.completed_lambda_line call, which batches the points and shares
     each quadrature level's nodes and theta factor among them; every value
-    is bitwise the one-point value.  Calling the instance on one t is a
-    one-element ``values``.
+    is bitwise the one-point value.  That call also checks the window, and
+    from grid to normalized sample only numpy arrays span the ordinates.
+    Calling the instance on one t is a one-element ``values``.
 
     The sampler keeps no per-ordinate state, so concurrent use of one
     instance needs no lock.  ``cache_size`` is only the counter that
@@ -95,16 +96,12 @@ class CriticalLineFn:
 
     def values(self, ts) -> np.ndarray:
         """Normalized samples at every t of ``ts``, as a float array of the
-        same length; ValueError, before any sampling, if a t lies outside
-        the kind's window."""
+        same length; ValueError from lfun.completed_lambda_line, before any
+        sampling, if a t is NaN or lies outside the kind's window."""
         keys = np.abs(np.asarray(ts, dtype=float).ravel())  # even in t
-        t_max = _LINES[self.kind][1]
-        if keys.size and not keys.max() <= t_max:
-            worst = float(keys.max())
-            raise ValueError(f"{self.kind}: |t| = {worst!r} lies outside |Im s| <= {t_max:g}")
         lam = completed_lambda_line(self.kind, keys).real
         self._sampled += keys.size
-        return lam / np.fromiter(map(self.envelope, keys.tolist()), float, keys.size)
+        return lam / np.fromiter(map(self.envelope, keys), float, keys.size)
 
     def __call__(self, t: float) -> float:
         return float(self.values([t])[0])

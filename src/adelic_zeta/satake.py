@@ -45,6 +45,7 @@ _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
+_MAX_FLOAT_DECADES = 300  # bound on |log10| of a float radial weight p^(-sigma m)
 
 
 class SqrtP:
@@ -492,13 +493,23 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     the constancy at sigma = (n-1)/2 is an output, not an input.  When
     2*sigma is an integer the table is exact (SqrtP scalars).  ValueError,
     before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
-    p^(-sigma m) has some sigma m log10(p) digits.
+    p^(-sigma m) has some sigma m log10(p) digits.  Any other sigma takes
+    complex floats, refused likewise once some p^(-sigma m), m <= d, would
+    leave the normal double range (|Re sigma| d log10(p) above
+    _MAX_FLOAT_DECADES), where it would overflow or round to 0.
     """
     _check_prime(p)
     if d < 0:
         raise ValueError("depth d must be >= 0")
     if not abs(sigma) <= _MAX_RADIAL_SIGMA:
         raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
+    exact = isinstance(sigma, (Rational, float)) and (2 * Fraction(sigma)).denominator == 1
+    decades = abs(complex(sigma).real) * d * math.log10(p)
+    if not exact and decades > _MAX_FLOAT_DECADES:
+        raise ValueError(
+            f"sigma = {sigma!r}, p = {p}, d = {d}: the float weights p^(-sigma m), m <= d,"
+            f" span {decades:.1f} decades, past the {_MAX_FLOAT_DECADES} of a normal double"
+        )
     if n == 1:
         return SymLaurent(1, {(m,): _radial_weight(p, sigma, m) for m in range(d + 1)})
     if n != 2:
@@ -562,8 +573,14 @@ def trace_truncated(chi: SatakeParam, d: int) -> complex:
     to the local factor at s = 0 when the parameter norm is < 1.
 
     The degree-k orbit sums add up to h_k(chi), so this is the correctly
-    rounded sum of local_factor_series(chi, d), in O(n d) operations."""
-    return sum_compensated(local_factor_series(chi, d))
+    rounded sum of local_factor_series(chi, d), in O(n d) operations.
+    ValueError when that sum is not finite: the h_k overflow a float."""
+    total = sum_compensated(local_factor_series(chi, d))
+    if not cmath.isfinite(total):
+        raise ValueError(
+            f"the h_k series overflows a float at d = {d}, max |chi| = {chi.norm!r}"
+        )
+    return total
 
 
 def twist(chi: SatakeParam, s: complex) -> SatakeParam:

@@ -29,10 +29,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def run_json(capsys, argv):
+    """The report of a successful run, parsed as standard JSON: NaN and
+    Infinity are refused, as in CI's README step."""
     code, out, err = run(capsys, argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_refuse_constant)
 
 
 class TestReports:
@@ -301,6 +307,46 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert f"depth d = {d} exceeds the cap 1000000" in err
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("chi, d", [("1e300", "3"), ("2", "1100"), ("1e200,1e200", "3")])
+    def test_overflowing_trace_refused(self, capsys, chi, d):
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(capsys, ["satake", "trace", "--chi", chi, "--d", d,
+                                          "--format", fmt])
+            assert code == 2 and out == ""
+            assert f"overflows a float at d = {d}, max |chi| = " in err
+
+    def test_largest_finite_trace_prints(self, capsys):
+        doc = run_json(capsys, ["satake", "trace", "--chi", "2", "--d", "1000"])
+        assert doc["outputs"]["value"] == {"im": 0.0, "re": 2.0**1001}
+
+    def test_radial_float_range_refused(self, capsys):
+        # 39.9 * 30 * log10(2) = 360 decades: 2^(39.9 * 30) overflows a float
+        code, out, err = run(capsys, ["satake", "radial", "--sigma", "-39.9", "--p", "2",
+                                      "--dmax", "30"])
+        assert code == 2 and out == ""
+        assert "sigma = -39.9, p = 2, d = 30" in err
+
+    def test_radial_entry_cap_is_fast(self, capsys):
+        # rows 0..dmax restate sum_{d <= dmax} (d + 1 + d^2 // 4) entries:
+        # 994175 at dmax = 226, 1007285 at 227
+        start = time.perf_counter()
+        for dmax, entries in (("227", 1007285), ("10000", 83395847501)):
+            code, out, err = run(capsys, ["satake", "radial", "--dmax", dmax])
+            assert code == 2 and out == ""
+            assert f"--dmax {dmax} gives a report of {entries} entries" in err
+            assert "at most 1000000" in err
+        assert time.perf_counter() - start < 0.5
+
+    def test_radial_entry_count_is_the_report_size(self, capsys, monkeypatch):
+        # with the cap at the size of the dmax = 12 report, 12 prints in
+        # full and 13 is refused
+        monkeypatch.setattr(cli, "_MAX_RADIAL_ENTRIES", 252)
+        table = run_json(capsys, ["satake", "radial", "--dmax", "12"])["outputs"]["table"]
+        assert sum(row["value"].count("SqrtP(") for row in table) == 252
+        code, out, err = run(capsys, ["satake", "radial", "--dmax", "13"])
+        assert code == 2 and out == ""
+        assert "--dmax 13 gives a report of 308 entries; at most 252 are printed" in err
 
     def test_radial_negative_dmax_refused(self, capsys):
         code, out, err = run(capsys, ["satake", "radial", "--dmax", "-1"])

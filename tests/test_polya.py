@@ -6,6 +6,7 @@ import io
 import math
 import threading
 import time
+import tracemalloc
 from functools import lru_cache
 
 import mpmath as mp
@@ -173,10 +174,31 @@ class TestBatchedSampler:
         assert F(-9.5) == F.values([9.5])[0] == sampler_one_point("delta")(9.5)
 
     def test_window_refused_before_sampling(self, monkeypatch):
-        lines = _record_line_calls(monkeypatch)
-        with pytest.raises(ValueError, match="Im s"):
-            CriticalLineFn("zeta").values([14.0, 60.5])
-        assert lines == []
+        # the line route checks the whole batch before its first quadrature
+        calls = []
+        quad = lfun.integrate_finite
+        monkeypatch.setattr(lfun, "integrate_finite", lambda *a: calls.append(1) or quad(*a))
+        for kind, ts in (("zeta", [14.0, 60.5]), ("zeta", [14.0, math.nan]),
+                         ("delta", [9.2, -50.5])):
+            with pytest.raises(ValueError, match="Im s"):
+                CriticalLineFn(kind).values(ts)
+            with pytest.raises(ValueError, match="Im s"):
+                lfun.completed_lambda_line(kind, ts[::-1])
+        assert calls == []
+
+    def test_values_hold_only_arrays(self):
+        # keys, the line values, the envelope and the quotient: about 40
+        # bytes an ordinate, where per-ordinate Python lists cost over 100
+        ts = np.linspace(0.0, 50.0, 100_001)
+        F = CriticalLineFn("zeta")
+        F.values(ts[:64])  # warm the node and factor caches
+        tracemalloc.start()
+        try:
+            F.values(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / ts.size < 48.0
 
     def test_refusal_far_from_the_strip_leaves_tables_bounded(self):
         # the point needs all 14 refinements and is refused; only the levels

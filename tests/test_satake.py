@@ -10,6 +10,8 @@ that trace_truncated uses.
 import itertools
 import math
 import random
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -319,6 +321,30 @@ class TestRadial:
         val = satake_truncated_radial(-40, 1, p=2)
         assert val.coeffs[(1, 0)] == SqrtP.half_power(2, 81)
 
+    @pytest.mark.parametrize("sigma, d", [(39.9, 40), (39.9, 25), (-39.9, 30),
+                                          (-39.9, 25), (39 + 5j, 30), (Fraction(119, 3), 26)])
+    def test_float_weights_outside_the_normal_range_refused(self, sigma, d):
+        # |Re sigma| d log10(2) > 300: some p^(-sigma m) would overflow or
+        # round to 0, and SymLaurent drops zeros; refused before any power
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"sigma = .*, p = 2, d = {d}"):
+            satake_truncated_radial(sigma, d, p=2)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("sigma", [39.9, -39.9, 39 + 5j])
+    def test_float_weights_inside_the_normal_range_kept(self, sigma):
+        # 39.9 * 24 * log10(2) = 288 decades: every entry is kept and normal
+        val = satake_truncated_radial(sigma, 24, p=2)
+        assert set(val.coeffs) == set(dominant_tuples(2, 24))
+        for c in val.coeffs.values():
+            assert sys.float_info.min <= abs(complex(c)) < sys.float_info.max
+
+    def test_exact_sigma_is_not_capped_by_the_float_range(self):
+        # 40 * 30 * log10(2) = 361 decades, in exact SqrtP arithmetic; the
+        # orbit lam carries p^((1/2 - sigma) |lam|)
+        val = satake_truncated_radial(40, 30, p=2)
+        assert val.coeffs[(30, 0)] == SqrtP.half_power(2, -79 * 30)
+
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from(PRIMES), d=st.integers(0, 8),
            sigma=st.sampled_from([Fraction(1, 2), 0.5]))
@@ -410,6 +436,18 @@ class TestLocalFactors:
             SatakeParam(2, 2, (0.5, bad))
         with pytest.raises(ValueError, match="must be finite"):
             local_factor(SatakeParam(2, 2, (0.5, 0.3)), bad)
+
+    @pytest.mark.parametrize("chi, d", [((1e300,), 3), ((2.0,), 1100), ((1e200, 1e200), 3),
+                                        ((1e300j, 0.5), 2)])
+    def test_overflowing_trace_refused(self, chi, d):
+        param = SatakeParam(len(chi), 2, chi)
+        want = f"overflows a float at d = {d}, max |chi| = {param.norm!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            trace_truncated(param, d)
+
+    def test_largest_finite_trace_kept(self):
+        # sum_{k <= 1000} 2^k = 2^1001 - 1, about 2.1e301
+        assert trace_truncated(SatakeParam(1, 2, (2.0,)), 1000) == 2.0**1001
 
     def test_trace_against_geometric_value(self):
         chi = SatakeParam(2, 2, (0.5, 0.3))
