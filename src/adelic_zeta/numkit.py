@@ -329,6 +329,56 @@ def sum_compensated(terms: Sequence[complex]) -> complex:
 
 # most grid nodes one bracket_and_bisect call samples
 _MAX_GRID_NODES = 1_000_000
+# ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation
+# kappa1 * w^kappa2 with kappa1 = _ITP_K1 / (starting width), and n0 steps
+# of slack over bisection's count
+_ITP_K1 = 0.2
+_ITP_K2 = 2.0
+_ITP_N0 = 1
+
+
+def _refine_itp(f, lo: float, hi: float, flo: float, fhi: float, tol: float, grid: float) -> float:
+    """Midpoint of a bracket at most tol wide around the sign change of f
+    between lo and hi (flo, fhi: their sampled values, of opposite signs),
+    or an exact zero sample; one one-point call of f per step.
+
+    Each step is an ITP step: the regula falsi point, truncated toward the
+    midpoint by kappa1 w^2, then projected into the minmax radius
+    eps 2^(n_max - j) - w/2 about the midpoint, with n_max =
+    ceil(log2(w0/tol)) + n0.  The midpoint stands in whenever that point is
+    not finite or not strictly inside (lo, hi).  So the bracket after step
+    j is at most eps 2^(n_max - j) wide, and the refinement ends within
+    n_max calls, at most n0 more than bisection needs.  eps is half of tol
+    rounded down to a multiple of `grid`, the float spacing at the
+    window's edge: then eps 2^(n_max - j) is a whole number of float
+    spacings, and rounding the midpoint or the projected point cannot push
+    a side past it.
+    """
+    w0 = hi - lo
+    eps = 0.5 * (tol - math.fmod(tol, grid))
+    n_max = max(0, math.ceil(math.log2(w0 / tol))) + _ITP_N0
+    k1 = _ITP_K1 / w0
+    j = 0
+    while hi - lo > tol:
+        w = hi - lo
+        mid = 0.5 * (lo + hi)
+        r = eps * 2.0 ** (n_max - j) - 0.5 * w
+        xf = lo + w * (flo / (flo - fhi))
+        sigma = math.copysign(1.0, mid - xf)
+        delta = k1 * w**_ITP_K2
+        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        if not lo < x < hi:  # also for NaN
+            x = mid
+        fx = float(f(np.array([x]))[0])
+        j += 1
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) != (flo < 0.0):
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+    return 0.5 * (lo + hi)
 
 
 def bracket_and_bisect(
@@ -340,22 +390,24 @@ def bracket_and_bisect(
 ) -> list[float]:
     """Locate simple real roots of f on [a, b]: sample f on the grid
     a + i*step below b plus b itself, keep exact zeros at the nodes, and
-    bisect each sign change down to width tol.  A window narrower than
-    step is the one cell [a, b].
+    refine each sign change by ITP steps (_refine_itp) down to width tol.
+    A window narrower than step is the one cell [a, b].
 
     f is an array callable: it takes an ndarray of points and returns the
     matching array of real values.  The whole grid is one call, and each
-    bisection step one call with a single midpoint.  Raises ValueError
-    for a grid of more than _MAX_GRID_NODES nodes (before sampling
-    anything), and for a tol that is not finite or lies below
-    math.ulp(max(|a|, |b|)), the float spacing at the window's end
-    farthest from 0, which a bracket there cannot get under.
+    refinement step one call with a single point.  Raises ValueError for
+    a grid of more than _MAX_GRID_NODES nodes (before sampling anything),
+    and for a tol that is not finite or lies below math.ulp(max(|a|, |b|)),
+    the float spacing at the window's end farthest from 0, which a bracket
+    there cannot get under.
 
-    Bisection stops on width alone, and the tol floor makes it stop:
-    while a bracket is wider than tol, its rounded midpoint lies strictly
-    inside, so each step about halves it.  A bracket starts no wider than
-    2 max(|a|, |b|), under 2^54 float spacings, so a root takes at most
-    about 55 steps.
+    Every root returned is an exact zero sample, or the midpoint of a
+    bracket at most tol wide whose two ends were sampled with opposite
+    signs.  A sign change in a cell of width w costs at most
+    ceil(log2(w/tol)) + 1 one-point calls, one more than bisection in the
+    worst case and far fewer on smooth f, where ITP converges
+    superlinearly.  With the tol floor, w/tol stays under 2^54, so a root
+    takes at most 55 calls.
 
     Even-order roots (no sign change) are invisible to this scheme; that is
     a documented limitation, not a failure mode.
@@ -387,19 +439,8 @@ def bracket_and_bisect(
             if not roots or abs(roots[-1] - xs[i]) > tol:
                 roots.append(float(xs[i]))
             continue
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        flo = float(vals[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fm = float(f(np.array([mid]))[0])
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
+        lo, hi, flo, fhi = float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1])
+        roots.append(_refine_itp(f, lo, hi, flo, fhi, tol, floor))
     if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
         roots.append(float(xs[-1]))
     return roots

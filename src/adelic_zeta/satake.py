@@ -464,13 +464,11 @@ def satake_transform(f: HeckeFn) -> SymLaurent:
     return SymLaurent(2, acc)
 
 
-def _radial_weight(p: int, sigma, m: int):
-    """p^(-sigma m): an exact SqrtP when sigma is real and 2 sigma m is an
-    integer, a complex float otherwise."""
-    if isinstance(sigma, (Rational, float)):
-        e = 2 * Fraction(sigma) * m
-        if e.denominator == 1:
-            return SqrtP.half_power(p, -int(e))
+def _radial_weight(p: int, sigma, m: int, exact: bool):
+    """p^(-sigma m): an exact SqrtP when `exact` (2 sigma is an integer),
+    a complex float otherwise, so one table holds one scalar type."""
+    if exact:
+        return SqrtP.half_power(p, -int(2 * Fraction(sigma) * m))
     return complex(p) ** (-complex(sigma) * m)
 
 
@@ -491,11 +489,12 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     Computed by summing Hermite-diagonal counts over all integral cosets
     of each determinant [the same counting route as satake_transform], so
     the constancy at sigma = (n-1)/2 is an output, not an input.  When
-    2*sigma is an integer the table is exact (SqrtP scalars).  ValueError,
-    before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
-    p^(-sigma m) has some sigma m log10(p) digits.  Any other sigma takes
-    complex floats, refused likewise once some p^(-sigma m), m <= d, would
-    leave the normal double range (|Re sigma| d log10(p) above
+    2*sigma is an integer the table is exact (SqrtP scalars); otherwise
+    every entry is a complex float, also where 2 sigma m is an integer.
+    ValueError, before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA:
+    an exact p^(-sigma m) has some sigma m log10(p) digits.  The complex
+    float tables are refused likewise once some p^(-sigma m), m <= d,
+    would leave the normal double range (|Re sigma| d log10(p) above
     _MAX_FLOAT_DECADES), where it would overflow or round to 0.
     """
     _check_prime(p)
@@ -511,7 +510,7 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
             f" span {decades:.1f} decades, past the {_MAX_FLOAT_DECADES} of a normal double"
         )
     if n == 1:
-        return SymLaurent(1, {(m,): _radial_weight(p, sigma, m) for m in range(d + 1)})
+        return SymLaurent(1, {(m,): _radial_weight(p, sigma, m, exact) for m in range(d + 1)})
     if n != 2:
         raise ValueError("radial transform is implemented for rank <= 2")
     counts = [_determinant_counts(p, k) for k in range(d + 1)]
@@ -519,7 +518,7 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     for mu in dominant_tuples(2, d):
         total = counts[sum(mu)].get(mu, 0)
         if total:
-            out[mu] = total * _half_delta(p, mu) * _radial_weight(p, sigma, sum(mu))
+            out[mu] = total * _half_delta(p, mu) * _radial_weight(p, sigma, sum(mu), exact)
     return SymLaurent(2, out)
 
 

@@ -20,9 +20,15 @@ compare the package's single route against it.
   time, each integrand built and integrated on its own with nodes rebuilt
   per level, against the batched sampler (lfun.completed_lambda_line,
   polya.CriticalLineFn.values) and polya.scan_zeros.
+* recording, refinement_faults: the certificate every root of
+  numkit.bracket_and_bisect must carry, checked from the samples it took:
+  an exact zero sample, or the midpoint of a bracket at most tol wide
+  whose ends were sampled with opposite signs, reached within
+  ceil(log2(cell width / tol)) + 1 one-point calls.
 """
 
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -249,3 +255,44 @@ def scan_one_point(kind: str, t_from: float, t_to: float, step: float = 0.05,
     if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
         roots.append(xs[-1])
     return tuple(r for r in roots if r > 0.0)
+
+
+def recording(values):
+    """values wrapped to keep every sampled (t, value) pair and the points
+    of each call, in call order."""
+    samples: dict[float, float] = {}
+    calls: list[list[float]] = []
+
+    def wrapped(ts):
+        out = values(ts)
+        pts = np.asarray(ts, dtype=float).tolist()
+        calls.append(pts)
+        samples.update(zip(pts, np.asarray(out, dtype=float).tolist()))
+        return out
+
+    return wrapped, samples, calls
+
+
+def refinement_faults(samples: dict[float, float], calls: list[list[float]],
+                      roots, tol: float) -> list[str]:
+    """What breaks the certificate of numkit.bracket_and_bisect, judged
+    from its samples (grid call first): a refinement call of more than one
+    point, a grid cell whose one-point calls exceed
+    ceil(log2(width / tol)) + 1, and a root that is neither an exact zero
+    sample nor 0.5 * (lo + hi) for sampled lo < hi with hi - lo <= tol
+    and values of opposite signs."""
+    grid, *steps = calls
+    faults = [f"a call of {len(x)} points" for x in steps if len(x) != 1]
+    cells = Counter((np.searchsorted(grid, [x[0] for x in steps], side="right") - 1).tolist())
+    for i, n in cells.items():
+        if n > max(0, math.ceil(math.log2((grid[i + 1] - grid[i]) / tol))) + 1:
+            faults.append(f"{n} calls in the cell at {grid[i]!r}")
+    for rho in roots:
+        near = [t for t in samples if abs(t - rho) <= tol]
+        if samples.get(rho) != 0.0 and not any(
+            lo < hi and hi - lo <= tol and 0.5 * (lo + hi) == rho
+            and (samples[lo] < 0.0 < samples[hi] or samples[hi] < 0.0 < samples[lo])
+            for lo in near for hi in near
+        ):
+            faults.append(f"uncertified root {rho!r}")
+    return faults

@@ -196,6 +196,17 @@ class TestFormats:
         table = run_json(capsys, args)["outputs"]["table"]
         assert [r[1] for r in rows] == [row["value"] for row in table]
 
+    def test_radial_csv_row_holds_one_scalar_kind(self, capsys):
+        # off the half-integers every entry is a complex float, m = 0 too
+        code, out, _ = run(capsys, ["satake", "radial", "--sigma", "0.3", "--dmax", "1",
+                                    "--format", "csv"])
+        assert code == 0
+        _, *rows = csv.reader(io.StringIO(out))
+        assert [r[1] for r in rows] == [
+            "SymLaurent(n=2, {(0, 0): (1+0j)})",
+            "SymLaurent(n=2, {(0, 0): (1+0j), (1, 0): (1.148698354997035+0j)})",
+        ]
+
     @pytest.mark.parametrize("p, sigma", [(2, 0.5), (3, 0.25), (5, -1.5)])
     def test_radial_rows_are_the_truncated_tables(self, capsys, p, sigma):
         # each row is the one table to dmax restricted to |mu| <= d, which

@@ -9,8 +9,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_routes import recording, refinement_faults
 
 from adelic_zeta import numkit
 from adelic_zeta.numkit import (
@@ -299,6 +300,79 @@ class TestBracketAndBisect:
         seen = []
         bracket_and_bisect(lambda x: seen.extend(x.tolist()) or np.ones_like(x), 0.0, 1.0, step=0.1)
         assert seen == [i * 0.1 for i in range(10)] + [1.0]
+
+    @staticmethod
+    def _refine_and_check(f, a, b, step, tol):
+        """Roots of f on [a, b], after checking that each is certified by
+        the samples taken and each bracket kept to the call budget."""
+        g, samples, calls = recording(f)
+        roots = bracket_and_bisect(g, a, b, step, tol)
+        assert refinement_faults(samples, calls, roots, tol) == []
+        return roots
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.floats(0.5, 4.0),
+        phi=st.floats(0.0, 2 * math.pi),
+        step=st.sampled_from([0.05, 0.1, 0.37]),
+        tol=st.floats(math.ulp(10.0), 1e-6),
+    )
+    def test_itp_sine_roots(self, w, phi, step, tol):
+        # roots (k pi - phi)/w; the rounded phase w x + phi moves the
+        # computed sign change by up to a few ulps of the phase over w
+        # (exact zeros at a node are test_exact_node_hit's case)
+        cand = [(k * math.pi - phi) / w for k in range(20)]
+        assume(all(abs(x) > 1e-6 and abs(x - 10.0) > 1e-6 for x in cand))
+        want = [x for x in cand if 0.0 < x < 10.0]
+        roots = self._refine_and_check(lambda x: np.sin(w * x + phi), 0.0, 10.0, step, tol)
+        assert len(roots) == len(want)
+        slack = 4 * math.ulp(10.0 * w + phi) / w
+        for root, x in zip(roots, want):
+            assert abs(root - x) <= tol / 2 + slack, (root, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rs=st.lists(st.floats(-7.9, 0.9), min_size=3, max_size=3),
+        step=st.sampled_from([0.05, 0.1, 0.37]),
+        tol=st.floats(math.ulp(8.0), 1e-6),
+    )
+    def test_itp_cubic_roots(self, rs, step, tol):
+        # near each root its own factor is exact, so the computed sign is
+        # the true one and the bracket holds the root
+        rs = sorted(rs)
+        assume(rs[1] - rs[0] > 0.5 and rs[2] - rs[1] > 0.5)
+        f = lambda x: (x - rs[0]) * (x - rs[1]) * (x - rs[2])
+        roots = self._refine_and_check(f, -8.0, 1.0, step, tol)
+        assert len(roots) == 3
+        for root, r in zip(roots, rs):
+            assert abs(root - r) <= tol / 2, (root, r)
+
+    @pytest.mark.parametrize("ulps", [1.5, 3.3, 7.7])
+    def test_itp_budget_at_a_few_float_spacings(self, ulps):
+        # three roots in one cell keep ITP on its minmax envelope down to a
+        # few float spacings, where rounding must not cost a call past the
+        # budget (with eps = tol/2 off the float grid, 3.3 and 7.7 did)
+        rs = (0.6823082140137136, 0.7946658815342855, 1.1234029666817913)
+        tol = ulps * math.ulp(2.0)
+        f = lambda x: (x - rs[0]) * (x - rs[1]) * (x - rs[2])
+        [root] = self._refine_and_check(f, 0.5, 2.0, 1.0, tol)
+        assert min(abs(root - r) for r in rs) <= tol / 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(0.5, 9.5),
+        freq=st.sampled_from([1e9, 1e11]),
+        step=st.sampled_from([0.05, 0.37]),
+        tol=st.floats(math.ulp(10.0), 1e-6),
+    )
+    def test_itp_noisy_root(self, r, freq, step, tol):
+        # sign noise of amplitude 1e-9 defeats interpolation near r (and at
+        # 1e11 adds sign changes there); the budget and the certificate
+        # still hold, and every sign change lies within 1e-9 of r
+        f = lambda x: x - r + 1e-9 * np.sin(freq * x)
+        roots = self._refine_and_check(f, 0.0, 10.0, step, tol)
+        assert len(roots) == 1
+        assert abs(roots[0] - r) <= 1e-9 + tol
 
     def test_window_narrower_than_step(self):
         seen = []

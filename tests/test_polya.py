@@ -18,6 +18,8 @@ from reference_routes import (
     dense_shift_norm,
     lambda_one_point,
     laplace_resolvent,
+    recording,
+    refinement_faults,
     sampler_one_point,
     scan_one_point,
 )
@@ -275,16 +277,26 @@ class TestScan:
          ("delta", 18.9, 20.4), ("zeta", 0.0, 60.0), ("delta", 0.0, 30.0)],
     )
     def test_ordinates_match_one_point_scan(self, kind, t_from, t_to):
-        got = scan_zeros(CriticalLineFn(kind), t_from, t_to).ordinates()
-        assert _bits(got) == _bits(scan_one_point(kind, t_from, t_to))
+        # ITP steps move an ordinate inside its bracket, so the scan must
+        # find as many zeros as the point-by-point bisection scan, each one
+        # certified by the samples it took, within the call budget
+        F, tol = CriticalLineFn(kind), 1e-10
+        F.values, samples, calls = recording(F.values)
+        got = scan_zeros(F, t_from, t_to, tol=tol).ordinates()
+        assert len(got) == len(scan_one_point(kind, t_from, t_to, tol=tol))
+        assert refinement_faults(samples, calls, got, tol) == []
 
     def test_grid_is_one_call_and_bisection_one_point_calls(self):
+        # one 31-point grid call, then one-point refinement calls: within
+        # the budget, bisection's 29 plus one, and far fewer on this
+        # smooth sampler
         F = CriticalLineFn("zeta")
         sizes = []
         values = F.values
         F.values = lambda ts: sizes.append(len(ts)) or values(ts)
         scan_zeros(F, 13.5, 15.0)
         assert sizes[0] == 31 and set(sizes[1:]) == {1} and len(sizes) > 1
+        assert len(sizes) - 1 <= 12
 
     def test_window_gates(self, monkeypatch):
         F = CriticalLineFn("zeta")
@@ -322,7 +334,10 @@ class TestScan:
                                (9.0, 9.4, 0.05), (0.0, 7.0, 0.2), (3.0, 3.01, 0.2)]
     )
     def test_matches_inline_bracketing(self, t_from, t_to, step):
-        # the scan's former inline loop: grid t_from + i*step, then t_to
+        # the scan's former inline loop fixes which zeros are found: the
+        # exact node zero at t = 3.0 as-is, none at t = 0, one per sign
+        # change; each refined one lies within tol/2 of the closed form
+        # t = (+-arccos(-0.1) + 2 pi k) / 1.7
         class Stub:
             kind = "zeta"
 
@@ -342,26 +357,19 @@ class TestScan:
                 if x > 0.0:
                     want.append(x)
                 continue
-            if i + 1 == len(xs):
-                break
-            w = vals[i + 1]
-            if w == 0.0 or v * w > 0.0:
+            if i + 1 < len(xs) and v * vals[i + 1] < 0.0:
+                want.append(None)  # a sign change in (x, xs[i + 1])
+        got = scan_zeros(F, t_from, t_to, step=step, tol=tol).ordinates()
+        assert len(got) == len(want)
+        base = math.acos(-0.1)
+        for rho, node in zip(got, want):
+            if node is not None:
+                assert rho == node
                 continue
-            lo, hi, flo = x, xs[i + 1], v
-            for _ in range(200):
-                if hi - lo <= tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                fmid = F(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            want.append(0.5 * (lo + hi))
-        assert scan_zeros(F, t_from, t_to, step=step, tol=tol).ordinates() == tuple(want)
+            k = round((1.7 * rho - base) / (2 * math.pi))
+            true = min(((sign * base + 2 * math.pi * j) / 1.7 for sign in (1, -1)
+                        for j in (k - 1, k, k + 1)), key=lambda t: abs(t - rho))
+            assert abs(rho - true) <= tol / 2, (rho, true)
 
 
 class TestThreads:

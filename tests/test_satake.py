@@ -345,6 +345,14 @@ class TestRadial:
         val = satake_truncated_radial(40, 30, p=2)
         assert val.coeffs[(30, 0)] == SqrtP.half_power(2, -79 * 30)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.3, Fraction(1, 4), 0.25 + 0.5j])
+    def test_one_scalar_type_off_the_half_integers(self, n, sigma):
+        # 2 sigma is not an integer, so every entry is a complex float,
+        # also m = 0 and, for sigma = 1/4, the even m where 2 sigma m is one
+        val = satake_truncated_radial(sigma, 4, n=n, p=3)
+        assert val.coeffs and all(type(c) is complex for c in val.coeffs.values())
+
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from(PRIMES), d=st.integers(0, 8),
            sigma=st.sampled_from([Fraction(1, 2), 0.5]))
