@@ -6,7 +6,7 @@ picture of critical-line zeros.
 Subpackages
 -----------
 numkit   quadrature, gamma, compensated sums, root bracketing
-satake   double cosets, spherical transform, local factors (exact rank <= 2)
+satake   double cosets (rank <= 2), exact spherical transform at any rank, local factors
 lfun     coefficient tables, Euler products, completed zeta / weight-12 cusp form
 theta    restricted test functions, Fourier pairs, lattice sums, Mellin side
 polya    critical-line samplers, zero scans, band discretization, bounds

@@ -431,8 +431,10 @@ def bracket_and_bisect(
     n = max(1, math.ceil(cells))
     xs = np.append(a + np.arange(n) * step, b)
     vals = np.asarray(f(xs), dtype=float)
-    # only nodes with an exact zero or a sign change up to the next node
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    # only nodes with an exact zero or a sign change up to the next node;
+    # signs, not products, which underflow to 0 (a NaN sign gives no hit)
+    signs = np.sign(vals)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
     roots: list[float] = []
     for i in hits.tolist():
         if vals[i] == 0.0:

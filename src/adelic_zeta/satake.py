@@ -1,8 +1,9 @@
 """Exact layer at a fixed prime: Hermite coset enumeration for rank <= 2,
-the spherical transform of finitely supported bi-invariant functions and
-of the radial family 1_{integral} |det|^sigma, symmetric Laurent data,
-local Euler factors, and truncated traces (partial sums of the series of
-complete homogeneous sums h_k).
+the spherical transform at any rank (Macdonald's formula through
+Hall-Littlewood polynomials) of finitely supported bi-invariant functions
+and of the radial family 1_{integral} |det|^sigma, symmetric Laurent
+data, local Euler factors, and truncated traces (partial sums of the
+series of complete homogeneous sums h_k).
 
 Arithmetic that only involves integer powers of p^(1/2) stays exact via
 ``SqrtP`` (elements a + b*sqrt(p) with rational a, b); mixed expressions
@@ -14,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +45,7 @@ __all__ = [
 
 _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
+_MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight pairs one transform call reads
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
 _MAX_FLOAT_DECADES = 300  # bound on |log10| of a float radial weight p^(-sigma m)
@@ -144,15 +147,25 @@ def dominant(v: Sequence[int]) -> tuple[int, ...]:
 def dominant_tuples(n: int, max_total: int):
     """All weakly decreasing n-tuples of nonnegative integers with sum
     <= max_total, in decreasing lexicographic order."""
+    return _decreasing((max_total,) * n, 0)
 
-    def rec(prefix, remaining, cap):
-        if len(prefix) == n:
+
+def _decreasing(bounds: Sequence[int], least: int):
+    """The weakly decreasing mu >= 0 with mu_1 + ... + mu_i <= bounds[i-1]
+    for each i and |mu| >= least, in decreasing lexicographic order."""
+    n = len(bounds)
+
+    def rec(prefix, done, cap):
+        i = len(prefix)
+        if i == n:
             yield tuple(prefix)
             return
-        for v in range(min(cap, remaining), -1, -1):
-            yield from rec(prefix + [v], remaining - v, v)
+        for v in range(min(cap, bounds[i] - done), -1, -1):
+            if done + v * (n - i) < least:
+                break  # the n - i entries left, each at most v, fall short
+            yield from rec(prefix + [v], done + v, v)
 
-    yield from rec([], max_total, max_total)
+    yield from rec([], 0, max(bounds, default=0))
 
 
 def _dominant_coeffs(n: int, coeffs: Mapping[tuple[int, ...], object]) -> dict:
@@ -350,27 +363,6 @@ def modulus_delta(a: Sequence, p: int) -> Fraction:
     return Fraction(p) ** total
 
 
-@lru_cache(maxsize=None)
-def _order_classes(p: int, m: int):
-    """Representative classes of the (m,0) double coset grouped by
-    (diag order a, diag order c, off-diagonal order t, count).
-
-    t = None encodes a zero off-diagonal entry.  Classes satisfy the
-    primitivity filter min(a, c, t) == 0, so the matrices have elementary
-    divisors exactly (p^m, 1).
-    """
-    classes = []
-    for a in range(m + 1):
-        c = m - a
-        # b runs mod p^a; bucket by its exact order
-        for t in list(range(a)) + [None]:
-            if a and c and t != 0:
-                continue
-            count = 1 if t is None else p ** (a - t) - p ** (a - t - 1)
-            classes.append((a, c, t, count))
-    return tuple(classes)
-
-
 def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration:
     """Explicit right-coset representatives of K diag(p^lam) K.
 
@@ -418,88 +410,122 @@ def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration
     return CosetEnumeration(2, p, lam, tuple(reps), depth=m + 1)
 
 
-def _half_delta(p: int, mu: tuple[int, int]) -> SqrtP:
-    """delta^(1/2) at diag(p^mu1, p^mu2) for rank 2: p^((mu2 - mu1)/2)."""
-    return SqrtP.half_power(p, mu[1] - mu[0])
+def _check_work(n: int, sizes, scale: int = 1) -> None:
+    """ValueError, before any coefficient is computed, past
+    _MAX_WEIGHT_PAIRS: each size k counts `scale` times the w (w + 1) / 2
+    pairs of its w partitions into at most n parts, bounded by
+    C(k + n - 1, n - 1) (> 10^12 once k, n - 1 >= 22) and, for n <= 21, by
+    C(k + n (n + 1) / 2 - 1, n - 1) / n! (exact for n <= 2)."""
+    pairs = 0
+    for k in sizes:
+        w = math.comb(k + n - 1, n - 1) if min(k, n - 1) < 22 else _MAX_WEIGHT_PAIRS + 1
+        if n <= 21:  # the parts of k + n (n + 1) / 2 made distinct by (n, ..., 1)
+            w = min(w, math.comb(k + n * (n + 1) // 2 - 1, n - 1) // math.factorial(n))
+        pairs += w * (w + 1) // 2 * scale
+        if pairs > _MAX_WEIGHT_PAIRS:
+            raise ValueError(f"rank {n}: more than {_MAX_WEIGHT_PAIRS} weight pairs to read")
 
 
-def _diag_counts(p: int, lam: tuple[int, int]) -> dict[tuple[int, int], int]:
-    """How many representatives of K diag(p^lam) K have a given diagonal."""
-    m = lam[0] - lam[1]
-    out: dict[tuple[int, int], int] = {}
-    for a, c, _t, count in _order_classes(p, m):
-        key = (a + lam[1], c + lam[1])
-        out[key] = out.get(key, 0) + count
-    return out
+@lru_cache(maxsize=1 << 16)
+def _hl_scaled(p: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """p^(n(mu) - n(lam)) [x^mu] P_lam(x; 1/p), an integer, for decreasing
+    lam and mu, lam zero-free, |lam| = |mu|, n(lam) = sum (i-1) lam_i.
+
+    The Hall-Littlewood polynomial P_lam sums psi_T(t) x^T over the
+    semistandard tableaux T of shape lam (Macdonald, Symmetric Functions
+    and Hall Polynomials, III (5.11')).  The entries r = len(mu) fill a
+    horizontal strip lam/nu weighted by (5.8'): psi_{lam/nu}(t) multiplies
+    1 - t^(m_j(nu)) over the columns j >= 1 free of the strip with column
+    j + 1 in it, which starts the strip in a row of nu above row r, so the
+    peel's scale p^e, e = sum (r - i)(lam_i - nu_i), clears p^(m_j(nu)).
+    """
+    if not mu:
+        return 1
+    r, ext = len(mu), lam + (0,)
+
+    def strips(i, left, nu):  # lam_{i+1} <= nu_i <= lam_i, nu_i = 0 from row r on
+        if left > ext[i]:  # rows i, i+1, ... hold at most lam_i strip boxes
+            return
+        if i == len(lam):
+            yield nu
+            return
+        for v in range(lam[i] if i < r - 1 else 0, max(ext[i + 1], lam[i] - left) - 1, -1):
+            yield from strips(i + 1, left - lam[i] + v, nu + (v,) if v else nu)
+
+    total = 0
+    for nu in strips(0, mu[-1], ()) if len(lam) <= r else ():
+        rows = tuple(zip(lam, nu + (0,) * (len(lam) - len(nu))))
+        e = sum((r - 1 - i) * (a - b) for i, (a, b) in enumerate(rows))
+        w = 1
+        # row i's boxes start right of column nu_i, free unless another row ends there
+        for j in {b for a, b in rows if a > b and b} - {a for a, b in rows if a > b}:
+            m = nu.count(j)
+            w, e = w * (p**m - 1), e - m
+        total += w * p**e * _hl_scaled(p, nu, mu[:-1])
+    return total
+
+
+@lru_cache(maxsize=1 << 10)
+def _transform_terms(p: int, lam: tuple[int, ...]) -> tuple:
+    """(mu, N, p^(-<mu, rho>)) for the dominant mu dominated by lam, lam
+    first: N = p^<lam + mu, rho> [m_mu] P_lam(x; 1/p) counts the Hermite
+    cosets in K p^lam K with diagonal p^mu.  P_(lam+c) = (x_1...x_n)^c P_lam."""
+    shift, rho2 = lam[-1], range(len(lam) - 1, -len(lam), -2)
+    kappa = tuple(x - shift for x in lam)
+    out = []
+    for mu in _decreasing(tuple(itertools.accumulate(kappa)), sum(kappa)):
+        r2 = sum(map(operator.mul, mu, rho2))  # 2 <mu, rho>
+        count = _hl_scaled(p, kappa[: kappa.index(0)], mu) * p**r2
+        out.append((tuple(m + shift for m in mu), count, SqrtP.half_power(p, -r2)))
+    return tuple(out)
 
 
 def satake_transform(f: HeckeFn) -> SymLaurent:
-    """Spherical transform of a finitely supported bi-invariant function:
-    (Sf)(mu) = delta^(1/2)(p^mu) * (number of Hermite representatives of
-    each support coset with diagonal p^mu), summed with f's coefficients.
-
-    Exact output: counts times half-integer powers of p.  Rank <= 2.
-    """
-    if f.n == 1:
-        return SymLaurent(1, f.coeffs)
-    if f.n != 2:
-        raise ValueError("spherical transform is implemented for rank <= 2")
-    p = f.p
-    acc: dict[tuple[int, int], object] = {}
+    """Spherical transform of a finitely supported bi-invariant function at
+    any rank n: S(1_{K p^lam K}) = p^<lam, rho> P_lam(x; 1/p), with
+    rho = ((n-1)/2, ..., -(n-1)/2) and P_lam the Hall-Littlewood polynomial
+    (Macdonald V (3.3)).  Exact output: counts times half-integer powers of
+    p.  ValueError, before any coefficient is computed, past _MAX_WEIGHT_PAIRS."""
+    _check_work(f.n, [sum(lam) - f.n * lam[-1] for lam in f.coeffs])
+    acc: dict[tuple[int, ...], object] = {}
     for lam, c in f.coeffs.items():
-        counts = _diag_counts(p, lam)
-        for mu, cnt in counts.items():
-            if mu != dominant(mu):
-                # value check happens on the dominant representative
-                continue
-            val = c * cnt * _half_delta(p, mu)
+        for mu, count, half in _transform_terms(f.p, lam):
+            val = c * count * half
             acc[mu] = acc[mu] + val if mu in acc else val
-        # invariance audit: the two orderings of each orbit must agree
-        for mu, cnt in counts.items():
-            if mu == dominant(mu):
-                continue
-            md = dominant(mu)
-            if not cnt * _half_delta(p, mu) == counts.get(md, 0) * _half_delta(p, md):
-                raise AssertionError("Weyl invariance violated in transform")
-    return SymLaurent(2, acc)
+    return SymLaurent(f.n, acc)
 
 
-def _radial_weight(p: int, sigma, m: int, exact: bool):
-    """p^(-sigma m): an exact SqrtP when `exact` (2 sigma is an integer),
-    a complex float otherwise, so one table holds one scalar type."""
-    if exact:
-        return SqrtP.half_power(p, -int(2 * Fraction(sigma) * m))
-    return complex(p) ** (-complex(sigma) * m)
-
-
-def _determinant_counts(p: int, k: int) -> dict[tuple[int, int], int]:
-    """How many integral rank-2 cosets of determinant p^k have a given
-    diagonal: _diag_counts summed over the integral double cosets (k-j, j)."""
-    out: dict[tuple[int, int], int] = {}
-    for j in range(k // 2 + 1):
-        for mu, cnt in _diag_counts(p, (k - j, j)).items():
-            out[mu] = out.get(mu, 0) + cnt
-    return out
+@lru_cache(maxsize=1 << 12)
+def _radial_totals(n: int, p: int, k: int) -> tuple:
+    """(mu, (T, p^(-<mu, rho>))) over the dominant mu >= 0 of length n and
+    size k, T summing N of _transform_terms over the lam of size k; the lam
+    with lam_n >= 1 are those of size k - n plus (1, ..., 1)."""
+    below = _radial_totals(n, p, k - n) if k >= n else ()
+    totals = {tuple(m + 1 for m in mu): th for mu, th in below}
+    for lam in _decreasing((k,) * n, k):
+        for mu, count, half in _transform_terms(p, lam) if lam[-1] == 0 else ():
+            totals[mu] = (totals.get(mu, (0,))[0] + count, half)
+    return tuple(totals.items())
 
 
 def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent:
     """Spherical transform of 1_{integral} |det|^sigma, tabulated on the
     dominant weights mu >= 0 with |mu| <= d.
 
-    Computed by summing Hermite-diagonal counts over all integral cosets
-    of each determinant [the same counting route as satake_transform], so
-    the constancy at sigma = (n-1)/2 is an output, not an input.  When
-    2*sigma is an integer the table is exact (SqrtP scalars); otherwise
-    every entry is a complex float, also where 2 sigma m is an integer.
+    Computed at any rank n by summing the transforms of all integral double
+    cosets of each determinant [the route of satake_transform], so the
+    constancy at sigma = (n-1)/2 is an output, not an input.  When 2*sigma
+    is an integer the table is exact (SqrtP scalars); otherwise every entry
+    is a complex float, also where 2 sigma m is an integer.
     ValueError, before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA:
-    an exact p^(-sigma m) has some sigma m log10(p) digits.  The complex
-    float tables are refused likewise once some p^(-sigma m), m <= d,
-    would leave the normal double range (|Re sigma| d log10(p) above
-    _MAX_FLOAT_DECADES), where it would overflow or round to 0.
+    an exact p^(-sigma m) has some sigma m log10(p) digits; for a table past
+    _MAX_WEIGHT_PAIRS; and for complex float weights p^(-sigma m), m <= d,
+    that would leave the normal double range (|Re sigma| d log10(p) above
+    _MAX_FLOAT_DECADES), where they would overflow or round to 0.
     """
     _check_prime(p)
-    if d < 0:
-        raise ValueError("depth d must be >= 0")
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and depth d >= 0 (got n = {n}, d = {d})")
     if not abs(sigma) <= _MAX_RADIAL_SIGMA:
         raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
     exact = isinstance(sigma, (Rational, float)) and (2 * Fraction(sigma)).denominator == 1
@@ -509,17 +535,14 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
             f"sigma = {sigma!r}, p = {p}, d = {d}: the float weights p^(-sigma m), m <= d,"
             f" span {decades:.1f} decades, past the {_MAX_FLOAT_DECADES} of a normal double"
         )
-    if n == 1:
-        return SymLaurent(1, {(m,): _radial_weight(p, sigma, m, exact) for m in range(d + 1)})
-    if n != 2:
-        raise ValueError("radial transform is implemented for rank <= 2")
-    counts = [_determinant_counts(p, k) for k in range(d + 1)]
+    _check_work(n, [d], d + 1)  # the d + 1 sizes have at most the weights of d
     out = {}
-    for mu in dominant_tuples(2, d):
-        total = counts[sum(mu)].get(mu, 0)
-        if total:
-            out[mu] = total * _half_delta(p, mu) * _radial_weight(p, sigma, sum(mu), exact)
-    return SymLaurent(2, out)
+    for k in range(d + 1):
+        weight = (SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
+                  else complex(p) ** (-complex(sigma) * k))
+        for mu, (total, half) in _radial_totals(n, p, k):
+            out[mu] = total * half * weight
+    return SymLaurent(n, out)
 
 
 def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:
@@ -589,48 +612,23 @@ def twist(chi: SatakeParam, s: complex) -> SatakeParam:
 
 
 def convolve(f: HeckeFn, g: HeckeFn) -> HeckeFn:
-    """Convolution of finitely supported bi-invariant functions at the same
-    prime (rank <= 2), computed from explicit coset representatives and
-    exact Smith classification of x^{-1} diag(p^nu)."""
+    """Convolution of finitely supported bi-invariant functions at one prime
+    and rank: S^{-1}(S f * S g), exact for exact coefficients.  The product
+    is peeled once per weight nu, the largest first: S(1_{K p^nu K}) is
+    p^<nu, rho> m_nu plus lexicographically smaller weights.  ValueError,
+    before any coefficient is computed, past _MAX_WEIGHT_PAIRS."""
     if f.n != g.n or f.p != g.p:
         raise ValueError("operands must share rank and prime")
-    if f.n == 1:
-        out: dict[tuple[int, ...], object] = {}
-        for (a,), ca in f.coeffs.items():
-            for (b,), cb in g.coeffs.items():
-                key = (a + b,)
-                c = ca * cb
-                out[key] = out[key] + c if key in out else c
-        return HeckeFn(1, f.p, out)
-    if f.n != 2:
-        raise ValueError("convolution is implemented for rank <= 2")
-    p = f.p
-    if not f.coeffs or not g.coeffs:
-        return HeckeFn(2, p, {})
-    g1max = max(mu[0] for mu in g.coeffs)
-    g2min = min(mu[1] for mu in g.coeffs)
+    sizes = [sum(lam + mu) - f.n * (lam[-1] + mu[-1]) for lam in f.coeffs for mu in g.coeffs]
+    _check_work(f.n, sizes, math.factorial(min(f.n, 20)))  # n! monomials per weight
+    rest = dict((satake_transform(f) * satake_transform(g)).coeffs)
     out = {}
-    for lam, cf in f.coeffs.items():
-        m = lam[0] - lam[1]
-        for mu, cg in g.coeffs.items():
-            tot = lam[0] + lam[1] + mu[0] + mu[1]
-            for nu1 in range((tot + 1) // 2, lam[0] + g1max + 1):
-                nu = (nu1, tot - nu1)
-                if nu != dominant(nu) or nu[1] < lam[1] + g2min:
-                    continue
-                count_here = 0
-                for a0, c0, t0, count in _order_classes(p, m):
-                    d1 = a0 + lam[1]
-                    d2 = c0 + lam[1]
-                    toff = None if t0 is None else t0 + lam[1]
-                    y1 = nu[0] - d1
-                    y2 = nu[1] - d2
-                    yoff = math.inf if toff is None else toff + nu[1] - d1 - d2
-                    k1 = min(y1, y2, yoff)
-                    kappa = (y1 + y2 - k1, k1)
-                    if kappa == mu:
-                        count_here += count
-                if count_here:
-                    c = cf * cg * count_here
-                    out[nu] = out[nu] + c if nu in out else c
-    return HeckeFn(2, p, out)
+    while rest:
+        nu = max(rest)
+        c = rest.pop(nu)
+        (_, _, half), *lower = _transform_terms(f.p, nu)
+        c = c * half  # the leading term is p^(<nu, rho>) = 1 / half
+        for mu, count, h in lower:
+            rest[mu] = rest.get(mu, 0) - c * count * h
+        out[nu] = c.a if isinstance(c, SqrtP) and c.b == 0 else c
+    return HeckeFn(f.n, f.p, out)

@@ -296,25 +296,28 @@ _MELLIN_SPEC = QuadratureSpec(target_abs_tol=1e-11, max_refinements=9)
 _POLE_GUARD = 0.05
 
 
-def _halfline_mellin_part(f: AdelicTestFn, a: complex) -> complex:
+def _halfline_mellin_part(f: AdelicTestFn, a):
     """int_0^inf E(f, e^v) e^(a v) dv, the t >= 1 half of a Mellin integral
-    in logarithmic coordinates, by Gauss-Legendre panels on [0, V].
+    in logarithmic coordinates, by Gauss-Legendre panels on [0, V]: for a
+    complex a, or for each exponent of a 1-D array a, one integrate_finite
+    row each, every row bitwise its one-point value.
 
     Every lattice point of E(f, e^v) lies at x >= m_min e^v, m_min the
     smallest scale of f, and the kernel masks each weight exp(-pi x^2) to 0
     from pi x^2 = EXP_UNDERFLOW on; so past V = log(sqrt(EXP_UNDERFLOW/pi)
     / m_min) the integrand is exactly 0, and for V <= 0 so is the half.
     """
+    a = np.asarray(a, dtype=complex)
     m_min = min(m for fin, _arch in f.summands for _c, m in fin.terms)
     v_max = 0.5 * math.log(kernels.EXP_UNDERFLOW / math.pi) - math.log(m_min)
     if v_max <= 0.0:
-        return 0j
+        return np.zeros(a.shape, dtype=complex) if a.ndim else 0j
 
     def integrand(v: np.ndarray) -> np.ndarray:
         ev = E_batch(f, np.exp(v))
-        out = np.zeros(v.shape, dtype=complex)
+        out = np.zeros(a.shape + v.shape, dtype=complex)
         nonzero = ev != 0  # e^(a v) may overflow where E is 0
-        out[nonzero] = ev[nonzero] * np.exp(a * v[nonzero])
+        out[..., nonzero] = ev[nonzero] * np.exp(np.multiply.outer(a, v[nonzero]))
         return out
 
     return integrate_finite(integrand, 0.0, v_max, _MELLIN_SPEC).value
@@ -339,23 +342,33 @@ def mellin_E(f: AdelicTestFn, s: complex) -> complex:
     weight underflows and E(f, e^v) is exactly 0 (no panels when V <= 0);
     each half is refined to an absolute 1e-11 between levels.
     """
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ValueError(f"s must be finite, got {s}")
+    return _mellin_points(f, complex(s))[0]
+
+
+def _mellin_points(f: AdelicTestFn, s) -> list[complex]:
+    """mellin_E at a complex s, or at each point of a 1-D array s, with
+    mellin_E's checks point by point before any integral; each t >= 1 half
+    is one integrate_finite batch over the points, a plain integral for a
+    scalar s."""
+    points = np.atleast_1d(s).tolist()
     fhat = f.fourier()
     f0 = f.at_zero()
     fhat0 = fhat.at_zero()
-    if abs(fhat0) > 1e-13 and abs(s - 0.5) < _POLE_GUARD:
-        raise PoleError("Mellin transform pole at s = 1/2 (fhat(0) != 0)")
-    if abs(f0) > 1e-13 and abs(s + 0.5) < _POLE_GUARD:
-        raise PoleError("Mellin transform pole at s = -1/2 (f(0) != 0)")
-    part_f = _halfline_mellin_part(f, s)
-    part_fhat = _halfline_mellin_part(fhat, -s)
-    out = part_f + part_fhat
-    if fhat0 != 0j:
-        out += fhat0 / (s - 0.5)
-    if f0 != 0j:
-        out -= f0 / (s + 0.5)
+    for x in points:
+        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+            raise ValueError(f"s must be finite, got {x}")
+        if abs(fhat0) > 1e-13 and abs(x - 0.5) < _POLE_GUARD:
+            raise PoleError("Mellin transform pole at s = 1/2 (fhat(0) != 0)")
+        if abs(f0) > 1e-13 and abs(x + 0.5) < _POLE_GUARD:
+            raise PoleError("Mellin transform pole at s = -1/2 (f(0) != 0)")
+    halves = np.atleast_1d(_halfline_mellin_part(f, s) + _halfline_mellin_part(fhat, -s))
+    out = []
+    for x, value in zip(points, halves.tolist()):
+        if fhat0 != 0j:
+            value += fhat0 / (x - 0.5)
+        if f0 != 0j:
+            value -= f0 / (x + 0.5)
+        out.append(value)
     return out
 
 
@@ -368,12 +381,15 @@ def mellin_residue_probe(f: AdelicTestFn, center: complex) -> complex:
     """(1/2 pi i) of the contour integral of mellin_E around the circle of
     radius 0.3 about center: equals the residue inside (0 when the
     transform is analytic there).  The 32 trapezoid points converge
-    geometrically for integrands analytic in a neighborhood of the contour."""
-    total = []
+    geometrically for integrands analytic in a neighborhood of the contour.
+    The 32 values of mellin_E are one batch per half, each bitwise its
+    one-point value."""
+    ws = []
     for k in range(_PROBE_POINTS):
         theta = 2.0 * math.pi * k / _PROBE_POINTS
-        w = complex(math.cos(theta), math.sin(theta))
-        total.append(mellin_E(f, center + _PROBE_RADIUS * w) * w)
+        ws.append(complex(math.cos(theta), math.sin(theta)))
+    values = _mellin_points(f, np.array([center + _PROBE_RADIUS * w for w in ws]))
+    total = [value * w for value, w in zip(values, ws)]
     return complex(sum_compensated(total)) * _PROBE_RADIUS / _PROBE_POINTS
 
 

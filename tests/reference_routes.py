@@ -20,6 +20,11 @@ compare the package's single route against it.
   time, each integrand built and integrated on its own with nodes rebuilt
   per level, against the batched sampler (lfun.completed_lambda_line,
   polya.CriticalLineFn.values) and polya.scan_zeros.
+* coset_transform, coset_radial, coset_convolve: the rank-2 spherical
+  transform, radial table and convolution by counting Hermite
+  representatives [[p^a, b], [0, p^c]] by diagonal (_order_classes), with
+  a Weyl-invariance audit and an exact Smith classification of
+  x^{-1} diag(p^nu), against satake's Hall-Littlewood route.
 * recording, refinement_faults: the certificate every root of
   numkit.bracket_and_bisect must carry, checked from the samples it took:
   an exact zero sample, or the midpoint of a bracket at most tol wide
@@ -29,6 +34,9 @@ compare the package's single route against it.
 
 import math
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from numbers import Rational
 
 import mpmath as mp
 import numpy as np
@@ -40,6 +48,7 @@ from adelic_zeta.numkit import (
     integrate_halfline,
     sum_compensated,
 )
+from adelic_zeta.satake import HeckeFn, SqrtP, SymLaurent, dominant, dominant_tuples
 
 # Literal evaluation of E near t = 0 needs ~1/t lattice terms, so the
 # defining integral is truncated at t0 = e^-W.
@@ -296,3 +305,131 @@ def refinement_faults(samples: dict[float, float], calls: list[list[float]],
         ):
             faults.append(f"uncertified root {rho!r}")
     return faults
+
+
+@lru_cache(maxsize=None)
+def _order_classes(p: int, m: int):
+    """Representative classes of the (m,0) double coset grouped by
+    (diag order a, diag order c, off-diagonal order t, count).
+
+    t = None encodes a zero off-diagonal entry.  Classes satisfy the
+    primitivity filter min(a, c, t) == 0, so the matrices have elementary
+    divisors exactly (p^m, 1).
+    """
+    classes = []
+    for a in range(m + 1):
+        c = m - a
+        # b runs mod p^a; bucket by its exact order
+        for t in list(range(a)) + [None]:
+            if a and c and t != 0:
+                continue
+            count = 1 if t is None else p ** (a - t) - p ** (a - t - 1)
+            classes.append((a, c, t, count))
+    return tuple(classes)
+
+
+def _half_delta(p: int, mu: tuple[int, int]) -> SqrtP:
+    """delta^(1/2) at diag(p^mu1, p^mu2) for rank 2: p^((mu2 - mu1)/2)."""
+    return SqrtP.half_power(p, mu[1] - mu[0])
+
+
+def _diag_counts(p: int, lam: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """How many representatives of K diag(p^lam) K have a given diagonal."""
+    m = lam[0] - lam[1]
+    out: dict[tuple[int, int], int] = {}
+    for a, c, _t, count in _order_classes(p, m):
+        key = (a + lam[1], c + lam[1])
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+def coset_transform(f: HeckeFn) -> SymLaurent:
+    """Rank-2 spherical transform: (Sf)(mu) = delta^(1/2)(p^mu) * (number
+    of Hermite representatives of each support coset with diagonal p^mu),
+    summed with f's coefficients; AssertionError unless each Weyl orbit
+    reads the same from both of its orderings."""
+    assert f.n == 2
+    p = f.p
+    acc: dict[tuple[int, int], object] = {}
+    for lam, c in f.coeffs.items():
+        counts = _diag_counts(p, lam)
+        for mu, cnt in counts.items():
+            if mu != dominant(mu):
+                # value check happens on the dominant representative
+                continue
+            val = c * cnt * _half_delta(p, mu)
+            acc[mu] = acc[mu] + val if mu in acc else val
+        # invariance audit: the two orderings of each orbit must agree
+        for mu, cnt in counts.items():
+            if mu == dominant(mu):
+                continue
+            md = dominant(mu)
+            if not cnt * _half_delta(p, mu) == counts.get(md, 0) * _half_delta(p, md):
+                raise AssertionError("Weyl invariance violated in transform")
+    return SymLaurent(2, acc)
+
+
+def _determinant_counts(p: int, k: int) -> dict[tuple[int, int], int]:
+    """How many integral rank-2 cosets of determinant p^k have a given
+    diagonal: _diag_counts summed over the integral double cosets (k-j, j)."""
+    out: dict[tuple[int, int], int] = {}
+    for j in range(k // 2 + 1):
+        for mu, cnt in _diag_counts(p, (k - j, j)).items():
+            out[mu] = out.get(mu, 0) + cnt
+    return out
+
+
+def coset_radial(sigma, d: int, p: int) -> SymLaurent:
+    """Rank-2 transform of 1_{integral} |det|^sigma on the dominant mu >= 0
+    with |mu| <= d, from the Hermite-diagonal counts of every integral coset
+    of each determinant; exact SqrtP entries when 2 sigma is an integer."""
+    exact = isinstance(sigma, (Rational, float)) and (2 * Fraction(sigma)).denominator == 1
+
+    def weight(m):
+        if exact:
+            return SqrtP.half_power(p, -int(2 * Fraction(sigma) * m))
+        return complex(p) ** (-complex(sigma) * m)
+
+    counts = [_determinant_counts(p, k) for k in range(d + 1)]
+    out = {}
+    for mu in dominant_tuples(2, d):
+        total = counts[sum(mu)].get(mu, 0)
+        if total:
+            out[mu] = total * _half_delta(p, mu) * weight(sum(mu))
+    return SymLaurent(2, out)
+
+
+def coset_convolve(f: HeckeFn, g: HeckeFn) -> HeckeFn:
+    """Rank-2 convolution from the explicit coset classes of f's support and
+    exact Smith classification of x^{-1} diag(p^nu)."""
+    assert f.n == g.n == 2 and f.p == g.p
+    p = f.p
+    if not f.coeffs or not g.coeffs:
+        return HeckeFn(2, p, {})
+    g1max = max(mu[0] for mu in g.coeffs)
+    g2min = min(mu[1] for mu in g.coeffs)
+    out = {}
+    for lam, cf in f.coeffs.items():
+        m = lam[0] - lam[1]
+        for mu, cg in g.coeffs.items():
+            tot = lam[0] + lam[1] + mu[0] + mu[1]
+            for nu1 in range((tot + 1) // 2, lam[0] + g1max + 1):
+                nu = (nu1, tot - nu1)
+                if nu != dominant(nu) or nu[1] < lam[1] + g2min:
+                    continue
+                count_here = 0
+                for a0, c0, t0, count in _order_classes(p, m):
+                    d1 = a0 + lam[1]
+                    d2 = c0 + lam[1]
+                    toff = None if t0 is None else t0 + lam[1]
+                    y1 = nu[0] - d1
+                    y2 = nu[1] - d2
+                    yoff = math.inf if toff is None else toff + nu[1] - d1 - d2
+                    k1 = min(y1, y2, yoff)
+                    kappa = (y1 + y2 - k1, k1)
+                    if kappa == mu:
+                        count_here += count
+                if count_here:
+                    c = cf * cg * count_here
+                    out[nu] = out[nu] + c if nu in out else c
+    return HeckeFn(2, p, out)

@@ -242,6 +242,18 @@ class TestBracketAndBisect:
     def test_no_roots(self):
         assert bracket_and_bisect(lambda x: x * x + 1.0, -2.0, 2.0, step=0.1) == []
 
+    def test_tiny_values_still_bracket(self):
+        # 1e-200 * 1e-200 underflows to 0: the grid compares signs instead
+        tiny = bracket_and_bisect(lambda x: 1e-200 * (x - 0.5), 0.0, 1.0, 0.3)
+        assert tiny == bracket_and_bisect(lambda x: 1e-100 * (x - 0.5), 0.0, 1.0, 0.3)
+        assert len(tiny) == 1 and abs(tiny[0] - 0.5) <= 1e-10
+
+    def test_nan_cell_gives_no_hit(self):
+        def f(x):
+            return np.where(x == 0.3, np.nan, x - 0.5)
+
+        assert bracket_and_bisect(f, 0.0, 1.0, 0.3) == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bracket_and_bisect(np.cos, 2.0, 1.0, step=0.1)

@@ -1,10 +1,12 @@
 """Hecke double cosets, the spherical transform, and local factors.
 
-The coset-count oracle enumerates upper-triangular integer matrices
-directly and classifies them by Smith normal form, independently of the
-order-class counting in the implementation.  The trace oracle sums the
-monomials of every dominant orbit, independently of the h_k recurrence
-that trace_truncated uses.
+The coset-count oracles enumerate upper-triangular integer matrices
+directly and classify them by Smith normal form (rank 2) or by the p-adic
+valuations of their minors (rank 3), independently of the Hall-Littlewood
+route in the implementation and of the order-class counting of the rank-2
+coset route in reference_routes.  The trace oracle sums the monomials of
+every dominant orbit, independently of the h_k recurrence that
+trace_truncated uses.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_routes import _order_classes, coset_convolve, coset_radial, coset_transform
 
 from adelic_zeta import satake
 from adelic_zeta.satake import (
@@ -56,6 +59,57 @@ def snf_count_oracle(p: int, lam: tuple[int, int]) -> int:
     return count
 
 
+def _ord(x: int, p: int) -> float:
+    """p-adic valuation of an integer, inf for 0."""
+    if x == 0:
+        return math.inf
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k
+
+
+def _det(m) -> int:
+    """Determinant of a small square integer matrix by Laplace expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def hnf_transform_oracle(p: int, lam: tuple[int, ...]) -> dict[tuple[int, ...], SqrtP]:
+    """S(1_{K p^lam K}) at every weight mu, dominant or not, for lam >= 0:
+    delta^(1/2)(p^mu) = p^(-<mu, rho>) times the upper-triangular Hermite
+    forms with diagonal p^mu (entry (i, j) reduced mod p^mu_i) whose
+    elementary divisors are p^lam, read from the least p-adic valuation of
+    the k x k minors for each k."""
+    n, k = len(lam), sum(lam)
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = {}
+    for mu in itertools.product(range(k + 1), repeat=n):
+        if sum(mu) != k:
+            continue
+        count = 0
+        for entries in itertools.product(*(range(p ** mu[i]) for i, _ in slots)):
+            mat = [[p ** mu[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), b in zip(slots, entries):
+                mat[i][j] = b
+            vals = [0]
+            for size in range(1, n + 1):
+                vals.append(min(
+                    _ord(_det([[mat[r][c] for c in cols] for r in rows]), p)
+                    for rows in itertools.combinations(range(n), size)
+                    for cols in itertools.combinations(range(n), size)
+                ))
+            divisors = sorted((vals[i + 1] - vals[i] for i in range(n)), reverse=True)
+            count += divisors == list(lam)
+        if count:
+            rho2 = sum(m * (n - 1 - 2 * i) for i, m in enumerate(mu))
+            out[mu] = count * SqrtP.half_power(p, -rho2)
+    return out
+
+
 def orbit_trace_oracle(chi: tuple[complex, ...], d: int) -> complex:
     """sum of m_lam(chi) over dominant lam >= 0 with |lam| <= d, one
     monomial per point of each Weyl orbit, summed with math.fsum."""
@@ -71,6 +125,13 @@ def orbit_trace_oracle(chi: tuple[complex, ...], d: int) -> complex:
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 small_weights = st.tuples(st.integers(-2, 3), st.integers(-2, 3)).map(dominant)
+complex_coeffs = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+mixed_hecke_coeffs = st.dictionaries(
+    small_weights,
+    st.one_of(st.fractions(-3, 3, max_denominator=4), complex_coeffs).filter(lambda c: c != 0),
+    min_size=1,
+    max_size=3,
+)
 small_hecke_coeffs = st.dictionaries(
     small_weights,
     st.fractions(-3, 3, max_denominator=4).filter(lambda c: c != 0),
@@ -164,7 +225,7 @@ class TestCosets:
         # p^m + p^(m-1) representatives for m >= 1, one for m = 0
         want = (p + 1) * p ** (m - 1) if m else 1
         assert len(enumerate_cosets(p, (m, 0)).representatives) == want
-        assert sum(count for *_, count in satake._order_classes(p, m)) == want
+        assert sum(count for *_, count in _order_classes(p, m)) == want
 
     def test_enumeration_bound_refuses_before_building(self, monkeypatch):
         # the bound is on the count, so it holds on the cap and refuses past it
@@ -283,6 +344,113 @@ class TestRankOne:
         for sigma in (0.3, 0.25 + 1j):
             val = satake_truncated_radial(sigma, 3, n=1, p=3)
             assert val.coeffs == {(m,): complex(3) ** (-complex(sigma) * m) for m in range(4)}
+
+
+RANK3_WEIGHTS = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0)]
+rank3_coeffs = st.dictionaries(
+    st.tuples(*[st.integers(-1, 2)] * 3).map(dominant),
+    st.fractions(-2, 2, max_denominator=3).filter(lambda c: c != 0),
+    min_size=1,
+    max_size=2,
+)
+
+
+class TestMacdonaldRoute:
+    """S(1_{K p^lam K}) = p^<lam, rho> P_lam(x; 1/p) at ranks 1 to 4,
+    against the rank-2 coset route and a rank-3 Hermite-form count."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rank_two_transforms_equal_coset_route(self, p):
+        # equal values printed alike, so the CLI reports cannot move
+        for lam in itertools.product(range(-2, 6), repeat=2):
+            if lam == dominant(lam):
+                f = HeckeFn.double_coset(2, p, lam)
+                assert repr(satake_transform(f)) == repr(coset_transform(f)), lam
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rank_two_radial_tables_equal_coset_route(self, p):
+        for d in range(7):
+            for sigma in (0.5, -0.5, 1.5, Fraction(3, 2), 0.3, -2, 0.25 + 1j):
+                got = satake_truncated_radial(sigma, d, p=p)
+                assert repr(got) == repr(coset_radial(sigma, d, p)), (d, sigma)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), fc=mixed_hecke_coeffs, gc=mixed_hecke_coeffs)
+    def test_convolution_equals_coset_route(self, p, fc, gc):
+        # exact coefficients give the coset route's exact convolution; the
+        # peel also ends on complex floats, within their rounding
+        f, g = HeckeFn(2, p, fc), HeckeFn(2, p, gc)
+        got, want = convolve(f, g).coeffs, coset_convolve(f, g).coeffs
+        if not any(isinstance(c, complex) for c in [*f.coeffs.values(), *g.coeffs.values()]):
+            assert got == want
+            return
+        size = max([1.0] + [abs(complex(c)) for c in want.values()])
+        for nu in set(got) | set(want):
+            assert abs(complex(got.get(nu, 0)) - complex(want.get(nu, 0))) <= 1e-9 * size, nu
+
+    @pytest.mark.parametrize("p, lam", [(p, lam) for p in (2, 3) for lam in RANK3_WEIGHTS]
+                             + [(2, (3, 2, 1))])
+    def test_rank_three_against_hermite_count(self, p, lam):
+        # every ordering of a weight carries the value of its dominant one
+        want = hnf_transform_oracle(p, lam)
+        got = satake_transform(HeckeFn.double_coset(3, p, lam))
+        assert {dominant(mu) for mu in want} == set(got.coeffs)
+        for mu, value in want.items():
+            assert got.coeffs[dominant(mu)] == value, mu
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rank_three_hecke_relation(self, p):
+        # T_(1,0,0) * T_(1,1,0) = T_(2,1,0) + (p^2 + p + 1) T_(1,1,1)
+        got = convolve(HeckeFn.double_coset(3, p, (1, 0, 0)),
+                       HeckeFn.double_coset(3, p, (1, 1, 0)))
+        assert got.coeffs == {(2, 1, 0): 1, (1, 1, 1): p * p + p + 1}
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.sampled_from([2, 3]), fc=rank3_coeffs, gc=rank3_coeffs)
+    def test_rank_three_homomorphism(self, p, fc, gc):
+        f, g = HeckeFn(3, p, fc), HeckeFn(3, p, gc)
+        fg = convolve(f, g)
+        assert all(isinstance(c, Fraction) for c in fg.coeffs.values())
+        assert satake_transform(fg) == satake_transform(f) * satake_transform(g)
+
+    def test_rank_four_hecke_operator_image(self):
+        # S(T_p) = p^<(1,0,0,0), rho> m_(1,0,0,0) = p^(3/2) m_(1,0,0,0)
+        got = satake_transform(HeckeFn.double_coset(4, 3, (1, 0, 0, 0)))
+        assert got == SymLaurent.orbit((1, 0, 0, 0), SqrtP.half_power(3, 3))
+
+    @pytest.mark.parametrize("n, dmax", [(3, 8), (4, 6)])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_radial_constant_at_center(self, n, dmax, p):
+        # sigma = (n-1)/2 makes every orbit coefficient exactly 1, from sums
+        # of coset counts over the integral double cosets; sizes 6 and 7 are
+        # the first whose strips meet end to start in adjacent rows, where
+        # psi drops the shared column
+        for sigma in (Fraction(n - 1, 2), (n - 1) / 2):
+            val = satake_truncated_radial(sigma, dmax, n=n, p=p)
+            assert set(val.coeffs) == set(dominant_tuples(n, dmax))
+            assert all(c == 1 for c in val.coeffs.values())
+
+    @pytest.mark.parametrize("call", [
+        lambda: satake_transform(HeckeFn.double_coset(3, 2, (10**6, 0, 0))),
+        lambda: satake_transform(HeckeFn.double_coset(2, 2, (10**9, 0))),
+        lambda: satake_truncated_radial(1, 10**9, n=3),
+        lambda: satake_truncated_radial(0.5, 10**8, n=1),
+        lambda: satake_truncated_radial(1, 3, n=10**5),
+        lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) + (0,) * 11)] * 2),
+    ], ids=["rank3-transform", "rank2-transform", "rank3-radial", "rank1-radial",
+            "rank-1e5-radial", "rank12-convolve"])
+    def test_work_bound_refuses_fast(self, call):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="weight pairs to read"):
+            call()
+        assert time.perf_counter() - start < 0.5
+
+    def test_work_bound_holds_on_the_cap(self, monkeypatch):
+        # d = 4 at rank 2 counts 5 sizes of at most 3 weights: 5 * 3 * 4 / 2
+        monkeypatch.setattr(satake, "_MAX_WEIGHT_PAIRS", 30)
+        assert satake_truncated_radial(0.5, 4, p=5).coeffs
+        with pytest.raises(ValueError, match="rank 2: more than 30 weight pairs"):
+            satake_truncated_radial(0.5, 5, p=5)
 
 
 class TestRadial:

@@ -17,7 +17,7 @@ from test_kernels import loop_lattice_sum
 
 from adelic_zeta import numkit, records, theta
 from adelic_zeta.lfun import completed_lambda_zeta
-from adelic_zeta.numkit import PoleError, integrate_halfline
+from adelic_zeta.numkit import PoleError, integrate_halfline, sum_compensated
 from adelic_zeta.theta import (
     AdelicTestFn,
     ArchTestFn,
@@ -417,6 +417,26 @@ class TestMellin:
         f = make_S0(2)
         assert abs(mellin_residue_probe(f, 0.5)) < 1e-8
         assert abs(mellin_residue_probe(f, -0.5)) < 1e-8
+
+    @pytest.mark.parametrize("f, center", [(make_S0(3), 0.5), (standard_gaussian(), 0.5),
+                                           (make_S0(2), -1.3 + 2j)])
+    def test_residue_probe_is_its_one_point_sum(self, f, center):
+        # one integrate_finite batch per half: each of the 32 contour values
+        # is bitwise mellin_E at its point, so the probe is unchanged
+        total = []
+        for k in range(32):
+            theta_k = 2.0 * math.pi * k / 32
+            w = complex(math.cos(theta_k), math.sin(theta_k))
+            total.append(mellin_E(f, center + 0.3 * w) * w)
+        want = complex(sum_compensated(total)) * 0.3 / 32
+        assert mellin_residue_probe(f, center) == want
+
+    def test_residue_probe_keeps_the_pole_guard(self):
+        # the contour point center + 0.3 lies 0.01 from the pole at 1/2
+        with pytest.raises(PoleError, match="pole at s = 1/2"):
+            mellin_residue_probe(standard_gaussian(), 0.21)
+        # S0 has no active pole: no guard, and no residue inside
+        assert abs(mellin_residue_probe(make_S0(2), 0.21)) < 1e-8
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, complex(2.0, math.nan),
                                    complex(-math.inf, 1.0)])
