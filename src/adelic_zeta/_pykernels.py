@@ -16,6 +16,11 @@ import numpy as np
 
 BACKEND_NAME = "python"
 
+
+class PoleError(ZeroDivisionError):
+    """Evaluation requested at (or numerically indistinguishable from) a pole."""
+
+
 # exp(-x) is at most the smallest subnormal double for x >= EXP_UNDERFLOW,
 # so a lattice weight exp(-pi x^2) is masked to 0 (and so is its term
 # bound) from pi x^2 = EXP_UNDERFLOW on
@@ -222,19 +227,20 @@ def euler_product(primes, coeffs, s):
     of the local polynomial at ``primes[i]``, all of one length.
 
     The local factors are evaluated together by Horner's rule and
-    multiplied by ``np.prod``.
+    multiplied by ``np.prod``.  This is the one test of a vanishing local
+    factor: PoleError, naming the first such prime, where the value is 0 or
+    at most 1e-13 times the size sum_k |c_k x^k| of its terms.
     """
     s = complex(s)
     x = np.exp(-s * np.log(np.asarray(primes, dtype=float)))
     rows = np.asarray(coeffs, dtype=complex)
-    val = np.zeros_like(x)
+    val, size, ax = np.zeros_like(x), np.zeros(x.shape), np.abs(x)
     for col in rows.T[::-1]:
         val = val * x + col
-    vanish = np.abs(val) < 1e-300
+        size = size * ax + np.abs(col)
+    vanish = np.abs(val) <= 1e-13 * size
     if vanish.any():
-        raise ZeroDivisionError(
-            f"local factor vanishes at p={primes[int(np.argmax(vanish))]}"
-        )
+        raise PoleError(f"local factor vanishes at p={primes[int(np.argmax(vanish))]}")
     return complex(1.0 / np.prod(val))
 
 

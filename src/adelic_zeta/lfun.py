@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,19 +148,18 @@ def zeta_em(s: complex) -> complex:
     return complex(head) + tail + corr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerProduct:
-    """Descriptor of a degree-d Euler product: per-prime local polynomial
-    coefficients (ascending in x = p^-s) and which normalization the
-    variable s lives in.
-
-    weight is the motivic weight: the unitary variable is
-    s_unitary = s_arithmetic - weight/2.
-    """
+    """Descriptor of a degree-d Euler product prod_p det(1 - A_p p^-s)^-1:
+    row i of ``rows``, built once, holds the ascending coefficients of
+    det(1 - A_p X) at the i-th prime p, for every prime p <= ``bound`` (zeta's
+    one row, broadcast, runs past them).  ``normalization`` names the
+    variable s; with the motivic weight, s_unitary = s_arithmetic - weight/2."""
 
     label: str
     degree: int
-    local_coeffs: Callable[[int], Sequence[complex]]
+    rows: np.ndarray
+    bound: int
     normalization: str
     weight: int = 0
 
@@ -173,37 +171,25 @@ class EulerProduct:
 
 
 def zeta_product() -> EulerProduct:
-    """The Riemann zeta Euler product (weight 0: both normalizations agree)."""
-    return EulerProduct(
-        label="zeta",
-        degree=1,
-        local_coeffs=lambda p: (1.0, -1.0),
-        normalization="unitary",
-        weight=0,
-    )
+    """The Riemann zeta Euler product: the row (1, -1) at every prime up to
+    the sieve cap (weight 0: both normalizations agree)."""
+    rows = np.broadcast_to(np.array([1.0, -1.0], dtype=complex), (_MAX_SIEVE, 2))
+    return EulerProduct("zeta", 1, rows, _MAX_SIEVE, "unitary", 0)
 
 
 def delta_product(table: CoeffTable, normalization: str = "arithmetic") -> EulerProduct:
-    """Degree-2 Euler product of the weight-12 level-1 cusp form, built from
-    an exact coefficient table (local polynomial 1 - a_p x + p^11 x^2)."""
+    """Degree-2 Euler product of the weight-12 level-1 cusp form: the row
+    (1, -a_p, p^11) (arithmetic) or (1, -a_p p^-5.5, 1) (unitary) at every
+    prime p <= len(table), built once from the exact coefficient table;
+    EulerProduct refuses any other normalization."""
+    a, ps = table.values, primes_up_to(len(table))
     if normalization == "arithmetic":
-
-        def local(p: int):
-            return (1.0, -float(table.a(p)), float(p) ** 11)
-    elif normalization == "unitary":
-
-        def local(p: int):
-            ap = table.a(p) / float(p) ** 5.5
-            return (1.0, -ap, 1.0)
+        rows = [(1.0, -float(a[p - 1]), float(p) ** 11) for p in ps]
     else:
-        raise ValueError("normalization must be arithmetic or unitary")
-    return EulerProduct(
-        label="delta",
-        degree=2,
-        local_coeffs=local,
-        normalization=normalization,
-        weight=11,
-    )
+        rows = [(1.0, -(a[p - 1] / float(p) ** 5.5), 1.0) for p in ps]
+    rows = np.array(rows, dtype=complex).reshape(len(ps), 3)
+    rows.flags.writeable = False
+    return EulerProduct("delta", 2, rows, len(table), normalization, 11)
 
 
 @dataclass(frozen=True)
@@ -214,14 +200,14 @@ class EulerProductValue:
 
 
 def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerProductValue:
-    """Finite Euler product over p <= prime_bound, with the integral-test
-    tail estimate degree * P^(1-sigma)/(sigma-1) on |log| of the omitted
-    factors (sigma the unitary-normalized real part).
+    """Finite Euler product over p <= prime_bound: the first rows of L in
+    one kernels.euler_product call, with the integral-test tail estimate
+    degree * P^(1-sigma)/(sigma-1) on |log| of the omitted factors (sigma
+    the unitary-normalized real part).
 
-    Raises PoleError outside the half-plane of absolute convergence, and
-    ValueError for a non-finite s or when a prime up to prime_bound lies
-    past the coefficient table of L (a delta_product built from too short
-    a table).
+    PoleError outside the half-plane of absolute convergence or where the
+    kernel finds a vanishing local factor; ValueError for a non-finite s or
+    a prime up to prime_bound past the rows of L (too short a tau table).
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -235,12 +221,11 @@ def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerPr
     ps = primes_up_to(prime_bound)
     if not ps:
         raise ValueError("prime_bound below 2")
-    prime_arr = np.array(ps, dtype=np.int64)
-    try:
-        coeff_rows = np.array([L.local_coeffs(int(p)) for p in ps], dtype=complex)
-    except IndexError as exc:
-        raise ValueError(f"prime_bound {prime_bound} for {L.label}: {exc}") from None
-    value = kernels.euler_product(prime_arr, coeff_rows, s)
+    if ps[-1] > L.bound:
+        first = next(p for p in ps if p > L.bound)
+        raise ValueError(f"prime_bound {prime_bound} for {L.label}: "
+                         f"coefficient a_{first} outside table of length {L.bound}")
+    value = kernels.euler_product(ps, L.rows[: len(ps)], s)
     tail = L.degree * prime_bound ** (1.0 - sigma) / (sigma - 1.0)
     return EulerProductValue(complex(value), float(tail), len(ps))
 

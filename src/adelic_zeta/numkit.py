@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._backend import kernels
+from ._pykernels import PoleError  # raised by the kernels too
 
 __all__ = [
     "PoleError",
@@ -31,10 +32,6 @@ __all__ = [
     "sum_compensated",
     "bracket_and_bisect",
 ]
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation requested at (or numerically indistinguishable from) a pole."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -1,9 +1,10 @@
 """Exact layer at a fixed prime: Hermite coset enumeration for rank <= 2,
 the spherical transform at any rank (Macdonald's formula through
 Hall-Littlewood polynomials) of finitely supported bi-invariant functions
-and of the radial family 1_{integral} |det|^sigma, symmetric Laurent
-data, local Euler factors, and truncated traces (partial sums of the
-series of complete homogeneous sums h_k).
+and of the radial family 1_{integral} |det|^sigma, its inverse on products
+(integer Hecke structure constants), symmetric Laurent data, local Euler
+factors (one coefficient row for the Euler-product kernel, which decides
+poles), and truncated traces (partial sums of the h_k series).
 
 Arithmetic that only involves integer powers of p^(1/2) stays exact via
 ``SqrtP`` (elements a + b*sqrt(p) with rational a, b); mixed expressions
@@ -22,7 +23,10 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .numkit import PoleError, _check_prime, sum_compensated
+import numpy as np
+
+from ._backend import kernels
+from .numkit import _check_prime, sum_compensated
 
 __all__ = [
     "SqrtP",
@@ -144,6 +148,20 @@ def dominant(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(v, reverse=True))
 
 
+def _orbit(lam: Sequence[int]):
+    """The distinct permutations of lam, in increasing lexicographic order by
+    the next-permutation step: the orbit size sets the cost, not n!."""
+    a, n = sorted(lam), len(lam)
+    while True:
+        yield tuple(a)
+        i = next((i for i in range(n - 2, -1, -1) if a[i] < a[i + 1]), -1)
+        if i < 0:
+            return
+        j = next(j for j in range(n - 1, i, -1) if a[j] > a[i])
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+
+
 def dominant_tuples(n: int, max_total: int):
     """All weakly decreasing n-tuples of nonnegative integers with sum
     <= max_total, in decreasing lexicographic order."""
@@ -203,8 +221,8 @@ class SatakeParam:
             raise ValueError("Satake eigenvalues must be nonzero")
         if not all(map(cmath.isfinite, vals)):
             raise ValueError(f"Satake eigenvalues must be finite, got {vals}")
-        object.__setattr__(
-            self, "chi", tuple(sorted(vals, key=lambda z: (abs(z), cmath.phase(z))))
+        object.__setattr__(  # math.atan2: cmath.phase raises on subnormal parts
+            self, "chi", tuple(sorted(vals, key=lambda z: (abs(z), math.atan2(z.imag, z.real))))
         )
 
     @property
@@ -235,11 +253,7 @@ class SymLaurent:
 
     def monomials(self) -> dict[tuple[int, ...], object]:
         """Expand to the full coefficient function mu -> value."""
-        out = {}
-        for lam, c in self.coeffs.items():
-            for mu in set(itertools.permutations(lam)):
-                out[mu] = c
-        return out
+        return {mu: c for lam, c in self.coeffs.items() for mu in _orbit(lam)}
 
     def __add__(self, other: "SymLaurent") -> "SymLaurent":
         if self.n != other.n:
@@ -251,36 +265,24 @@ class SymLaurent:
 
     def __mul__(self, other):
         if not isinstance(other, SymLaurent):
-            return SymLaurent(
-                self.n, {lam: c * other for lam, c in self.coeffs.items()}
-            )
+            return SymLaurent(self.n, {lam: c * other for lam, c in self.coeffs.items()})
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        a = self.monomials()
-        b = other.monomials()
+        a, b = self.monomials(), other.monomials()
         prod: dict[tuple[int, ...], object] = {}
         for mu1, c1 in a.items():
             for mu2, c2 in b.items():
                 nu = tuple(x + y for x, y in zip(mu1, mu2))
-                c = c1 * c2
-                prod[nu] = prod[nu] + c if nu in prod else c
-        out = {nu: c for nu, c in prod.items() if nu == dominant(nu)}
-        return SymLaurent(self.n, out)
+                prod[nu] = prod[nu] + c1 * c2 if nu in prod else c1 * c2
+        return SymLaurent(self.n, {nu: c for nu, c in prod.items() if nu == dominant(nu)})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, SymLaurent):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            a = self.coeffs.get(k, 0)
-            b = other.coeffs.get(k, 0)
-            if not a == b:
-                return False
-        return True
+        # zero coefficients are dropped, so equal functions have equal keys
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.n, frozenset(self.coeffs)))
@@ -559,19 +561,13 @@ def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:
 
 
 def local_factor(chi: SatakeParam, s: complex) -> complex:
-    """prod_j (1 - chi_j p^{-s})^{-1}; PoleError when a factor vanishes,
-    ValueError unless s is finite."""
+    """prod_j (1 - chi_j p^{-s})^{-1}: the row of prod_j (1 - chi_j X) (``np.poly``
+    of the chi_j) in a one-prime kernels.euler_product call, whose pole test
+    raises PoleError when the factor vanishes.  ValueError unless s is finite."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    x = complex(chi.p) ** (-s)
-    res = 1.0 + 0.0j
-    for c in chi.chi:
-        den = 1.0 - c * x
-        if abs(den) < 1e-13 * max(1.0, abs(c * x)):
-            raise PoleError(f"local factor pole: 1 - chi*p^-s vanished for chi={c}")
-        res /= den
-    return res
+    return kernels.euler_product((chi.p,), [np.poly(chi.chi)], s)
 
 
 def local_factor_series(chi: SatakeParam, d: int) -> list[complex]:
@@ -611,24 +607,40 @@ def twist(chi: SatakeParam, s: complex) -> SatakeParam:
     return SatakeParam(chi.n, chi.p, tuple(c * factor for c in chi.chi))
 
 
+@lru_cache(maxsize=1 << 12)
+def _unit_product(p: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
+    """The (nu, c), c an integer, with 1_{K p^lam K} * 1_{K p^mu K} = sum c 1_{K p^nu K}:
+    the product of the two transforms scaled to the integers p^<nu, rho> [m_nu],
+    peeled by the counts of _transform_terms (p^<2 nu, rho> at nu), largest first."""
+    n, rho2 = len(lam), range(len(lam) - 1, -len(lam), -2)
+    sf, sg = (satake_transform(HeckeFn.double_coset(n, p, w)) for w in (lam, mu))
+    rest = {nu: int((c * SqrtP.half_power(p, sum(map(operator.mul, nu, rho2)))).a)
+            for nu, c in (sf * sg).coeffs.items()}
+    out = []
+    while rest:
+        nu = max(rest)
+        (_, lead, _), *lower = _transform_terms(p, nu)
+        c = rest.pop(nu) // lead
+        if c:
+            out.append((nu, c))
+            for m, count, _ in lower:
+                rest[m] = rest.get(m, 0) - c * count
+    return tuple(out)
+
+
 def convolve(f: HeckeFn, g: HeckeFn) -> HeckeFn:
     """Convolution of finitely supported bi-invariant functions at one prime
-    and rank: S^{-1}(S f * S g), exact for exact coefficients.  The product
-    is peeled once per weight nu, the largest first: S(1_{K p^nu K}) is
-    p^<nu, rho> m_nu plus lexicographically smaller weights.  ValueError,
-    before any coefficient is computed, past _MAX_WEIGHT_PAIRS."""
+    and rank: the sum of f(lam) g(mu) _unit_product(p, lam, mu), so the
+    coefficients enter only after the exact peel.  ValueError, before any
+    coefficient is computed, past _MAX_WEIGHT_PAIRS."""
     if f.n != g.n or f.p != g.p:
         raise ValueError("operands must share rank and prime")
     sizes = [sum(lam + mu) - f.n * (lam[-1] + mu[-1]) for lam in f.coeffs for mu in g.coeffs]
     _check_work(f.n, sizes, math.factorial(min(f.n, 20)))  # n! monomials per weight
-    rest = dict((satake_transform(f) * satake_transform(g)).coeffs)
     out = {}
-    while rest:
-        nu = max(rest)
-        c = rest.pop(nu)
-        (_, _, half), *lower = _transform_terms(f.p, nu)
-        c = c * half  # the leading term is p^(<nu, rho>) = 1 / half
-        for mu, count, h in lower:
-            rest[mu] = rest.get(mu, 0) - c * count * h
-        out[nu] = c.a if isinstance(c, SqrtP) and c.b == 0 else c
+    for lam, a in f.coeffs.items():
+        for mu, b in g.coeffs.items():
+            for nu, c in _unit_product(f.p, lam, mu):
+                v = a * b * c
+                out[nu] = out[nu] + v if nu in out else v
     return HeckeFn(f.n, f.p, out)

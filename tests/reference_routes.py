@@ -15,6 +15,9 @@ compare the package's single route against it.
   against the closed diagonal form of polya.norm_bound_check.
 * dirichlet_partial_sum: a truncated Dirichlet series, against the Euler
   products of lfun.
+* per_prime_euler: an Euler product with its local polynomial built by one
+  Python call per prime and evaluated by Horner's rule and np.prod,
+  against lfun.euler_product_eval on the rows its products build once.
 * lambda_one_point, sampler_one_point, scan_one_point: the completed
   functions, the critical-line sampler and the zero scan one point at a
   time, each integrand built and integrated on its own with nodes rebuilt
@@ -172,6 +175,31 @@ def dirichlet_partial_sum(table, s: complex) -> complex:
     n_arr = np.arange(1, len(table) + 1, dtype=float)
     a_arr = np.array(table.values, dtype=float)
     return complex(sum_compensated(a_arr * np.exp(-s * np.log(n_arr))))
+
+
+def per_prime_euler(label: str, table, normalization: str, s: complex,
+                    prime_bound: int) -> complex:
+    """The finite Euler product of zeta ("zeta") or of the weight-12 cusp
+    form ("delta", from a CoeffTable) over p <= prime_bound: one local
+    polynomial per prime from a per-prime function, stacked into rows,
+    evaluated together by Horner's rule and multiplied by np.prod."""
+    if label == "zeta":
+        def local(p):
+            return (1.0, -1.0)
+    elif normalization == "arithmetic":
+        def local(p):
+            return (1.0, -float(table.a(p)), float(p) ** 11)
+    else:
+        def local(p):
+            ap = table.a(p) / float(p) ** 5.5
+            return (1.0, -ap, 1.0)
+    ps = lfun.primes_up_to(prime_bound)
+    rows = np.array([local(int(p)) for p in ps], dtype=complex)
+    x = np.exp(-complex(s) * np.log(np.array(ps, dtype=np.int64).astype(float)))
+    val = np.zeros_like(x)
+    for col in rows.T[::-1]:
+        val = val * x + col
+    return complex(1.0 / np.prod(val))
 
 
 def _integrate_one(f, a: float, b: float, tol: float, max_refinements: int) -> complex:

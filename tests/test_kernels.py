@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from adelic_zeta import _pykernels as kernels
 from adelic_zeta import lfun
+from adelic_zeta.numkit import PoleError
 
 
 class TestNeumaierSum:
@@ -259,8 +260,19 @@ class TestEulerProduct:
     def test_vanishing_factor_names_the_prime(self):
         coeffs = [(1.0, -0.5)] * len(self.PRIMES)
         coeffs[3] = (0.0, 0.0)
-        with pytest.raises(ZeroDivisionError, match="p=7"):
+        with pytest.raises(PoleError, match="p=7"):
             kernels.euler_product(self.PRIMES, coeffs, 2.0)
+
+    def test_cancellation_below_relative_bound_is_a_pole(self):
+        # at s = 0 every x is 1: the row (1, c) has value 1 + c and terms of
+        # size 1 + |c|, so 1 - (1 - 1e-14) is at most 1e-13 times its terms
+        coeffs = [(1.0, -0.5)] * len(self.PRIMES)
+        coeffs[4] = (1.0, -1.0 + 1e-14)
+        with pytest.raises(PoleError, match="p=11"):
+            kernels.euler_product(self.PRIMES, coeffs, 0.0)
+        coeffs[4] = (1.0, -1.0 + 1e-12)  # 1e-12 exceeds 1e-13 * 2: a value
+        assert kernels.euler_product(self.PRIMES, coeffs, 0.0) == 1.0 / math.prod(
+            [0.5] * 4 + [1.0 + (-1.0 + 1e-12)] + [0.5] * 5)
 
 
 def pentagonal_eta24(n):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference_routes import dirichlet_partial_sum
+from reference_routes import dirichlet_partial_sum, per_prime_euler
 
 from adelic_zeta import records
 from adelic_zeta.lfun import (
     CoeffTable,
+    EulerProduct,
     _delta_series,
     completed_lambda_delta,
     completed_lambda_zeta,
@@ -205,9 +206,9 @@ class TestEulerProducts:
         assert abs(a - u) <= 1e-12 * abs(a)
 
     def test_descriptor_round_trip(self):
-        # a descriptor holds its local polynomial as a callable, so its round
-        # trip is its constructor: rebuilding from (label, normalization)
-        # gives bitwise the same values
+        # a descriptor holds rows built from its table, and it is not
+        # serialized, so its round trip is its constructor: rebuilding from
+        # (label, normalization) gives bitwise the same values
         table = tau_coefficients(600)
         s = 8.0 + 0.5j
         for L in (zeta_product(), delta_product(table), delta_product(table, "unitary")):
@@ -218,6 +219,45 @@ class TestEulerProducts:
             assert (back.label, back.degree, back.normalization, back.weight) == (
                 L.label, L.degree, L.normalization, L.weight)
             assert euler_product_eval(back, s, 500).value == euler_product_eval(L, s, 500).value
+
+
+class TestEulerRows:
+    """The local rows built once per product, against the per-prime route."""
+
+    @pytest.mark.parametrize("pmax", [2, 3, 100, 1000, 10000])
+    def test_values_bitwise_equal_to_per_prime_route(self, pmax):
+        rng = random.Random(18 + pmax)
+        cases = [("zeta", None, "unitary")] + [
+            ("delta", table, normalization)
+            for table in (tau_coefficients(10000), tau_coefficients(max(pmax, 2)))
+            for normalization in ("arithmetic", "unitary")
+        ]
+        for label, table, normalization in cases:
+            L = zeta_product() if table is None else delta_product(table, normalization)
+            shift = L.weight / 2.0 if normalization == "arithmetic" else 0.0
+            for _ in range(4):
+                s = complex(shift + rng.uniform(1.01, 4.0), rng.uniform(-40.0, 40.0))
+                got = euler_product_eval(L, s, pmax).value
+                want = per_prime_euler(label, table, normalization, s, pmax)
+                assert repr(got) == repr(want), (label, normalization, len(table or ()), s)
+
+    def test_delta_rows_cover_the_table_read_only(self):
+        table = tau_coefficients(600)
+        for normalization in ("arithmetic", "unitary"):
+            L = delta_product(table, normalization)
+            assert L.rows.shape == (len(primes_up_to(600)), 3) and L.bound == 600
+            assert not L.rows.flags.writeable
+        with pytest.raises(ValueError, match="normalization must be arithmetic or unitary"):
+            delta_product(table, "analytic")
+        assert tuple(zeta_product().rows[12345]) == (1.0, -1.0)
+
+    def test_vanishing_row_raises_pole_naming_the_prime(self):
+        # at s = 2 the row (1, -9) at p = 3 is 1 - 9/9: no digit survives
+        rows = np.array([[1.0, -0.5], [1.0, -9.0], [1.0, -0.5]], dtype=complex)
+        L = EulerProduct("test", 1, rows, 5, "unitary")
+        with pytest.raises(PoleError, match="p=3"):
+            euler_product_eval(L, 2.0, 5)
+        assert euler_product_eval(L, 2.0, 2).value == pytest.approx(1.0 / (1.0 - 0.5 / 4.0))
 
 
 def dyadic(lo: float, hi: float):

@@ -18,11 +18,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_routes import _order_classes, coset_convolve, coset_radial, coset_transform
 
 from adelic_zeta import satake
+from adelic_zeta.numkit import PoleError
 from adelic_zeta.satake import (
     HeckeFn,
     SatakeParam,
@@ -124,6 +125,9 @@ def orbit_trace_oracle(chi: tuple[complex, ...], d: int) -> complex:
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+chi_entries = st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0, allow_nan=False,
+                                 allow_infinity=False)
+small_s = st.builds(complex, st.floats(-1.0, 2.0), st.floats(-5.0, 5.0))
 small_weights = st.tuples(st.integers(-2, 3), st.integers(-2, 3)).map(dominant)
 complex_coeffs = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
 mixed_hecke_coeffs = st.dictionaries(
@@ -178,6 +182,24 @@ class TestSqrtP:
             assert half == x and hash(half) == hash(x) and x in {half}
         assert half != 0.5 + 1e-300j
         assert SqrtP(3, Fraction(1, 3)) != 1 / 3
+
+
+class TestOrbits:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_monomials_match_permutation_sets(self, n, data):
+        weights = st.lists(st.integers(-2, 3), min_size=n, max_size=n).map(dominant)
+        coeffs = data.draw(st.dictionaries(weights, st.integers(1, 9), max_size=3))
+        want = {mu: c for lam, c in coeffs.items() for mu in set(itertools.permutations(lam))}
+        assert SymLaurent(n, coeffs).monomials() == want
+        for lam in coeffs:  # each point of the orbit is built once
+            assert sorted(satake._orbit(lam)) == sorted(set(itertools.permutations(lam)))
+
+    def test_orbit_at_rank_ten_has_ten_monomials(self):
+        lam = (1,) + (0,) * 9
+        got = SymLaurent.orbit(lam).monomials()
+        assert len(list(satake._orbit(lam))) == 10
+        assert got == {tuple(int(i == j) for j in range(10)): 1 for i in range(10)}
 
 
 class TestHeckeFn:
@@ -374,19 +396,31 @@ class TestMacdonaldRoute:
                 got = satake_truncated_radial(sigma, d, p=p)
                 assert repr(got) == repr(coset_radial(sigma, d, p)), (d, sigma)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from([2, 3, 5, 7]), fc=mixed_hecke_coeffs, gc=mixed_hecke_coeffs)
+    @example(p=3, fc={(3, 2): -0.3 + 0.2j}, gc={(2, -1): 0.4 + 0.2j})
+    @example(p=5, fc={(2, -1): -0.7 - 0.3j}, gc={(2, 1): -0.7 + 0.8j})
     def test_convolution_equals_coset_route(self, p, fc, gc):
-        # exact coefficients give the coset route's exact convolution; the
-        # peel also ends on complex floats, within their rounding
+        # the caller's coefficients multiply the integer expansion of each
+        # pair of cosets, so complex ones reach exactly the coset route's
+        # weights: a float peel left (3, 3): -1.1e-16 on the first example
+        # and (2, 2): -1.8e-15-8.9e-16j on the second.  Both routes form
+        # f(lam) g(mu) count and sum over the pairs in one order, so the
+        # values agree exactly too, complex or rational
         f, g = HeckeFn(2, p, fc), HeckeFn(2, p, gc)
         got, want = convolve(f, g).coeffs, coset_convolve(f, g).coeffs
-        if not any(isinstance(c, complex) for c in [*f.coeffs.values(), *g.coeffs.values()]):
-            assert got == want
-            return
-        size = max([1.0] + [abs(complex(c)) for c in want.values()])
-        for nu in set(got) | set(want):
-            assert abs(complex(got.get(nu, 0)) - complex(want.get(nu, 0))) <= 1e-9 * size, nu
+        assert set(got) == set(want)
+        assert got == want
+
+    def test_unit_products_are_integers(self):
+        # T_p * T_p = T_{p^2} + (p+1) 1_{pI}; coefficients apply after the peel
+        assert satake._unit_product(3, (1, 0), (1, 0)) == (((2, 0), 1), ((1, 1), 4))
+        for (lam, mu), c in zip(itertools.product([(2, -1), (1, 1), (3, 0)], repeat=2),
+                                itertools.cycle([2.5 - 1j, Fraction(2, 3)])):
+            pairs = satake._unit_product(5, lam, mu)
+            assert all(type(n) is int and n > 0 for _, n in pairs)
+            got = convolve(HeckeFn(2, 5, {lam: c}), HeckeFn.double_coset(2, 5, mu)).coeffs
+            assert got == {nu: c * n for nu, n in pairs}
 
     @pytest.mark.parametrize("p, lam", [(p, lam) for p in (2, 3) for lam in RANK3_WEIGHTS]
                              + [(2, (3, 2, 1))])
@@ -540,8 +574,29 @@ class TestLocalFactors:
 
     def test_pole_detected(self):
         chi = SatakeParam(1, 2, (1.0,))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(PoleError, match="p=2"):
             local_factor(chi, 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from(PRIMES[:4]), chi=st.lists(chi_entries, min_size=1, max_size=4),
+           s=small_s)
+    def test_local_factor_against_product(self, p, chi, s):
+        # the row loses digits like sum |c_k x^k| / |value|, at most
+        # prod (1 + |chi_j x|) / |prod (1 - chi_j x)|
+        x = complex(p) ** (-s)
+        den = math.prod(1.0 - c * x for c in chi)
+        cond = math.prod(1.0 + abs(c * x) for c in chi) / abs(den)
+        assume(cond < 1e6)
+        got = local_factor(SatakeParam(len(chi), p, tuple(chi)), s)
+        assert abs(got * den - 1.0) <= 1e-13 * cond
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from(PRIMES[:4]), others=st.lists(chi_entries, max_size=3),
+           at=st.integers(0, 3), s=small_s)
+    def test_local_factor_pole_where_chi_is_p_to_the_s(self, p, others, at, s):
+        chi = others[:at] + [complex(p) ** s] + others[at:]
+        with pytest.raises(PoleError, match=f"p={p}"):
+            local_factor(SatakeParam(len(chi), p, tuple(chi)), s)
 
     def test_series_vs_bruteforce_products(self):
         rng = random.Random(555)
@@ -647,3 +702,6 @@ class TestSatakeParam:
         chi = SatakeParam(2, 2, (0.2, -1.5))
         assert chi.norm == 1.5
         assert SatakeParam(2, 2, (-1.5, 0.2)) == chi
+        # subnormal parts order too (cmath.phase raised OverflowError on them)
+        tiny = SatakeParam(2, 2, (1e300 + 1e-310j, 2 + 5e-324j))
+        assert tiny.chi == (2 + 5e-324j, 1e300 + 1e-310j)
