@@ -5,12 +5,16 @@ Callers reach them through ``_backend.kernels``.  ``neumaier_sum`` is
 correctly rounded by ``math.fsum``, so it does not depend on the order of
 its terms; the row-wise sums of arrays (``row_sums`` and the batched
 lattice sums) are compensated, as accurate as a plain sum in twice the
-working precision.  The eta q-expansion is exact: sparse passes in int64
-modulo primes below 2^31, as many as Deligne's bound on tau requires, and
-the Chinese remainder theorem back to Python ints.
+working precision.  A lattice sum stops where its term bound falls below
+TAIL_TOL, at a point that depends only on the polynomial's degree and
+coefficient sum, so it is found once per such pair.  The eta q-expansion
+is exact: sparse passes in int64 modulo primes below 2^31, as many as
+Deligne's bound on tau requires, and the Chinese remainder theorem back
+to Python ints.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +29,8 @@ class PoleError(ZeroDivisionError):
 # so a lattice weight exp(-pi x^2) is masked to 0 (and so is its term
 # bound) from pi x^2 = EXP_UNDERFLOW on
 EXP_UNDERFLOW = 745.0
+# a lattice sum stops once its term bound lies below this, past the hump
+TAIL_TOL = 1e-17
 
 _MAX_LATTICE_TERMS = 5_000_000
 # lattice terms evaluated per chunk (rows x columns) of a batched lattice
@@ -85,19 +91,20 @@ def row_sums(a):
     return out
 
 
-def _quiet_from(deg, amax, x_stop, tail_tol):
-    """Where the lattice truncation test starts to pass: the smallest double
-    x >= x_stop whose term bound 2*amax*max(1,x)^deg*exp(-pi x^2) lies below
-    ``tail_tol`` (the bound is 0 once the weight underflows, pi x^2 >=
-    EXP_UNDERFLOW).
-    Past x_stop the bound decreases, so bisection over the doubles finds it;
-    Newton's method on the log of the bound narrows the bracket first.
-    None when the test never passes (tail_tol <= 0 or nan)."""
+@lru_cache(maxsize=128)
+def _quiet_from(deg, amax):
+    """Where the lattice truncation test starts to pass for a polynomial of
+    degree ``deg`` and coefficient sum ``amax`` = sum |c_k|: the smallest
+    double x >= x_stop whose term bound 2*amax*max(1,x)^deg*exp(-pi x^2)
+    lies below TAIL_TOL.  Past x_stop the bound decreases, and it is 0 once
+    the weight underflows (pi x^2 >= EXP_UNDERFLOW), so bisection over the
+    doubles finds it; computed once per (deg, amax)."""
+    x_stop = max(1.0, math.sqrt(deg / (2.0 * math.pi)) + 0.5)
 
     def quiet(x):
         px = math.pi * x * x
         bound = 0.0 if px >= EXP_UNDERFLOW else 2.0 * amax * max(1.0, x) ** deg * math.exp(-px)
-        return bound < tail_tol
+        return bound < TAIL_TOL
 
     lo = x_stop
     if quiet(lo):
@@ -105,20 +112,6 @@ def _quiet_from(deg, amax, x_stop, tail_tol):
     hi = math.sqrt(EXP_UNDERFLOW / math.pi)
     while math.pi * hi * hi < EXP_UNDERFLOW:
         hi = math.nextafter(hi, math.inf)
-    if not quiet(hi):
-        return None
-    # root of pi x^2 - deg log x - log(2 amax / tail_tol), increasing and
-    # convex past x_stop >= 1: from below, one step overshoots, then the
-    # iterates fall monotonically onto it
-    log_ratio = math.log(2.0 * amax) - math.log(tail_tol)
-    x = max(x_stop, math.sqrt(max(log_ratio, 0.0) / math.pi))
-    for _ in range(6):
-        x -= (math.pi * x * x - deg * math.log(x) - log_ratio) / (2.0 * math.pi * x - deg / x)
-    a, b = x * (1.0 - 1e-14), x * (1.0 + 1e-14)
-    if lo < a < hi and not quiet(a):
-        lo = a
-    if lo < b < hi and quiet(b):
-        hi = b
     while True:
         mid = lo + 0.5 * (hi - lo)
         if not lo < mid < hi:
@@ -155,7 +148,7 @@ def _chunk_width(columns, rows):
     return max(1, min(1 << (int(columns) - 1).bit_length(), _CHUNK_TERMS // rows))
 
 
-def gauss_poly_lattice_sums(scales, coeffs, tail_tol):
+def gauss_poly_lattice_sums(scales, coeffs):
     """sum_{k>=1} (P(k*s) + P(-k*s)) * exp(-pi*(k*s)^2) for every scale s.
 
     P is the polynomial with (complex) ``coeffs`` in ascending order.  Odd
@@ -163,8 +156,9 @@ def gauss_poly_lattice_sums(scales, coeffs, tail_tol):
     in particular an odd P gives exactly 0.  Returns (values, kmax): complex
     sums and the last lattice index each includes.  Truncation: past the
     hump x_stop of x^deg*exp(-pi x^2), stop after two consecutive indices
-    whose term bound 2*amax*max(1,x)^deg*exp(-pi x^2) is below ``tail_tol``.
-    That index is computed for every scale before any term is: a scale
+    whose term bound 2*amax*max(1,x)^deg*exp(-pi x^2) is below TAIL_TOL
+    (amax = sum |c_k|).  The bound passes from x_q = _quiet_from(deg, amax)
+    on, so that index is computed for every scale before any term is: a scale
     whose sum would pass _MAX_LATTICE_TERMS is refused with RuntimeError.
     The terms are then evaluated in chunks of about _CHUNK_TERMS cells of
     the (scale x index) block and summed row-wise with compensation.
@@ -175,13 +169,7 @@ def gauss_poly_lattice_sums(scales, coeffs, tail_tol):
     even = np.asarray(coeffs[0::2], dtype=complex)
     if scales.size == 0 or not (even != 0).any():
         return np.zeros(scales.size, dtype=complex), np.zeros(scales.size, dtype=np.int64)
-    deg = len(coeffs) - 1
-    amax = sum(abs(c) for c in coeffs)
-    # beyond x_stop the term bound 2*amax*max(1,x)^deg*exp(-pi x^2) decreases
-    x_stop = max(1.0, math.sqrt(deg / (2.0 * math.pi)) + 0.5)
-    x_q = _quiet_from(deg, amax, x_stop, tail_tol)
-    if x_q is None:
-        raise RuntimeError("lattice sum did not terminate (scale too small)")
+    x_q = _quiet_from(len(coeffs) - 1, sum(abs(c) for c in coeffs))
     # Overflowing quotients, x, x^2 and exp arguments at extreme scales are
     # masked below, so their warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,12 +201,12 @@ def gauss_poly_lattice_sums(scales, coeffs, tail_tol):
     return values, last.astype(np.int64)
 
 
-def gauss_poly_lattice_sum(scale, coeffs, tail_tol):
+def gauss_poly_lattice_sum(scale, coeffs):
     """The lattice sum of ``gauss_poly_lattice_sums`` at one scale, as
     (complex value, kmax)."""
     if not (0.0 < scale < math.inf):
         raise ValueError("scale must be positive and finite")
-    values, kmax = gauss_poly_lattice_sums(np.array([scale]), coeffs, tail_tol)
+    values, kmax = gauss_poly_lattice_sums(np.array([scale]), coeffs)
     return complex(values[0]), int(kmax[0])
 
 
@@ -229,15 +217,22 @@ def euler_product(primes, coeffs, s):
     The local factors are evaluated together by Horner's rule and
     multiplied by ``np.prod``.  This is the one test of a vanishing local
     factor: PoleError, naming the first such prime, where the value is 0 or
-    at most 1e-13 times the size sum_k |c_k x^k| of its terms.
+    at most 1e-13 times the size sum_k |c_k x^k| of its terms.  A factor
+    whose value or size is not finite (far left of the strip, where p^-s
+    overflows) is refused first, with ValueError and no numpy warning.
     """
     s = complex(s)
-    x = np.exp(-s * np.log(np.asarray(primes, dtype=float)))
     rows = np.asarray(coeffs, dtype=complex)
-    val, size, ax = np.zeros_like(x), np.zeros(x.shape), np.abs(x)
-    for col in rows.T[::-1]:
-        val = val * x + col
-        size = size * ax + np.abs(col)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(-s * np.log(np.asarray(primes, dtype=float)))
+        val, size, ax = np.zeros_like(x), np.zeros(x.shape), np.abs(x)
+        for col in rows.T[::-1]:
+            val = val * x + col
+            size = size * ax + np.abs(col)
+    lost = ~(np.isfinite(val) & np.isfinite(size))
+    if lost.any():
+        p = primes[int(np.argmax(lost))]
+        raise ValueError(f"local factor at p={p} is not finite at s={s}")
     vanish = np.abs(val) <= 1e-13 * size
     if vanish.any():
         raise PoleError(f"local factor vanishes at p={primes[int(np.argmax(vanish))]}")

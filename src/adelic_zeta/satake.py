@@ -49,7 +49,7 @@ __all__ = [
 
 _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
-_MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight pairs one transform call reads
+_MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight or monomial pairs one call reads
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
 _MAX_FLOAT_DECADES = 300  # bound on |log10| of a float radial weight p^(-sigma m)
@@ -394,33 +394,36 @@ def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration
             f"K diag(p^lambda) K at p = {p}, lambda = {lam} has {count} representatives,"
             f" more than {_MAX_COSETS}"
         )
-    shift = Fraction(p) ** lam[1]
+    shift, zero = Fraction(p) ** lam[1], Fraction(0)
     reps = []
     for a in range(m + 1):
         c = m - a
         pa = p**a
+        # only the entry b changes within one diagonal (p^a, p^c)
+        left, right = shift * pa, shift * p**c
         for b in range(pa):
             # primitive: a, c and the p-adic order of b not all positive
             if a and c and b % p == 0:
                 continue
-            reps.append(
-                (
-                    (shift * pa, shift * b),
-                    (Fraction(0), shift * p**c),
-                )
-            )
+            reps.append(((left, shift * b), (zero, right)))
     return CosetEnumeration(2, p, lam, tuple(reps), depth=m + 1)
+
+
+def _compositions(n: int, k: int) -> int:
+    """C(k + n - 1, n - 1), the vectors of n integers >= 0 summing to k, or
+    _MAX_WEIGHT_PAIRS + 1 once k, n - 1 >= 22 (the count is then > 10^12)."""
+    return math.comb(k + n - 1, n - 1) if min(k, n - 1) < 22 else _MAX_WEIGHT_PAIRS + 1
 
 
 def _check_work(n: int, sizes, scale: int = 1) -> None:
     """ValueError, before any coefficient is computed, past
     _MAX_WEIGHT_PAIRS: each size k counts `scale` times the w (w + 1) / 2
     pairs of its w partitions into at most n parts, bounded by
-    C(k + n - 1, n - 1) (> 10^12 once k, n - 1 >= 22) and, for n <= 21, by
-    C(k + n (n + 1) / 2 - 1, n - 1) / n! (exact for n <= 2)."""
+    _compositions(n, k) and, for n <= 21, by C(k + n (n + 1) / 2 - 1, n - 1)
+    / n! (exact for n <= 2)."""
     pairs = 0
     for k in sizes:
-        w = math.comb(k + n - 1, n - 1) if min(k, n - 1) < 22 else _MAX_WEIGHT_PAIRS + 1
+        w = _compositions(n, k)
         if n <= 21:  # the parts of k + n (n + 1) / 2 made distinct by (n, ..., 1)
             w = min(w, math.comb(k + n * (n + 1) // 2 - 1, n - 1) // math.factorial(n))
         pairs += w * (w + 1) // 2 * scale
@@ -563,7 +566,8 @@ def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:
 def local_factor(chi: SatakeParam, s: complex) -> complex:
     """prod_j (1 - chi_j p^{-s})^{-1}: the row of prod_j (1 - chi_j X) (``np.poly``
     of the chi_j) in a one-prime kernels.euler_product call, whose pole test
-    raises PoleError when the factor vanishes.  ValueError unless s is finite."""
+    raises PoleError when the factor vanishes.  ValueError unless s is finite,
+    and from the kernel where the factor is not (far left of the strip)."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
@@ -632,11 +636,15 @@ def convolve(f: HeckeFn, g: HeckeFn) -> HeckeFn:
     """Convolution of finitely supported bi-invariant functions at one prime
     and rank: the sum of f(lam) g(mu) _unit_product(p, lam, mu), so the
     coefficients enter only after the exact peel.  ValueError, before any
-    coefficient is computed, past _MAX_WEIGHT_PAIRS."""
+    coefficient is computed, past _MAX_WEIGHT_PAIRS weight pairs in the
+    peel or monomial pairs in the products of transforms: a transform of
+    shifted size k = |lam| - n lam_n has at most _compositions(n, k) monomials."""
     if f.n != g.n or f.p != g.p:
         raise ValueError("operands must share rank and prime")
-    sizes = [sum(lam + mu) - f.n * (lam[-1] + mu[-1]) for lam in f.coeffs for mu in g.coeffs]
-    _check_work(f.n, sizes, math.factorial(min(f.n, 20)))  # n! monomials per weight
+    ks = [[sum(lam) - f.n * lam[-1] for lam in h.coeffs] for h in (f, g)]
+    _check_work(f.n, [a + b for a in ks[0] for b in ks[1]])
+    if math.prod(sum(_compositions(f.n, k) for k in side) for side in ks) > _MAX_WEIGHT_PAIRS:
+        raise ValueError(f"rank {f.n}: more than {_MAX_WEIGHT_PAIRS} monomial pairs to expand")
     out = {}
     for lam, a in f.coeffs.items():
         for mu, b in g.coeffs.items():

@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 MAX_ARCH_DEGREE = 8
-_TAIL_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -222,9 +221,7 @@ def _E_with_counts(f: AdelicTestFn, ts: np.ndarray):
     counts = []
     for fin, arch in f.summands:
         ms = [float(m) for _c, m in fin.terms]
-        sums, kmax = kernels.gauss_poly_lattice_sums(
-            np.outer(ms, ts).ravel(), arch.coeffs, _TAIL_TOL
-        )
+        sums, kmax = kernels.gauss_poly_lattice_sums(np.outer(ms, ts).ravel(), arch.coeffs)
         cs = np.array([c for c, _m in fin.terms])
         parts.append(cs[:, None] * sums.reshape(len(ms), -1))
         counts.extend(zip(ms, kmax.reshape(len(ms), -1)))
@@ -242,8 +239,6 @@ def E_eval_report(f: AdelicTestFn, t: float) -> EEvalReport:
     """E(f)(t) = sqrt(t) * sum over nonzero rationals gamma of
     f_fin(gamma) f_arch(gamma t), with the per-scale lattice truncation
     radius that the kernel actually used."""
-    if not (t > 0.0) or math.isinf(t):
-        raise ValueError("t must lie in (0, inf)")
     values, counts = _E_with_counts(f, np.array([t], dtype=float))
     term_counts = tuple((m, int(kmax[0])) for m, kmax in counts)
     radius = max([0.0] + [m * kmax for m, kmax in term_counts])
@@ -259,8 +254,6 @@ def functional_eq_residual(f: AdelicTestFn, t: float) -> float:
     gamma = 0 boundary term sqrt(t) f(0); Poisson summation over the
     rational points makes this vanish for every admissible f, and the
     boundary terms drop out exactly on the S0 subspace."""
-    if not (t > 0.0) or math.isinf(t):
-        raise ValueError("t must lie in (0, inf)")
     fhat = f.fourier()
     lhs = E_eval(f, t) + math.sqrt(t) * f.at_zero()
     rhs = E_eval(fhat, 1.0 / t) + fhat.at_zero() / math.sqrt(t)

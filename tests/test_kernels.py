@@ -107,7 +107,7 @@ class TestLatticeSum:
                 complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(deg + 1)
             )
             scale = 10.0 ** rng.uniform(-2.0, 1.0)
-            value, kmax = kernels.gauss_poly_lattice_sum(scale, coeffs, 1e-17)
+            value, kmax = kernels.gauss_poly_lattice_sum(scale, coeffs)
             ref = brute_lattice_sum(scale, coeffs)
             assert kmax >= 2
             assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), (scale, coeffs)
@@ -122,41 +122,45 @@ class TestLatticeSum:
             ([0.2], (2.0 - 1j, 0.0, -0.5, 0.0, 0.1)),
             ([0.05, 0.3, 0.11], (1.0, 0.5j, 0.25)),
         ):
-            values, kmax = kernels.gauss_poly_lattice_sums(scales, coeffs, 1e-17)
+            values, kmax = kernels.gauss_poly_lattice_sums(scales, coeffs)
             assert kmax.max() > 3 * 3
             for scale, value in zip(scales, values):
                 ref = brute_lattice_sum(scale, coeffs)
                 assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
+    # coefficients scaled by 1, 1e-7 and 1e-20 put amax / TAIL_TOL where
+    # tolerances 1e-17, 1e-10 and 1e3 put it for unscaled ones: long sums,
+    # and polynomials whose test passes already at x_stop
     @settings(max_examples=150, deadline=None)
     @given(
         coeffs=st.lists(coefficient, min_size=1, max_size=9),
-        tail_tol=st.sampled_from((1e-17, 1e-10, 1e3)),
+        coeff_scale=st.sampled_from((1.0, 1e-7, 1e-20)),
         scales=st.lists(st.floats(1e-2, 30.0), min_size=1, max_size=8),
     )
-    def test_batch_matches_the_loop(self, coeffs, tail_tol, scales):
-        values, kmax = kernels.gauss_poly_lattice_sums(scales, tuple(coeffs), tail_tol)
+    def test_batch_matches_the_loop(self, coeffs, coeff_scale, scales):
+        coeffs = tuple(c * coeff_scale for c in coeffs)
+        values, kmax = kernels.gauss_poly_lattice_sums(scales, coeffs)
         for scale, value, k in zip(scales, values, kmax):
-            ref, ref_k = loop_lattice_sum(scale, coeffs, tail_tol)
+            ref, ref_k = loop_lattice_sum(scale, coeffs, kernels.TAIL_TOL)
             assert k == ref_k
             assert abs(value - ref) <= 4e-16 * max(1.0, abs(ref))
 
     def test_one_row_call(self):
-        value, kmax = kernels.gauss_poly_lattice_sum(0.3, (1.0, 0.0, 2.0 + 1j), 1e-17)
+        value, kmax = kernels.gauss_poly_lattice_sum(0.3, (1.0, 0.0, 2.0 + 1j))
         assert type(value) is complex and type(kmax) is int
-        values, kmaxs = kernels.gauss_poly_lattice_sums([0.3], (1.0, 0.0, 2.0 + 1j), 1e-17)
+        values, kmaxs = kernels.gauss_poly_lattice_sums([0.3], (1.0, 0.0, 2.0 + 1j))
         assert (value, kmax) == (values[0], kmaxs[0])
 
     def test_odd_polynomial_is_exact_zero(self):
-        value, kmax = kernels.gauss_poly_lattice_sum(0.5, (0.0, 1.0, 0.0, 2.0), 1e-17)
+        value, kmax = kernels.gauss_poly_lattice_sum(0.5, (0.0, 1.0, 0.0, 2.0))
         assert value == 0j and kmax == 0
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_scale_domain(self, scale):
         with pytest.raises(ValueError):
-            kernels.gauss_poly_lattice_sum(scale, (1.0,), 1e-17)
+            kernels.gauss_poly_lattice_sum(scale, (1.0,))
         with pytest.raises(ValueError):
-            kernels.gauss_poly_lattice_sums([1.0, scale], (1.0,), 1e-17)
+            kernels.gauss_poly_lattice_sums([1.0, scale], (1.0,))
 
     def test_guard_refuses_exactly_what_the_loop_refuses(self, monkeypatch):
         # The kernel with cap M must refuse exactly the scales that the
@@ -167,16 +171,17 @@ class TestLatticeSum:
         cases = []
         for _ in range(300):
             deg = rng.randint(0, 8)
+            coeff_scale = rng.choice((1.0, 1e-7, 1e-20))
             coeffs = tuple(
-                complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(deg + 1)
+                complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * coeff_scale
+                for _ in range(deg + 1)
             )
-            tail_tol = rng.choice((1e-17, 1e-10, 1e3))
-            kmax = kernels.gauss_poly_lattice_sum(1e-3, coeffs, tail_tol)[1]
+            kmax = kernels.gauss_poly_lattice_sum(1e-3, coeffs)[1]
             if kmax == 0:
                 continue  # odd polynomial: no loop at all
             # scales whose stopping index lies within ~15% of the cap
             scale = kmax * 1e-3 / (cap * rng.uniform(0.85, 1.15))
-            cases.append((scale, coeffs, tail_tol))
+            cases.append((scale, coeffs))
 
         blocks = []
         real_block = kernels._lattice_block
@@ -187,7 +192,7 @@ class TestLatticeSum:
         sides = set()
         for case in cases:
             try:
-                ref = loop_lattice_sum(*case, cap=cap)
+                ref = loop_lattice_sum(*case, kernels.TAIL_TOL, cap=cap)
             except RuntimeError:
                 sides.add("refused")
                 before = len(blocks)
@@ -204,15 +209,15 @@ class TestLatticeSum:
     def test_tiny_scale_refused_without_looping(self):
         start = time.perf_counter()
         with pytest.raises(RuntimeError):
-            kernels.gauss_poly_lattice_sum(1e-300, (1.0,), 1e-17)
+            kernels.gauss_poly_lattice_sum(1e-300, (1.0,))
         with pytest.raises(RuntimeError):
-            kernels.gauss_poly_lattice_sums([1.0, 5e-324], (0.0, 0.0, 1.0), 1e-17)
+            kernels.gauss_poly_lattice_sums([1.0, 5e-324], (0.0, 0.0, 1.0))
         assert time.perf_counter() - start < 0.1
 
     def test_huge_scales_raise_no_warning(self):
         # overflowing x, x^2 and exp arguments are masked inside the kernel
         values, kmax = kernels.gauss_poly_lattice_sums(
-            [1e200, 1e308, 3.0], (1e300, 0.0, 1e300), 1e-17
+            [1e200, 1e308, 3.0], (1e300, 0.0, 1e300)
         )
         assert values[0] == 0j and values[1] == 0j and list(kmax[:2]) == [2, 2]
 

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -470,7 +471,7 @@ class TestMacdonaldRoute:
         lambda: satake_truncated_radial(1, 10**9, n=3),
         lambda: satake_truncated_radial(0.5, 10**8, n=1),
         lambda: satake_truncated_radial(1, 3, n=10**5),
-        lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) + (0,) * 11)] * 2),
+        lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) * 6 + (0,) * 6)] * 2),
     ], ids=["rank3-transform", "rank2-transform", "rank3-radial", "rank1-radial",
             "rank-1e5-radial", "rank12-convolve"])
     def test_work_bound_refuses_fast(self, call):
@@ -478,6 +479,31 @@ class TestMacdonaldRoute:
         with pytest.raises(ValueError, match="weight pairs to read"):
             call()
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n, lam", [(8, (1, 1) + (0,) * 6), (6, (2, 1, 1, 0, 0, 0)),
+                                        (7, (2, 1) + (0,) * 5)])
+    def test_convolve_bound_counts_monomials_not_permutations(self, n, lam):
+        # 1296, 15876 and 7056 monomial pairs: cheap products that a bound of
+        # n! monomials per weight refused
+        f = HeckeFn.double_coset(n, 2, lam)
+        ff = convolve(f, f)
+        assert all(type(c) is int and c > 0 for c in ff.coeffs.values())
+        assert satake_transform(ff) == satake_transform(f) * satake_transform(f)
+
+    @pytest.mark.parametrize("n, lam, want", [
+        (12, (1,) * 6 + (0,) * 6, "weight pairs to read"),  # the peel count refuses first
+        (20, (1,) * 10 + (0,) * 10, "weight pairs to read"),
+        (2, (1500, 0), "monomial pairs to expand"),  # 1501^2, 1.1e6 weight pairs
+    ])
+    def test_convolve_bound_refuses_large_products_fast(self, n, lam, want):
+        f = HeckeFn.double_coset(n, 2, lam)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"rank {n}: more than 2000000 {want}"):
+                convolve(f, f)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-3
 
     def test_work_bound_holds_on_the_cap(self, monkeypatch):
         # d = 4 at rank 2 counts 5 sizes of at most 3 weights: 5 * 3 * 4 / 2
@@ -667,6 +693,23 @@ class TestLocalFactors:
             SatakeParam(2, 2, (0.5, bad))
         with pytest.raises(ValueError, match="must be finite"):
             local_factor(SatakeParam(2, 2, (0.5, 0.3)), bad)
+
+    @pytest.mark.parametrize("s", [-1000 + 3j, -1030, -2000])
+    def test_overflowing_factor_refused_without_warning(self, s):
+        # far left of the strip p^-s overflows: no false pole and no nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = re.escape(f"p=2 is not finite at s={complex(s)}")
+            with pytest.raises(ValueError, match=want):
+                local_factor(SatakeParam(2, 2, (0.5, 0.25)), s)
+
+    def test_pole_and_far_right_unchanged_by_the_finiteness_check(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1.0, -3.0 + 2.0j, 20.0):
+                with pytest.raises(PoleError, match="p=2"):
+                    local_factor(SatakeParam(2, 2, (0.5, complex(2) ** s)), s)
+            assert local_factor(SatakeParam(2, 2, (0.5, 0.25)), 800) == 1 + 0j
 
     @pytest.mark.parametrize("chi, d", [((1e300,), 3), ((2.0,), 1100), ((1e200, 1e200), 3),
                                         ((1e300j, 0.5), 2)])

@@ -16,6 +16,7 @@ from reference_routes import closed_form_mellin, direct_mellin
 from test_kernels import loop_lattice_sum
 
 from adelic_zeta import numkit, records, theta
+from adelic_zeta._backend import kernels
 from adelic_zeta.lfun import completed_lambda_zeta
 from adelic_zeta.numkit import PoleError, integrate_halfline, sum_compensated
 from adelic_zeta.theta import (
@@ -184,11 +185,27 @@ class TestEEval:
             assert rep.truncation_radius >= m * 1
 
     def test_domain_gates(self):
-        for bad in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                E_eval(standard_gaussian(), bad)
-            with pytest.raises(ValueError):
-                E_batch(standard_gaussian(), [1.0, bad])
+        # every public entry reaches the one check of t in the shared E path
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            for call in (E_eval, E_eval_report, functional_eq_residual,
+                         lambda f, t: E_batch(f, [1.0, t])):
+                with pytest.raises(ValueError, match=r"t must lie in \(0, inf\)"):
+                    call(standard_gaussian(), bad)
+
+    def test_truncation_point_found_once_per_polynomial(self):
+        # the kernel's cache misses once per distinct (degree, sum |c_k|),
+        # however many E_eval, E_batch and mellin_E calls reach it
+        f = make_S0(3)
+        keys = {(len(arch.coeffs) - 1, sum(abs(c) for c in arch.coeffs))
+                for g in (f, f.fourier()) for _fin, arch in g.summands}
+        kernels._quiet_from.cache_clear()
+        for t in (0.3, 0.7, 2.5):
+            E_eval(f, t)
+            E_batch(f, [t, 2.0 * t])
+        assert kernels._quiet_from.cache_info().misses == 1
+        for s in (0.3 + 2j, 1.5, -0.7 + 1j):
+            mellin_E(f, s)
+        assert kernels._quiet_from.cache_info().misses == len(keys) == 2
 
     def test_batch_matches_pointwise(self):
         ts = np.array(dyadic_grid(-7, 5, per_octave=3))
@@ -204,7 +221,7 @@ class TestEEval:
         for t in (0.03, 0.9, 7.0):
             rep = E_eval_report(f, t)
             for m, kmax in rep.term_counts:
-                assert kmax == loop_lattice_sum(m * t, (0.0, 0.0, 1.0), 1e-17)[1]
+                assert kmax == loop_lattice_sum(m * t, (0.0, 0.0, 1.0), kernels.TAIL_TOL)[1]
 
 
 _unit_complex = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
