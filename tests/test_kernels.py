@@ -143,7 +143,8 @@ class TestLatticeSum:
         for scale, value, k in zip(scales, values, kmax):
             ref, ref_k = loop_lattice_sum(scale, coeffs, kernels.TAIL_TOL)
             assert k == ref_k
-            assert abs(value - ref) <= 4e-16 * max(1.0, abs(ref))
+            # the unscaled bound 4e-16 * max(1, |ref|), scaled with the coefficients
+            assert abs(value - ref) <= 4e-16 * max(coeff_scale, abs(ref))
 
     def test_one_row_call(self):
         value, kmax = kernels.gauss_poly_lattice_sum(0.3, (1.0, 0.0, 2.0 + 1j))
@@ -181,7 +182,7 @@ class TestLatticeSum:
                 continue  # odd polynomial: no loop at all
             # scales whose stopping index lies within ~15% of the cap
             scale = kmax * 1e-3 / (cap * rng.uniform(0.85, 1.15))
-            cases.append((scale, coeffs))
+            cases.append((scale, coeffs, coeff_scale))
 
         blocks = []
         real_block = kernels._lattice_block
@@ -190,7 +191,7 @@ class TestLatticeSum:
             kernels, "_lattice_block", lambda *a: blocks.append(a) or real_block(*a)
         )
         sides = set()
-        for case in cases:
+        for *case, coeff_scale in cases:
             try:
                 ref = loop_lattice_sum(*case, kernels.TAIL_TOL, cap=cap)
             except RuntimeError:
@@ -203,7 +204,7 @@ class TestLatticeSum:
                 sides.add("accepted")
                 value, kmax = kernels.gauss_poly_lattice_sum(*case)
                 assert kmax == ref[1]
-                assert abs(value - ref[0]) <= 4e-16 * max(1.0, abs(ref[0]))
+                assert abs(value - ref[0]) <= 4e-16 * max(coeff_scale, abs(ref[0]))
         assert sides == {"refused", "accepted"}
 
     def test_tiny_scale_refused_without_looping(self):
