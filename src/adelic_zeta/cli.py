@@ -306,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_finite_arg, default=0.5)
     p.add_argument("--dmax", type=int, default=4)
     p.set_defaults(handler=_cmd_satake_radial,
-                   provenance="exact half-integer-power arithmetic through Macdonald's formula")
+                   provenance="Tamagawa's closed form p^((1/2 - sigma) |mu|),"
+                              " exact when 2 sigma is an integer")
 
     p = satake_ops.add_parser("trace", parents=[fmt], help="truncated geometric trace")
     p.add_argument("--chi", type=_complex_tuple_arg, required=True)

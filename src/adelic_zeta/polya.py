@@ -196,6 +196,12 @@ def scan_zeros(
     )
 
 
+def _check_delta(delta: float) -> None:
+    """ValueError unless 1 < delta < inf (NaN included)."""
+    if not 1.0 < delta < math.inf:
+        raise ValueError(f"delta must exceed 1 and be finite (got {delta!r})")
+
+
 def n_rho(mult: int, delta: float, variant: str = "literal") -> int:
     """Order count attached to a zero of multiplicity `mult` at weight
     exponent `delta`.
@@ -209,8 +215,7 @@ def n_rho(mult: int, delta: float, variant: str = "literal") -> int:
     """
     if int(mult) != mult or mult < 1:
         raise ValueError("mult must be an integer >= 1")
-    if not delta > 1.0:
-        raise ValueError("delta must exceed 1")
+    _check_delta(delta)
     if variant not in _RULE_VARIANTS:
         raise ValueError("variant must be one of %r" % sorted(_RULE_VARIANTS))
     n_cap = math.ceil(delta - 1.0) - 1  # largest integer strictly below delta-1
@@ -263,7 +268,9 @@ def build_spectrum(
 
     Ordering of `zeros` is preserved; both counting-rule readings are
     recorded on every entry while eig_mult follows the chosen variant.
+    ValueError unless 1 < delta < inf, before any zero is read.
     """
+    _check_delta(delta)
     if int(m_pi) != m_pi or m_pi < 1:
         raise ValueError("m_pi must be an integer >= 1")
     if variant not in _RULE_VARIANTS:

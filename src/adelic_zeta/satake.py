@@ -1,10 +1,11 @@
 """Exact layer at a fixed prime: Hermite coset enumeration for rank <= 2,
 the spherical transform at any rank (Macdonald's formula through
-Hall-Littlewood polynomials) of finitely supported bi-invariant functions
-and of the radial family 1_{integral} |det|^sigma, its inverse on products
-(integer Hecke structure constants), symmetric Laurent data, local Euler
-factors (one coefficient row for the Euler-product kernel, which decides
-poles), and truncated traces (partial sums of the h_k series).
+Hall-Littlewood polynomials) of finitely supported bi-invariant functions,
+its inverse on products (integer Hecke structure constants), the radial
+family 1_{integral} |det|^sigma in Tamagawa's closed form
+p^(((n-1)/2 - sigma) |mu|), symmetric Laurent data, local Euler factors
+(one coefficient row for the Euler-product kernel, which decides poles),
+and truncated traces (partial sums of the h_k series).
 
 Arithmetic that only involves integer powers of p^(1/2) stays exact via
 ``SqrtP`` (elements a + b*sqrt(p) with rational a, b); mixed expressions
@@ -52,7 +53,7 @@ _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight or monomial pairs one call reads
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
-_MAX_FLOAT_DECADES = 300  # bound on |log10| of a float radial weight p^(-sigma m)
+_MAX_FLOAT_DECADES = 300  # bound on |log10| of every float a radial table forms
 
 
 class SqrtP:
@@ -500,33 +501,21 @@ def satake_transform(f: HeckeFn) -> SymLaurent:
     return SymLaurent(f.n, acc)
 
 
-@lru_cache(maxsize=1 << 12)
-def _radial_totals(n: int, p: int, k: int) -> tuple:
-    """(mu, (T, p^(-<mu, rho>))) over the dominant mu >= 0 of length n and
-    size k, T summing N of _transform_terms over the lam of size k; the lam
-    with lam_n >= 1 are those of size k - n plus (1, ..., 1)."""
-    below = _radial_totals(n, p, k - n) if k >= n else ()
-    totals = {tuple(m + 1 for m in mu): th for mu, th in below}
-    for lam in _decreasing((k,) * n, k):
-        for mu, count, half in _transform_terms(p, lam) if lam[-1] == 0 else ():
-            totals[mu] = (totals.get(mu, (0,))[0] + count, half)
-    return tuple(totals.items())
-
-
 def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent:
     """Spherical transform of 1_{integral} |det|^sigma, tabulated on the
-    dominant weights mu >= 0 with |mu| <= d.
+    dominant weights mu >= 0 with |mu| <= d: by Tamagawa's rationality
+    theorem (Ann. of Math. 77 (1963)), sum_k p^(-sigma k) S(T(p^k)) =
+    prod_i (1 - p^((n-1)/2 - sigma) x_i)^(-1), so the entry at mu is
+    p^((n-1) k / 2) times the weight p^(-sigma k), k = |mu|.
 
-    Computed at any rank n by summing the transforms of all integral double
-    cosets of each determinant [the route of satake_transform], so the
-    constancy at sigma = (n-1)/2 is an output, not an input.  When 2*sigma
-    is an integer the table is exact (SqrtP scalars); otherwise every entry
-    is a complex float, also where 2 sigma m is an integer.
-    ValueError, before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA:
-    an exact p^(-sigma m) has some sigma m log10(p) digits; for a table past
-    _MAX_WEIGHT_PAIRS; and for complex float weights p^(-sigma m), m <= d,
-    that would leave the normal double range (|Re sigma| d log10(p) above
-    _MAX_FLOAT_DECADES), where they would overflow or round to 0.
+    Exact (SqrtP scalars) when 2*sigma is an integer; otherwise every entry
+    is a complex float, also where 2 sigma m is an integer.  ValueError,
+    before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
+    p^(-sigma m) has some sigma m log10(p) digits; for a table past
+    _MAX_WEIGHT_PAIRS; and for a float sigma when p^(-sigma m),
+    p^((n-1) m / 2) or their product, m <= d, would leave the normal double
+    range (max(|Re sigma|, (n-1)/2, (n-1)/2 - Re sigma) d log10(p) above
+    _MAX_FLOAT_DECADES), where it would overflow or round to 0.
     """
     _check_prime(p)
     if n < 1 or d < 0:
@@ -534,20 +523,19 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     if not abs(sigma) <= _MAX_RADIAL_SIGMA:
         raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
     exact = isinstance(sigma, (Rational, float)) and (2 * Fraction(sigma)).denominator == 1
-    decades = abs(complex(sigma).real) * d * math.log10(p)
+    real, half = complex(sigma).real, (n - 1) / 2
+    decades = max(abs(real), half, half - real) * d * math.log10(p)
     if not exact and decades > _MAX_FLOAT_DECADES:
         raise ValueError(
-            f"sigma = {sigma!r}, p = {p}, d = {d}: the float weights p^(-sigma m), m <= d,"
-            f" span {decades:.1f} decades, past the {_MAX_FLOAT_DECADES} of a normal double"
+            f"sigma = {sigma!r}, p = {p}, d = {d}: the floats p^(-sigma m), p^((n-1) m / 2) and"
+            f" their products, m <= d, span {decades:.1f} decades, past the"
+            f" {_MAX_FLOAT_DECADES} of a normal double"
         )
     _check_work(n, [d], d + 1)  # the d + 1 sizes have at most the weights of d
-    out = {}
-    for k in range(d + 1):
-        weight = (SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
-                  else complex(p) ** (-complex(sigma) * k))
-        for mu, (total, half) in _radial_totals(n, p, k):
-            out[mu] = total * half * weight
-    return SymLaurent(n, out)
+    weights = [SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
+               else complex(p) ** (-complex(sigma) * k) for k in range(d + 1)]
+    values = [SqrtP.half_power(p, (n - 1) * k) * w for k, w in enumerate(weights)]
+    return SymLaurent(n, {mu: values[sum(mu)] for mu in dominant_tuples(n, d)})
 
 
 def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:

@@ -338,6 +338,32 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "sigma = -39.9, p = 2, d = 30" in err
 
+    @pytest.mark.parametrize("sigma, dmax", [("0.3", "160"), ("-0.3", "140")])
+    def test_radial_float_table_past_the_normal_range_refused(self, capsys, sigma, dmax):
+        # the weights stay normal, but p^((n-1) m / 2) overflowed (0.3) or
+        # the entries printed as inf (-0.3); refused before any power
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["satake", "radial", "--p", "10007", "--sigma", sigma,
+                                      "--dmax", dmax])
+        assert code == 2 and out == ""
+        assert f"sigma = {sigma}, p = 10007, d = {dmax}: the floats" in err
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("window", [["--from", "0", "--to", "1"],
+                                        ["--from", "13", "--to", "15"]])
+    @pytest.mark.parametrize("delta", ["0.5", "1", "inf", "nan"])
+    def test_spectrum_delta_refused_whatever_the_window_holds(self, capsys, window, delta):
+        # the window 0..1 holds no zero, 13..15 holds one
+        argv = ["polya", "spectrum", *window, "--delta", delta]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the non-finite values
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert ("delta must exceed 1" if delta in ("0.5", "1") else "expected a finite") \
+            in captured.err
+
     def test_radial_entry_cap_is_fast(self, capsys):
         # rows 0..dmax restate sum_{d <= dmax} (d + 1 + d^2 // 4) entries:
         # 994175 at dmax = 226, 1007285 at 227

@@ -402,6 +402,9 @@ class TestCountingRule:
             n_rho(0, 3.0)
         with pytest.raises(ValueError):
             n_rho(1, 1.0)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must exceed 1 and be finite"):
+                n_rho(1, delta)
         for variant in ("maximal", "strict-literal"):
             with pytest.raises(ValueError):
                 n_rho(1, 3.0, variant=variant)
@@ -433,6 +436,13 @@ class TestSpectrum:
     def test_empty(self):
         spec = build_spectrum(ZeroList("zeta", ()), delta=3.0)
         assert len(spec) == 0
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, math.inf, math.nan])
+    def test_delta_refused_whatever_the_zeros(self, delta):
+        # checked once, before any zero is read: an empty list is no way round
+        for zeros in (ZeroList("zeta", ()), self.zeros()):
+            with pytest.raises(ValueError, match="delta must exceed 1 and be finite"):
+                build_spectrum(zeros, delta=delta)
 
     def test_validation(self):
         with pytest.raises(ValueError):

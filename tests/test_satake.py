@@ -6,7 +6,8 @@ valuations of their minors (rank 3), independently of the Hall-Littlewood
 route in the implementation and of the order-class counting of the rank-2
 coset route in reference_routes.  The trace oracle sums the monomials of
 every dominant orbit, independently of the h_k recurrence that
-trace_truncated uses.
+trace_truncated uses.  The radial table's closed form (Tamagawa) is
+checked against the transforms of the integral double cosets of each size.
 """
 
 import itertools
@@ -513,6 +514,60 @@ class TestMacdonaldRoute:
             satake_truncated_radial(0.5, 5, p=5)
 
 
+def size_sum(n: int, p: int, k: int) -> SymLaurent:
+    """S of the sum of the integral double cosets of size k, by Macdonald's
+    formula: the size-k term of the left side of Tamagawa's identity."""
+    return satake_transform(HeckeFn(n, p, {lam: 1 for lam in dominant_tuples(n, k)
+                                           if sum(lam) == k}))
+
+
+class TestTamagawaClosedForm:
+    """sum_k p^(-sigma k) S(T(p^k)) = prod_i (1 - p^((n-1)/2 - sigma) x_i)^(-1):
+    satake_truncated_radial writes the right side, the transform sums the left."""
+
+    @pytest.mark.parametrize("n, kmax", [(1, 10), (2, 10), (3, 8), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_size_sums_are_scaled_complete_sums(self, n, kmax, p):
+        # S(T(p^k)) = p^((n-1) k / 2) sum_{|mu| = k} m_mu, exactly
+        for k in range(kmax + 1):
+            want = {mu: SqrtP.half_power(p, (n - 1) * k)
+                    for mu in dominant_tuples(n, k) if sum(mu) == k}
+            assert size_sum(n, p, k) == SymLaurent(n, want), k
+
+    @pytest.mark.parametrize("n, d", [(3, 8), (4, 6)])
+    @pytest.mark.parametrize("sigma", [Fraction(-3, 2), 0.3])
+    def test_radial_table_is_the_weighted_size_sums(self, n, d, sigma):
+        # the exact size sum times the weight, as the table forms each
+        # entry, so the float entries agree bitwise
+        p = 3
+        want = {}
+        for k in range(d + 1):
+            weight = (SqrtP.half_power(p, -int(2 * sigma * k)) if isinstance(sigma, Fraction)
+                      else complex(p) ** (-complex(sigma) * k))
+            for mu, c in size_sum(n, p, k).coeffs.items():
+                want[mu] = c * weight
+        got = satake_truncated_radial(sigma, d, n=n, p=p)
+        assert repr(got) == repr(SymLaurent(n, want))
+
+    @pytest.mark.parametrize("n, d", [(1, 12), (2, 10), (3, 8), (4, 6), (5, 5)])
+    def test_central_table_evaluates_to_the_trace(self, n, d):
+        # at sigma = (n-1)/2 every entry is 1, so the table evaluated at chi
+        # is the truncated trace sum_{|mu| <= d} m_mu(chi)
+        rng = random.Random(n)
+        for p in (2, 3):
+            chi = SatakeParam(n, p, tuple(
+                rng.uniform(0.05, 0.95) * complex(math.cos(a), math.sin(a))
+                for a in (rng.uniform(-math.pi, math.pi) for _ in range(n))))
+            got = eval_character(satake_truncated_radial(Fraction(n - 1, 2), d, n=n, p=p), chi)
+            want = trace_truncated(chi, d)
+            assert abs(got - want) <= 1e-12 * abs(want), (p, chi)
+
+    def test_radial_table_computes_no_transform(self):
+        before = satake._transform_terms.cache_info(), satake._hl_scaled.cache_info()
+        satake_truncated_radial(Fraction(1, 2), 5, n=3, p=7)
+        assert (satake._transform_terms.cache_info(), satake._hl_scaled.cache_info()) == before
+
+
 class TestRadial:
     def test_exact_identity_at_center(self):
         # sigma = 1/2 makes every orbit coefficient exactly 1
@@ -564,6 +619,24 @@ class TestRadial:
         # 39.9 * 24 * log10(2) = 288 decades: every entry is kept and normal
         val = satake_truncated_radial(sigma, 24, p=2)
         assert set(val.coeffs) == set(dominant_tuples(2, 24))
+        for c in val.coeffs.values():
+            assert sys.float_info.min <= abs(complex(c)) < sys.float_info.max
+
+    @pytest.mark.parametrize("sigma, d", [(0.3, 160), (-0.3, 140)])
+    def test_float_tables_outside_the_normal_range_refused(self, sigma, d):
+        # at p = 10007 the float p^((n-1) m / 2) would reach p^80 and overflow
+        # (sigma = 0.3), or the entries p^(0.8 m) would reach 10^435 and be
+        # inf (sigma = -0.3), though the weights p^(-sigma m) stay normal
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"sigma = {sigma}, p = 10007, d = {d}: the floats"):
+            satake_truncated_radial(sigma, d, p=10007)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("sigma, d", [(0.3, 149), (-0.3, 93)])
+    def test_float_tables_inside_the_normal_range_kept(self, sigma, d):
+        # 0.5 * 149 and 0.8 * 93 times log10(10007) are 298 decades
+        val = satake_truncated_radial(sigma, d, p=10007)
+        assert set(val.coeffs) == set(dominant_tuples(2, d))
         for c in val.coeffs.values():
             assert sys.float_info.min <= abs(complex(c)) < sys.float_info.max
 
