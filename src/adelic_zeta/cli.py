@@ -160,9 +160,9 @@ def _cmd_satake_radial(inputs: dict) -> dict:
             f"--dmax {dmax} gives a report of {entries} entries;"
             f" at most {_MAX_RADIAL_ENTRIES} are printed"
         )
-    # the largest exact entry, about p^((|sigma| + 1/2) dmax), must print
-    # within the digit limit; past the sigma cap the library refuses instead
-    digits = (abs(sigma) + 0.5) * dmax * math.log10(max(p, 2))
+    # the longest exact entry, p^((1/2 - sigma) dmax) or its inverse, must
+    # print within the digit limit; past the sigma cap the library refuses
+    digits = abs(0.5 - sigma) * dmax * math.log10(max(p, 2))
     if abs(sigma) <= satake._MAX_RADIAL_SIGMA and digits > _MAX_RADIAL_DIGITS:
         raise ValueError(
             f"--sigma {sigma}, --p {p} and --dmax {dmax} give exact entries of about"
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     polya_ops = m_polya.add_subparsers(dest="operation", required=True)
 
     scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--kind", choices=("zeta", "delta"), default="zeta")
+    scan.add_argument("--kind", choices=tuple(lfun._LINES), default="zeta")
     scan.add_argument("--from", metavar="T_FROM", type=float, required=True)
     scan.add_argument("--to", metavar="T_TO", type=float, required=True)
     scan.add_argument("--step", type=float, default=0.05)
@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = polya_ops.add_parser("residual", parents=[fmt], help="annihilator residual at t")
-    p.add_argument("--kind", choices=("zeta", "delta"), default="zeta")
+    p.add_argument("--kind", choices=tuple(lfun._LINES), default="zeta")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--k", type=int, default=0)
     p.set_defaults(handler=_cmd_polya_residual,

@@ -1,9 +1,9 @@
 """Global objects built from local data: integer coefficient tables (with
 the exact weight-12 cusp form expansion), Euler products over sieved
-primes, an Euler-Maclaurin zeta evaluator, and the two completed functions
-used throughout: the completed zeta and the completed weight-12 cusp form
-L-function, both via incomplete-theta integral representations that make
-the s <-> 1-s (resp. s <-> 12-s) symmetry exact by construction.
+primes, an Euler-Maclaurin zeta evaluator, and the completed zeta and
+weight-12 cusp form L-functions.  Each completed function is one entry of
+_LINES, the one source of windows, centers and envelopes, read by one
+incomplete-theta route that makes its symmetry s <-> w-s exact as written.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
 
 _MAX_TAU = 100_000
 _MAX_SIEVE = 400_000
+_CUTOFF_TOL = 1e-18  # bound on a theta integrand past its cutoff (_cutoff)
 
 
 @lru_cache(maxsize=8)
@@ -230,10 +232,10 @@ def euler_product_eval(L: EulerProduct, s: complex, prime_bound: int) -> EulerPr
     return EulerProductValue(complex(value), float(tail), len(ps))
 
 
-def _cutoff(decay_rate: float, growth: float, tol: float = 1e-18) -> float:
-    """Smallest v with exp(-decay_rate*e^v + growth*v) below tol, stepped
-    by quarters so nearby inputs share panel layouts."""
-    target = -math.log(tol)
+def _cutoff(decay_rate: float, growth: float) -> float:
+    """Smallest v with exp(-decay_rate*e^v + growth*v) below _CUTOFF_TOL,
+    stepped by quarters so nearby inputs share panel layouts."""
+    target = -math.log(_CUTOFF_TOL)
     v = 1.0
     while decay_rate * math.exp(v) - growth * v < target:
         v += 0.25
@@ -271,104 +273,107 @@ def _delta_series(y: np.ndarray, table: CoeffTable) -> np.ndarray:
     return out
 
 
-# theta factors kept by _theta_factor: at most _FACTOR_SLOTS node sets of
-# at most _FACTOR_NODES nodes each (10 kB a factor, 20 kB with its key).
+@dataclass(frozen=True, eq=False)
+class _Line:
+    """A completed L-function Lambda(s) = N^(-ks) gamma(ks) L(s) =
+    Lambda(w - s) as the data of its theta integral, symmetric as written:
+
+        int_0^inf g(e^v) (e^(ksv) + e^(k(w-s)v)) dv  [- 1/s - 1/(w-s) if polar],
+
+    g the theta series less its constant term, decaying like exp(-N y).
+    _rows derives the exponents, the cutoff growth
+    k max(|Re s|, |w - Re s|) + margin and the polar terms; polya the
+    center w/2 and the envelope N^(-kw/2) |gamma(kw/2 + ikt)|.  The window
+    of s is |Re s| <= re_max, |w - Re s| <= reflected_max, |Im s| <= t_max.
+    """
+
+    g: Callable[[np.ndarray], np.ndarray]
+    decay: float
+    k: float
+    w: float
+    polar: bool
+    margin: float
+    re_max: float
+    reflected_max: float
+    t_max: float
+
+
+# the one source of windows, centers and envelopes: a new L-function of
+# this form is one more entry (zeta's reflected_max restates |Re s| <= 40)
+_LINES = {
+    "zeta": _Line(g=_omega_zeta, decay=math.pi, k=0.5, w=1.0, polar=True,
+                  margin=1.0, re_max=40.0, reflected_max=41.0, t_max=60.0),
+    "delta": _Line(g=lambda y: _delta_series(y, _default_delta_table()),
+                   decay=2.0 * math.pi, k=1.0, w=12.0, polar=False,
+                   margin=0.0, re_max=40.0, reflected_max=40.0, t_max=50.0),
+}
+
+# theta factors g(e^v) kept by _theta_factor, keyed on the nodes v, so they
+# hold whatever levels integrate_finite uses: at most _FACTOR_SLOTS node sets
+# of at most _FACTOR_NODES nodes each (10 kB a factor, 20 kB with its key).
 # The central lines settle by 160 nodes; larger node sets, which only points
 # far from the strip reach, are recomputed on every call.
 _FACTOR_NODES = 1280
 _FACTOR_SLOTS = 32
 
 
-def _factor(kind: str, v: np.ndarray) -> np.ndarray:
-    y = np.exp(v)
-    if kind == "zeta":
-        return _omega_zeta(y)
-    return _delta_series(y, _default_delta_table())
-
-
 @lru_cache(maxsize=_FACTOR_SLOTS)
-def _cached_factor(kind: str, nodes: bytes) -> np.ndarray:
-    g = _factor(kind, np.frombuffer(nodes))
+def _cached_factor(line: _Line, nodes: bytes) -> np.ndarray:
+    g = line.g(np.exp(np.frombuffer(nodes)))
     g.flags.writeable = False
     return g
 
 
-def _theta_factor(kind: str, v: np.ndarray) -> np.ndarray:
-    """The s-independent factor of the theta integrand at the nodes v:
-    omega(e^v) for zeta, Delta(e^v) for delta.  Keyed on the nodes
-    themselves, so it holds whatever levels integrate_finite uses."""
+def _theta_factor(line: _Line, v: np.ndarray) -> np.ndarray:
     if v.size > _FACTOR_NODES:
-        return _factor(kind, v)
-    return _cached_factor(kind, v.tobytes())
+        return line.g(np.exp(v))
+    return _cached_factor(line, v.tobytes())
 
 
-def _theta_integrals(kind: str, exponents: list, v_max: float, tol: float) -> list[complex]:
-    """int_0^v_max g(e^v) (e^(a v) + e^(b v)) dv for each pair (a, b) of
-    ``exponents``, g the kind's _theta_factor: one integrate_finite batch
-    at absolute tolerance tol with up to 14 refinements, the quadrature of
-    both completed functions.  Each point pays only for its own
-    exponential row."""
-    a = np.array([[e[0]] for e in exponents])
-    b = np.array([[e[1]] for e in exponents])
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return _theta_factor(kind, v) * (np.exp(a * v) + np.exp(b * v))
-
-    return integrate_finite(integrand, 0.0, v_max, QuadratureSpec(tol, 14)).value.tolist()
-
-
-# center and |Im s| window of each kind's critical line
-_LINES = {"zeta": (0.5, 60.0), "delta": (6.0, 50.0)}
 # fixed absolute targets: one point of completed_lambda_zeta/_delta, and
 # completed_lambda_line, the critical-line samplers' route
 _POINT_TOL = 2e-13
 _LINE_TOL = 1e-14
 
 
-def _zeta_point(s: complex) -> complex:
-    """s as a complex, refused outside the window of completed_lambda_zeta
-    (ValueError) and at its poles (PoleError)."""
-    s, t_max = complex(s), _LINES["zeta"][1]
-    if not (abs(s.real) <= 40.0 and abs(s.imag) <= t_max):
-        raise ValueError(f"lambda-zeta: s = {s} lies outside |Re s| <= 40, |Im s| <= {t_max:g}")
-    if abs(s) < 1e-8 or abs(s - 1.0) < 1e-8:
-        raise PoleError("completed zeta has poles at s = 0 and s = 1")
-    return s
+def _rows(line: _Line, ss: list[complex], tol: float) -> list[complex]:
+    """The completed function of ``line`` at points of one real part, in one
+    integrate_finite batch at absolute tolerance tol with up to 14
+    refinements; each point pays only for its own exponential row."""
+    k, w, sigma = line.k, line.w, ss[0].real
+    v_max = _cutoff(line.decay, k * max(abs(sigma), abs(w - sigma)) + line.margin)
+    a = np.array([[k * s] for s in ss])
+    b = np.array([[k * (w - s)] for s in ss])
 
+    def integrand(v: np.ndarray) -> np.ndarray:
+        return _theta_factor(line, v) * (np.exp(a * v) + np.exp(b * v))
 
-def _delta_point(s: complex) -> complex:
-    """s as a complex, refused (ValueError) outside the window of
-    completed_lambda_delta."""
-    s, t_max = complex(s), _LINES["delta"][1]
-    if not (abs(s.imag) <= t_max and abs(s.real) <= 40.0 and abs(12.0 - s.real) <= 40.0):
-        raise ValueError(
-            f"lambda-delta: s = {s} lies outside |Im s| <= {t_max:g}, |Re s| <= 40, "
-            "|12 - Re s| <= 40"
-        )
-    return s
-
-
-def _lambda_zeta_rows(ss: list[complex], tol: float) -> list[complex]:
-    """Completed zeta at points of one real part, in one batch."""
-    sigma = ss[0].real
-    v_max = _cutoff(math.pi, max(abs(sigma), abs(1.0 - sigma)) / 2.0 + 1.0)
-    vals = _theta_integrals("zeta", [(0.5 * s, 0.5 * (1.0 - s)) for s in ss], v_max, tol)
-    # pole terms grouped so the sum is commutative in s <-> 1-s and the
+    vals = integrate_finite(integrand, 0.0, v_max, QuadratureSpec(tol, 14)).value.tolist()
+    if not line.polar:
+        return vals
+    # pole terms grouped so the sum is commutative in s <-> w-s and the
     # reflection symmetry holds bitwise, not just to rounding
-    return [v - (1.0 / s + 1.0 / (1.0 - s)) for v, s in zip(vals, ss)]
+    return [v - (1.0 / s + 1.0 / (w - s)) for v, s in zip(vals, ss)]
 
 
-def _lambda_delta_rows(ss: list[complex], tol: float) -> list[complex]:
-    """Completed cusp-form L-function at points of one real part, in one
-    batch."""
-    sigma = ss[0].real
-    v_max = _cutoff(2.0 * math.pi, max(abs(sigma), abs(12.0 - sigma), 1.0))
-    return _theta_integrals("delta", [(s, 12.0 - s) for s in ss], v_max, tol)
+def _point(name: str, s: complex) -> complex:
+    """completed_lambda_<name> at one s: ValueError outside the window of
+    _LINES[name], PoleError within 1e-8 of the poles of a polar entry."""
+    line, s = _LINES[name], complex(s)
+    if not (abs(s.real) <= line.re_max and abs(s.imag) <= line.t_max
+            and abs(line.w - s.real) <= line.reflected_max):
+        raise ValueError(
+            f"lambda-{name}: s = {s} lies outside |Re s| <= {line.re_max:g}, "
+            f"|Im s| <= {line.t_max:g}, |{line.w:g} - Re s| <= {line.reflected_max:g}"
+        )
+    if line.polar and (abs(s) < 1e-8 or abs(s - line.w) < 1e-8):
+        raise PoleError(f"completed {name} has poles at s = 0 and s = {line.w:g}")
+    return _rows(line, [s], _POINT_TOL)[0]
 
 
 def completed_lambda_zeta(s: complex) -> complex:
     """Completed zeta pi^(-s/2) gamma(s/2) zeta(s) by the incomplete-theta
-    representation
+    representation (_LINES["zeta"])
 
         -1/s - 1/(1-s) + int_0^inf omega(e^v) (e^(vs/2) + e^(v(1-s)/2)) dv,
 
@@ -380,12 +385,12 @@ def completed_lambda_zeta(s: complex) -> complex:
     rounding noise of the integral stays above the target, far from the
     critical strip.
     """
-    return _lambda_zeta_rows([_zeta_point(s)], _POINT_TOL)[0]
+    return _point("zeta", s)
 
 
 def completed_lambda_delta(s: complex) -> complex:
     """Completed L-function of the weight-12 cusp form,
-    (2 pi)^(-s) gamma(s) L(s), via
+    (2 pi)^(-s) gamma(s) L(s), via (_LINES["delta"])
 
         int_0^inf Delta(e^v) (e^(sv) + e^((12-s)v)) dv
 
@@ -395,7 +400,7 @@ def completed_lambda_delta(s: complex) -> complex:
     NonConvergenceError where the rounding noise of the integral stays
     above the target, far from Re s = 6.
     """
-    return _lambda_delta_rows([_delta_point(s)], _POINT_TOL)[0]
+    return _point("delta", s)
 
 
 # points per quadrature batch of completed_lambda_line.  On the central
@@ -406,32 +411,26 @@ _LINE_ROWS = 64
 
 
 def completed_lambda_line(kind: str, ts) -> np.ndarray:
-    """The completed function of ``kind`` on its critical line (_LINES),
-    1/2 + it for "zeta" and 6 + it for "delta", at the fixed target
-    _LINE_TOL = 1e-14 for every t of ``ts``, bitwise the one-point value,
-    as one complex array.
+    """The completed function of ``kind`` (a key of _LINES) on its critical
+    line w/2 + it at every t of ``ts``, at the fixed target _LINE_TOL =
+    1e-14, bitwise the one-point value, as one complex array.
 
-    Both central lines share one quadrature layout, so the points go
-    through integrate_finite _LINE_ROWS at a time and share each level's
-    nodes, weights and theta factor; only the current block exists as
+    _LINE_ROWS points at a time go through integrate_finite and share each
+    level's nodes, weights and theta factor; only that block exists as
     Python complexes.  ValueError, before any sampling, if a t is NaN or
-    lies outside the kind's window (|t| <= 60 resp. 50): this is the one
-    window check of the critical-line samplers.
+    lies outside the entry's |t| <= t_max: the one window check of the
+    critical-line samplers.
     """
-    if kind == "zeta":
-        rows = _lambda_zeta_rows
-    elif kind == "delta":
-        rows = _lambda_delta_rows
-    else:
-        raise ValueError(f"kind must be zeta or delta, got {kind!r}")
-    center, t_max = _LINES[kind]
+    if kind not in tuple(_LINES):
+        raise ValueError(f"kind must be one of {tuple(_LINES)!r}, got {kind!r}")
+    line = _LINES[kind]
     ts = np.asarray(ts, dtype=float).ravel()
-    outside = ~(np.abs(ts) <= t_max)  # NaN compares false
+    outside = ~(np.abs(ts) <= line.t_max)  # NaN compares false
     if outside.any():
         bad = float(ts[outside][0])
-        raise ValueError(f"{kind}: t = {bad!r} lies outside |Im s| <= {t_max:g}")
-    out = np.empty(ts.size, dtype=complex)
+        raise ValueError(f"{kind}: t = {bad!r} lies outside |Im s| <= {line.t_max:g}")
+    center, out = 0.5 * line.w, np.empty(ts.size, dtype=complex)
     for at in range(0, ts.size, _LINE_ROWS):
         block = ts[at : at + _LINE_ROWS].tolist()
-        out[at : at + _LINE_ROWS] = rows([complex(center, t) for t in block], _LINE_TOL)
+        out[at : at + _LINE_ROWS] = _rows(line, [complex(center, t) for t in block], _LINE_TOL)
     return out

@@ -47,12 +47,13 @@ class CriticalLineFn:
     onto its own complex conjugate.
 
     Calling the instance divides the value by the positive envelope
-    pi^(-1/4) |gamma((1/2 + it)/2)| respectively (2 pi)^(-6) |gamma(6 + it)|.
+    |N^(-ks) gamma(ks)| at s = w/2 + it, N, k and w from the kind's entry
+    of lfun._LINES, the one source of centers, windows and envelopes.
     That rescales the exponentially decaying completed function to order
-    one without moving a single zero or sign, which is what makes
-    bracketing robust in double precision.  ``complex_value`` returns the
-    literal completed value from the same line route, so the normalized
-    sample is bitwise ``complex_value(t).real / envelope(t)``.
+    one without moving a single zero or sign: bracketing is robust in
+    double precision.  ``complex_value`` returns the literal completed
+    value from the same line route, so the normalized sample is bitwise
+    ``complex_value(t).real / envelope(t)``.
 
     ``values(ts)`` samples an array of ordinates in one
     lfun.completed_lambda_line call, which batches the points and shares
@@ -82,8 +83,8 @@ class CriticalLineFn:
 
     @property
     def center(self) -> float:
-        """Real part of the critical line (lfun._LINES)."""
-        return _LINES[self.kind][0]
+        """Real part w/2 of the critical line (lfun._LINES)."""
+        return 0.5 * _LINES[self.kind].w
 
     def complex_value(self, t: float) -> complex:
         """The line route's value at center + it (no envelope)."""
@@ -91,10 +92,9 @@ class CriticalLineFn:
 
     def envelope(self, t: float) -> float:
         """Positive decay profile divided out by the normalized sampler."""
-        t = float(t)
-        if self.kind == "zeta":
-            return math.pi ** -0.25 * abs(gamma(complex(0.25, 0.5 * t)))
-        return (2.0 * math.pi) ** -6.0 * abs(gamma(complex(6.0, t)))
+        line = _LINES[self.kind]
+        h = 0.5 * line.k * line.w
+        return line.decay ** -h * abs(gamma(complex(h, line.k * float(t))))
 
     def values(self, ts) -> np.ndarray:
         """Normalized samples at every t of ``ts``, as a float array of the
@@ -176,15 +176,15 @@ def scan_zeros(
 
     Requires step <= 0.2, a finite tol no finer than math.ulp(t_to) (the
     float spacing at the window's top), a grid of at most
-    numkit._MAX_GRID_NODES nodes, and 0 <= t_from < t_to <= 60 for zeta,
-    <= 50 for delta (the window of completed_lambda_delta); ValueError
+    numkit._MAX_GRID_NODES nodes, and 0 <= t_from < t_to <= t_max of the
+    kind's lfun._LINES entry (60 for zeta, 50 for delta); ValueError
     otherwise, before anything is sampled.  The upper end of that
     window exceeds where the samplers resolve zeros sharply (see
     CriticalLineFn); locations returned above t ~ 40 (zeta) / t ~ 25
     (delta) are increasingly noise-limited.
     """
     t_from, t_to, step, tol = float(t_from), float(t_to), float(step), float(tol)
-    t_max = _LINES[F.kind][1]
+    t_max = _LINES[F.kind].t_max
     if not (0.0 <= t_from < t_to <= t_max):
         raise ValueError(f"window must satisfy 0 <= t_from < t_to <= {t_max:g} for {F.kind}")
     if not (0.0 < step <= 0.2):
@@ -306,7 +306,7 @@ def annihilator_residual(F: CriticalLineFn, rho: float, k: int) -> float:
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
     rho, h = float(rho), _FD_STEP
-    reach, t_max = (2 * h if k else 0.0), _LINES[F.kind][1]
+    reach, t_max = (2 * h if k else 0.0), _LINES[F.kind].t_max
     if not abs(rho) + reach <= t_max:
         stencil = f" with its stencil t +- {reach:g}" if k else ""
         raise ValueError(

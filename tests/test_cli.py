@@ -391,8 +391,9 @@ class TestExitCodes:
         assert "--dmax must be >= 0 (got -1)" in err
 
     def test_radial_digit_cap_is_fast(self, capsys):
-        # the largest exact entry would have about 40.5 * 30 * log10(10007)
-        # = 4860 digits; refused before any table is computed
+        # the longest exact entry, p^((1/2 - sigma) dmax) or its inverse,
+        # would have about 39.5 * 30 * log10(10007) = 4740 digits; refused
+        # before any table is computed
         start = time.perf_counter()
         code, out, err = run(capsys, ["satake", "radial", "--sigma", "40", "--p", "10007",
                                       "--dmax", "30"])
@@ -400,12 +401,24 @@ class TestExitCodes:
         assert all(flag in err for flag in ("--sigma", "--p", "--dmax"))
         assert "at most 4000" in err
         assert time.perf_counter() - start < 0.5
+        # 20.5 * 50 * log10(10007) = 4100 digits: its entries p^(20.5 * 50)
+        # print in 4115 characters
+        code, out, err = run(capsys, ["satake", "radial", "--sigma", "-20", "--p", "10007",
+                                      "--dmax", "50"])
+        assert code == 2 and out == ""
+        assert "about 4100 digits; at most 4000" in err
 
     def test_radial_just_below_the_digit_cap_prints(self, capsys):
-        # about 3888 digits: the exact table prints in full
+        # about 39.5 * 24 * log10(10007) = 3792 digits: the exact table
+        # prints in full
         table = run_json(capsys, ["satake", "radial", "--sigma", "40", "--p", "10007",
                                   "--dmax", "24"])["outputs"]["table"]
         assert len(table) == 25
+        # 19.5 * 50 * log10(10007) = 3900 digits: the entries p^(-19.5 * 50)
+        # print in 3917 characters
+        table = run_json(capsys, ["satake", "radial", "--sigma", "20", "--p", "10007",
+                                  "--dmax", "50"])["outputs"]["table"]
+        assert len(table) == 51
 
     def test_large_coset_enumeration_is_fast(self, capsys):
         # (7919 + 1) * 7919^3 representatives; refused before any is built

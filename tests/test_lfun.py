@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_routes import dirichlet_partial_sum, per_prime_euler
 
-from adelic_zeta import records
+from adelic_zeta import lfun, records
 from adelic_zeta.lfun import (
     CoeffTable,
     EulerProduct,
@@ -330,6 +330,20 @@ class TestCompletedLambda:
     def test_delta_symmetry_exact_property(self, re, im):
         s = complex(re, im)
         assert reflect_or_refuse(completed_lambda_delta, s, 12.0 - s)
+
+    @pytest.mark.parametrize("name", lfun._LINES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_entry_reflects_exactly(self, name, data):
+        # dyadic points of the part of the entry's window that s <-> w-s
+        # maps onto itself, |Re s| and |w - Re s| <= min(re_max, reflected_max)
+        line = lfun._LINES[name]
+        edge = min(line.re_max, line.reflected_max)
+        s = complex(data.draw(dyadic(line.w - edge, edge)),
+                    data.draw(dyadic(-line.t_max, line.t_max)))
+        assume(not (line.polar and s in (0, line.w)))
+        fn = getattr(lfun, f"completed_lambda_{name}")
+        assert reflect_or_refuse(fn, s, line.w - s)
 
     def test_delta_matches_euler_route(self):
         # integral route vs (2 pi)^-13 Gamma(13) L(13) with L from the product

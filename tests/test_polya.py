@@ -103,7 +103,7 @@ class TestCriticalLineFn:
             CriticalLineFn("mystery")
 
     def test_even_and_exactly_real(self):
-        for kind in ("zeta", "delta"):
+        for kind in lfun._LINES:
             F = CriticalLineFn(kind)
             for t in (3.7, 14.0):
                 assert F(t) == F(-t)
@@ -112,12 +112,23 @@ class TestCriticalLineFn:
     def test_normalization_divides_by_envelope(self):
         # complex_value is the line route's value, so the normalized
         # sample is its real part over the envelope, bitwise
-        for kind in ("zeta", "delta"):
+        for kind in lfun._LINES:
             F = CriticalLineFn(kind)
             for t in (5.0, 14.5, -21.3):
                 env = F.envelope(t)
                 assert env > 0.0
                 assert F.complex_value(t).real / env == F(t), (kind, t)
+
+    @pytest.mark.parametrize("kind", lfun._LINES)
+    def test_envelope_is_the_gamma_factor(self, kind):
+        # the envelope derived from the entry's N, k and w is
+        # |N^(-ks) gamma(ks)| on the line s = w/2 + it
+        line, F = lfun._LINES[kind], CriticalLineFn(kind)
+        with mp.workdps(30):
+            for t in (0.0, 3.7, 14.0, -21.3, 33.3, line.t_max):
+                s = mp.mpc(line.w / 2, t)
+                want = abs(mp.power(line.decay, -line.k * s) * mp.gamma(line.k * s))
+                assert abs(F.envelope(t) - want) <= 1e-12 * want, (kind, t)
 
 
 def _bits(values) -> bytes:
