@@ -8,9 +8,9 @@ lattice sums) are compensated, as accurate as a plain sum in twice the
 working precision.  A lattice sum stops where its term bound falls below
 TAIL_TOL, at a point that depends only on the polynomial's degree and
 coefficient sum, so it is found once per such pair.  The eta q-expansion
-is exact: sparse passes in int64 modulo primes below 2^31, as many as
-Deligne's bound on tau requires, and the Chinese remainder theorem back
-to Python ints.
+is exact: J^2 summed in int64, then sparse passes in int64 modulo primes
+below 2^45, as many as Deligne's bound on tau requires (two up to
+n = 26007), and the Chinese remainder theorem back to Python ints.
 """
 
 import math
@@ -239,10 +239,10 @@ def euler_product(primes, coeffs, s):
     return complex(1.0 / np.prod(val))
 
 
-# Moduli of the exact eta q-expansion: the four largest primes below 2^31.
-# Their product exceeds 4 n^6, as Deligne's bound requires (see
-# _eta_moduli), for every n up to 1321122.
-_ETA_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+# Moduli of the exact eta q-expansion: the three largest primes below 2^45.
+# Two of them cover Deligne's bound for n <= 26007, three for every n that
+# a pass can take without overflowing int64 (see _eta_moduli).
+_ETA_PRIMES = (35184372088777, 35184372088763, 35184372088751)
 
 
 def _eta_moduli(n):
@@ -250,19 +250,22 @@ def _eta_moduli(n):
 
     Deligne's bound |tau(m)| <= d(m) m^(11/2), with d(m) <= 2 sqrt(m),
     gives |tau(m)| <= 2 m^6 < M / 2 for every m <= n, so the symmetric
-    residue of tau(m) modulo M is tau(m) itself.  Refuses an n that the
-    whole tuple cannot cover, before anything is allocated.
+    residue of tau(m) modulo M is tau(m) itself.  A pass of
+    ``eta24_coefficients`` sums residues below max(p) with weights of total
+    size K^2, K the number of Jacobi terms below n, so an n with
+    max(p) K^2 >= 2^63 (n >= 131329, where three moduli still cover
+    Deligne's bound) is refused before anything is allocated, as is an n
+    that the product of all the moduli cannot cover.
     """
-    need = 4 * n**6
-    prod = 1
-    for k, p in enumerate(_ETA_PRIMES, 1):
-        prod *= p
-        if prod > need:
-            return _ETA_PRIMES[:k]
-    raise ValueError(
-        f"tau(1..{n}) is out of reach of the exact route: 4 n^6 exceeds the "
-        f"product of all {len(_ETA_PRIMES)} moduli, which covers n <= 1321122"
-    )
+    terms = (math.isqrt(8 * n - 7) - 1) // 2 + 1  # k with k(k+1)/2 < n
+    cover = [k for k in range(1, len(_ETA_PRIMES) + 1)
+             if math.prod(_ETA_PRIMES[:k]) > 4 * n**6]
+    if not cover or max(_ETA_PRIMES) * terms**2 >= 2**63:
+        raise ValueError(
+            f"tau(1..{n}) is out of reach of the exact route: a pass over "
+            f"Jacobi's {terms} terms could overflow int64 (n <= 131328 cannot)"
+        )
+    return _ETA_PRIMES[: cover[0]]
 
 
 def _jacobi_terms(n):
@@ -277,65 +280,87 @@ def _jacobi_terms(n):
     return shifts, coeffs
 
 
+def _mulmod(a, b, p):
+    """a * b mod p for int64 arrays a, b with entries in [0, p), p < 2^45.
+
+    NTL's MulMod: the quotient q = floor(a * (b / p)) in doubles, then
+    r = a b - q p in wrapping int64.  a and b are exact doubles, and the two
+    roundings put a * (b / p) < 2^45 within 2^-7 of a b / p, so q is off by
+    at most 1 and r lies in (-p, 2p).  That fits int64, so the wrapped
+    difference is r itself, and one correction each way lands it in [0, p).
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    q = np.floor(a * (b / p)).astype(np.int64)
+    # the ufuncs, unlike scalar arithmetic, wrap without a warning
+    r = np.subtract(np.multiply(a, b), np.multiply(q, p))
+    r = np.where(r < 0, r + p, r)
+    return np.where(r >= p, r - p, r)
+
+
 def _crt_symmetric(res, primes):
-    """The integers x with |x| < M / 2 and x = res[i] (mod primes[i]),
+    """The integers x with |x| < M / 2 and x = res[:, i] (mod primes[i]),
     M = prod(primes), as a list of Python ints.
 
     Garner's mixed-radix digits of y = x + (M - 1) / 2 in [0, M) are
-    computed in int64 for all entries at once: every product is of two
-    numbers below 2^31.  The top two digits fold into one int64; only the
-    remaining folds, and the final shift back by (M - 1) / 2, run per entry
-    on Python ints.
+    computed in int64 for all entries at once, each product by
+    ``_mulmod``.  Less the digits of (M - 1) / 2 they are signed digits of
+    x, lifted to Python ints by one fold per modulus past the first.
     """
     half = math.prod(primes) // 2
-    digits = []
+    digits, signed = [], []
     for i, p in enumerate(primes):
         # d_0 + d_1 p_0 + ... + d_{i-1} p_0 ... p_{i-2} mod p, by Horner
-        low = np.zeros(res.shape[1], dtype=np.int64)
+        low = np.zeros(len(res), dtype=np.int64)
         for q, d in zip(primes[i - 1 :: -1], digits[::-1]):
-            low = (low * q + d) % p
-        inv = pow(math.prod(primes[:i]) % p, -1, p)
-        digits.append((res[i] + half % p - low) % p * inv % p)
-    top = digits[-1]
-    if len(primes) > 1:
-        top = top * primes[-2] + digits[-2]
-    vals = top.tolist()
-    for q, d in zip(primes[-3::-1], digits[-3::-1]):
+            low = (_mulmod(low, q % p, p) + d) % p
+        inv = pow(math.prod(primes[:i]), -1, p)
+        digits.append(_mulmod((res[:, i] + half % p - low) % p, inv, p))
+        # less the digit of (M - 1) / 2 at this place
+        signed.append(digits[-1] - half // math.prod(primes[:i]) % p)
+    vals = signed[-1].tolist()
+    for q, d in zip(primes[-2::-1], signed[-2::-1]):
         vals = [v * q + e for v, e in zip(vals, d.tolist())]
-    return [v - half for v in vals]
+    return vals
 
 
 def eta24_coefficients(n):
     """tau(1..n) as Python ints: the q-expansion of eta^24.
 
     By Jacobi, eta^3 = q^(1/8) J with J = sum_k (-1)^k (2k+1)
-    q^(k(k+1)/2), so tau(m) is the coefficient of q^(m-1) in J^8.  J^8
-    is formed as eight passes of multiplication by the sparse J, each a
-    shift-and-add of J's ~sqrt(2n) terms over one int64 array of residues
-    with a row per modulus, reduced modulo the primes after every pass; the
-    first pass, applied to 1, just places J.  The moduli come from
-    Deligne's bound (``_eta_moduli``) and the exact integers from the
-    Chinese remainder theorem.  Raises ValueError for n < 1 and for an n
-    beyond the reach of the moduli.
+    q^(k(k+1)/2), so tau(m) is the coefficient of q^(m-1) in J^8.  J^2
+    is summed exactly in int64 from the outer product of J's ~sqrt(2n)
+    terms, then six passes of multiplication by the sparse J follow, each a
+    shift-and-add of J's terms over an (n, moduli) int64 array of residues,
+    reduced modulo the primes after every pass; the rows are contiguous, so
+    every shift reads and writes one slice.  The moduli come from Deligne's
+    bound (``_eta_moduli``) and the exact integers from the Chinese
+    remainder theorem.  Raises ValueError for n < 1 and for an n beyond
+    the reach of the moduli.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     primes = _eta_moduli(n)
     shifts, coeffs = _jacobi_terms(n)
-    p = np.array(primes, dtype=np.int64)[:, None]
-    res = np.zeros((len(primes), n), dtype=np.int64)
-    res[:, shifts] = np.array(coeffs) % p
+    p = np.array(primes, dtype=np.int64)
+    exps = np.array(shifts)
+    weights = np.array(coeffs, dtype=np.int64)
+    # J^2: |coefficients| <= (sum_k |c_k|)^2 = K^4 <= 2^36 for K <= 512 terms
+    pair = exps[:, None] + exps
+    live = pair < n
+    square = np.zeros(n, dtype=np.int64)
+    np.add.at(square, pair[live], (weights[:, None] * weights)[live])
+    res = square[:, None] % p
     acc = np.empty_like(res)
     tmp = np.empty_like(res)
-    # No int64 overflow: residues lie in [0, p) with p < 2^31, and a pass
-    # sums them with weights of total size sum_k (2k+1) = len(coeffs)^2
-    # < 2n + 2 sqrt(2n) + 1, so |acc| stays below 2^49 at n = 100000 and
-    # below 2^53 at the largest n the moduli accept.
-    for _ in range(7):
+    # No int64 overflow: residues lie in [0, p), and a pass sums them with
+    # weights of total size sum_k (2k+1) = K^2, which _eta_moduli keeps
+    # below 2^63 / max(p).
+    for _ in range(6):
         acc.fill(0)
         for t, c in zip(shifts, coeffs):
             m = n - t
-            np.multiply(res[:, :m], c, out=tmp[:, :m])
-            acc[:, t:] += tmp[:, :m]
+            np.multiply(res[:m], c, out=tmp[:m])
+            acc[t:] += tmp[:m]
         np.remainder(acc, p, out=res)
     return _crt_symmetric(res, primes)

@@ -88,12 +88,12 @@ class CoeffTable:
 def tau_coefficients(n: int) -> CoeffTable:
     """tau(1..n) as exact integers via the eta-power kernel.
 
-    The kernel works modulo enough primes below 2^31 to cover Deligne's
+    The kernel works modulo enough primes below 2^45 to cover Deligne's
     bound |tau(m)| <= 2 m^6 and rebuilds each entry by the Chinese
     remainder theorem, so every entry is exact.  n is capped at _MAX_TAU
-    to bound the time of one call: seven passes of about sqrt(2n) shifted
-    int64 additions over n entries per modulus, with four moduli at the
-    cap.
+    to bound the time of one call: J^2 from one outer product, then six
+    passes of about sqrt(2n) shifted int64 additions over n entries per
+    modulus, with two moduli up to n = 26007 and three at the cap.
     """
     if not (1 <= n <= _MAX_TAU):
         raise ValueError(f"n must lie in [1, {_MAX_TAU}]")
@@ -299,10 +299,11 @@ class _Line:
 
 
 # the one source of windows, centers and envelopes: a new L-function of
-# this form is one more entry (zeta's reflected_max restates |Re s| <= 40)
+# this form is one more entry.  Each window is closed under s <-> w - s:
+# zeta's Re s lies in [-40, 41], delta's in [-28, 40].
 _LINES = {
     "zeta": _Line(g=_omega_zeta, decay=math.pi, k=0.5, w=1.0, polar=True,
-                  margin=1.0, re_max=40.0, reflected_max=41.0, t_max=60.0),
+                  margin=1.0, re_max=41.0, reflected_max=41.0, t_max=60.0),
     "delta": _Line(g=lambda y: _delta_series(y, _default_delta_table()),
                    decay=2.0 * math.pi, k=1.0, w=12.0, polar=False,
                    margin=0.0, re_max=40.0, reflected_max=40.0, t_max=50.0),
@@ -356,12 +357,17 @@ def _rows(line: _Line, ss: list[complex], tol: float) -> list[complex]:
     return [v - (1.0 / s + 1.0 / (w - s)) for v, s in zip(vals, ss)]
 
 
+def _in_window(line: _Line, s: complex) -> bool:
+    """Whether s lies in the point window of ``line``."""
+    return (abs(s.real) <= line.re_max and abs(s.imag) <= line.t_max
+            and abs(line.w - s.real) <= line.reflected_max)
+
+
 def _point(name: str, s: complex) -> complex:
     """completed_lambda_<name> at one s: ValueError outside the window of
     _LINES[name], PoleError within 1e-8 of the poles of a polar entry."""
     line, s = _LINES[name], complex(s)
-    if not (abs(s.real) <= line.re_max and abs(s.imag) <= line.t_max
-            and abs(line.w - s.real) <= line.reflected_max):
+    if not _in_window(line, s):
         raise ValueError(
             f"lambda-{name}: s = {s} lies outside |Re s| <= {line.re_max:g}, "
             f"|Im s| <= {line.t_max:g}, |{line.w:g} - Re s| <= {line.reflected_max:g}"
@@ -379,7 +385,8 @@ def completed_lambda_zeta(s: complex) -> complex:
 
     which is entire apart from the two explicit poles and symmetric under
     s <-> 1-s exactly as written.  At the fixed target _POINT_TOL = 2e-13
-    it is accurate to ~1e-12 absolutely for |Re s| <= 40, |Im s| <= 60
+    it is accurate to ~1e-12 absolutely for -40 <= Re s <= 41 (|Re s| and
+    |1 - Re s| <= 41, a window closed under the reflection), |Im s| <= 60
     (beyond that the s=40 magnitudes make the *relative* double-precision
     floor dominate); ValueError outside it.  NonConvergenceError where the
     rounding noise of the integral stays above the target, far from the

@@ -52,6 +52,7 @@ _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight or monomial pairs one call reads
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
+_MAX_RADIAL_ENTRIES = 2 * 10**6  # bound on the entries of one radial table
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
 _MAX_FLOAT_DECADES = 300  # bound on |log10| of every float a radial table forms
 
@@ -171,7 +172,8 @@ def dominant_tuples(n: int, max_total: int):
 
 def _decreasing(bounds: Sequence[int], least: int):
     """The weakly decreasing mu >= 0 with mu_1 + ... + mu_i <= bounds[i-1]
-    for each i and |mu| >= least, in decreasing lexicographic order."""
+    for each i and |mu| >= least, in decreasing lexicographic order; the
+    bounds do not decrease."""
     n = len(bounds)
 
     def rec(prefix, done, cap):
@@ -182,7 +184,10 @@ def _decreasing(bounds: Sequence[int], least: int):
         for v in range(min(cap, bounds[i] - done), -1, -1):
             if done + v * (n - i) < least:
                 break  # the n - i entries left, each at most v, fall short
-            yield from rec(prefix + [v], done + v, v)
+            if v == 0:  # so are the rest: recursion stays as deep as mu has parts
+                yield tuple(prefix) + (0,) * (n - i)
+            else:
+                yield from rec(prefix + [v], done + v, v)
 
     yield from rec([], 0, max(bounds, default=0))
 
@@ -416,10 +421,10 @@ def _compositions(n: int, k: int) -> int:
     return math.comb(k + n - 1, n - 1) if min(k, n - 1) < 22 else _MAX_WEIGHT_PAIRS + 1
 
 
-def _check_work(n: int, sizes, scale: int = 1) -> None:
+def _check_work(n: int, sizes) -> None:
     """ValueError, before any coefficient is computed, past
-    _MAX_WEIGHT_PAIRS: each size k counts `scale` times the w (w + 1) / 2
-    pairs of its w partitions into at most n parts, bounded by
+    _MAX_WEIGHT_PAIRS: each size k counts the w (w + 1) / 2 pairs of its
+    w partitions into at most n parts, bounded by
     _compositions(n, k) and, for n <= 21, by C(k + n (n + 1) / 2 - 1, n - 1)
     / n! (exact for n <= 2)."""
     pairs = 0
@@ -427,9 +432,29 @@ def _check_work(n: int, sizes, scale: int = 1) -> None:
         w = _compositions(n, k)
         if n <= 21:  # the parts of k + n (n + 1) / 2 made distinct by (n, ..., 1)
             w = min(w, math.comb(k + n * (n + 1) // 2 - 1, n - 1) // math.factorial(n))
-        pairs += w * (w + 1) // 2 * scale
+        pairs += w * (w + 1) // 2
         if pairs > _MAX_WEIGHT_PAIRS:
             raise ValueError(f"rank {n}: more than {_MAX_WEIGHT_PAIRS} weight pairs to read")
+
+
+def _radial_entries(n: int, d: int) -> int:
+    """The entries of the rank-n radial table to depth d, the partitions of
+    each k <= d into at most n parts (by conjugation, into parts of size at
+    most n), or _MAX_RADIAL_ENTRIES + 1 once they exceed that cap."""
+    cap = _MAX_RADIAL_ENTRIES
+    if d >= cap:  # every k <= d has at least one
+        return cap + 1
+    counts = np.ones(d + 1, dtype=np.int64)  # parts of size 1 only
+    for j in range(2, min(n, d) + 1):
+        # counts[k] += counts[k - j] for k = j, ..., d, in that order: a
+        # cumulative sum along each residue class mod j, saturated at cap + 1
+        rows = -(-(d + 1) // j)
+        padded = np.zeros(rows * j, dtype=np.int64)
+        padded[: d + 1] = counts
+        counts = np.minimum(padded.reshape(rows, j).cumsum(axis=0).ravel()[: d + 1], cap + 1)
+        if counts.sum() > cap:
+            return cap + 1
+    return int(counts.sum())
 
 
 @lru_cache(maxsize=1 << 16)
@@ -511,8 +536,8 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     Exact (SqrtP scalars) when 2*sigma is an integer; otherwise every entry
     is a complex float, also where 2 sigma m is an integer.  ValueError,
     before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
-    p^(-sigma m) has some sigma m log10(p) digits; for a table past
-    _MAX_WEIGHT_PAIRS; and for a float sigma when p^(-sigma m),
+    p^(-sigma m) has some sigma m log10(p) digits; for a table of more than
+    _MAX_RADIAL_ENTRIES entries; and for a float sigma when p^(-sigma m),
     p^((n-1) m / 2) or their product, m <= d, would leave the normal double
     range (max(|Re sigma|, (n-1)/2, (n-1)/2 - Re sigma) d log10(p) above
     _MAX_FLOAT_DECADES), where it would overflow or round to 0.
@@ -531,7 +556,8 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
             f" their products, m <= d, span {decades:.1f} decades, past the"
             f" {_MAX_FLOAT_DECADES} of a normal double"
         )
-    _check_work(n, [d], d + 1)  # the d + 1 sizes have at most the weights of d
+    if _radial_entries(n, d) > _MAX_RADIAL_ENTRIES:
+        raise ValueError(f"rank {n}, depth {d}: more than {_MAX_RADIAL_ENTRIES} table entries")
     weights = [SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
                else complex(p) ** (-complex(sigma) * k) for k in range(d + 1)]
     values = [SqrtP.half_power(p, (n - 1) * k) * w for k, w in enumerate(weights)]

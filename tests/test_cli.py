@@ -497,11 +497,11 @@ class TestExitCodes:
         assert doc["outputs"]["term_counts"] == [[1.0, 3675491], [2.0, 1837746]]
         assert doc["outputs"]["truncation_radius"] == 3675492.0
 
-    @pytest.mark.parametrize("s", ["0.5+200j", "0.5-60.5j", "41", "-40.5+3j"])
+    @pytest.mark.parametrize("s", ["0.5+200j", "0.5-60.5j", "41.5", "-40.5+3j"])
     def test_lambda_zeta_outside_window_refused(self, capsys, s):
         code, out, err = run(capsys, ["lfun", "lambda-zeta", "--s=" + s])
         assert code == 2 and out == ""
-        assert "|Re s| <= 40, |Im s| <= 60" in err
+        assert "|Re s| <= 41, |Im s| <= 60, |1 - Re s| <= 41" in err
 
     @pytest.mark.parametrize("s", ["6+50.5j", "6-51j", "52+1j", "-28.5", "-41"])
     def test_lambda_delta_outside_window_refused(self, capsys, s):

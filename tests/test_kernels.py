@@ -5,6 +5,7 @@ eta^24 (the pentagonal-number recurrence and big-integer squarings)
 checked further by identities of tau at the library's cap."""
 
 import cmath
+import hashlib
 import math
 import random
 import time
@@ -409,9 +410,9 @@ class TestEta24:
             k += 1
 
     def test_both_sides_of_each_modulus_step(self):
-        steps = [_least_n_with(count) for count in (2, 3, 4)]
-        # Deligne's bound 4 n^6 against products of primes below 2^31
-        assert steps == [29, 1024, 36781]
+        steps = [_least_n_with(count) for count in (2, 3)]
+        # Deligne's bound 4 n^6 against products of primes below 2^45
+        assert steps == [144, 26008]
         for n in steps:
             oracle = kronecker_eta24(n)
             assert kernels.eta24_coefficients(n) == oracle
@@ -423,8 +424,9 @@ class TestEta24:
         assert kernels.eta24_coefficients(n) == kronecker_eta24(n)
 
     def test_refuses_n_beyond_the_moduli_without_allocating(self):
+        # a pass could overflow int64 from K = 513 Jacobi terms on
         n = _least_n_with(len(kernels._ETA_PRIMES) + 1)
-        assert n == 1321123
+        assert n == 131329 == 512 * 513 // 2 + 1
         assert len(kernels._eta_moduli(n - 1)) == len(kernels._ETA_PRIMES)
         tracemalloc.start()
         try:
@@ -438,12 +440,39 @@ class TestEta24:
 
     def test_a_pass_cannot_overflow_int64(self):
         pmax = max(kernels._ETA_PRIMES)
-        assert all(p < 2**31 for p in kernels._ETA_PRIMES)
-        _, coeffs = kernels._jacobi_terms(lfun._MAX_TAU)
-        assert pmax * sum(abs(c) for c in coeffs) < 2**49
-        # the largest n the moduli accept (see the refusal test)
-        _, coeffs = kernels._jacobi_terms(1321122)
-        assert pmax * sum(abs(c) for c in coeffs) < 2**53
+        assert all(p < 2**45 for p in kernels._ETA_PRIMES)
+        # the largest n the moduli accept (see the refusal test), past the cap
+        _, coeffs = kernels._jacobi_terms(131328)
+        assert pmax * sum(abs(c) for c in coeffs) < 2**63
+        assert lfun._MAX_TAU < 131328
+
+    def test_moduli_are_the_three_largest_primes_below_2_45(self):
+        # trial division by every prime up to 2^22.5 > sqrt(2^45)
+        small = np.array(_primes_below(math.isqrt(2**45) + 1), dtype=np.int64)
+        lowest = min(kernels._ETA_PRIMES)
+        found = [m for m in range(2**45 - 1, lowest - 1, -1) if (m % small).all()]
+        assert tuple(found) == kernels._ETA_PRIMES
+
+    @pytest.mark.parametrize("p", kernels._ETA_PRIMES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mulmod_matches_python(self, p, data):
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        pairs = data.draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=64))
+        a, b = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+        assert kernels._mulmod(a, b, p).tolist() == [x * y % p for x, y in pairs]
+
+    @pytest.mark.parametrize("p", kernels._ETA_PRIMES)
+    def test_mulmod_corrects_the_quotient_both_ways(self, p):
+        # products just above and just below a multiple of p, where the float
+        # quotient rounds across an integer one way or the other
+        rng = np.random.default_rng(45)
+        a = rng.integers(p // 2, p, size=2000).tolist() * 2
+        b = [r * pow(x, -1, p) % p for r in (32, p - 32) for x in a[:2000]]
+        got = kernels._mulmod(np.array(a), np.array(b), p).tolist()
+        assert got == [x * y % p for x, y in zip(a, b)]
+        q = np.floor(np.array(a) * (np.array(b) / p)).astype(np.int64).tolist()
+        assert {qq - x * y // p for qq, x, y in zip(q, a, b)} == {-1, 0, 1}
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -477,7 +506,14 @@ def tau_at_cap():
 
 
 class TestEta24AtCap:
-    """tau(1..100000) against identities that use neither expansion."""
+    """tau(1..100000) against identities that use neither expansion, and
+    bitwise against a digest of the table."""
+
+    def test_table_digest(self, tau_at_cap):
+        # SHA-256 of repr(tau(1..100000)) from the multimodular route on four
+        # primes below 2^31, which predates the route on 45-bit primes
+        digest = hashlib.sha256(repr(tau_at_cap).encode()).hexdigest()
+        assert digest == "912359815cf84eeaf161b5ffd8cf11df5d2556017dafab1aaedc944ba9866ac2"
 
     def test_every_value_is_a_python_int(self, tau_at_cap):
         assert len(tau_at_cap) == lfun._MAX_TAU

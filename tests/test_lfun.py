@@ -345,6 +345,32 @@ class TestCompletedLambda:
         fn = getattr(lfun, f"completed_lambda_{name}")
         assert reflect_or_refuse(fn, s, line.w - s)
 
+    @pytest.mark.parametrize("name", lfun._LINES)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_is_closed_under_reflection(self, name, data):
+        # points within a few ulps, or a little more, of an edge of the window
+        line = lfun._LINES[name]
+
+        def near(edges):
+            x = data.draw(st.sampled_from(edges))
+            for _ in range(data.draw(st.integers(-3, 3)), 0):
+                x = math.nextafter(x, -math.inf)
+            for _ in range(data.draw(st.integers(0, 3))):
+                x = math.nextafter(x, math.inf)
+            return x + data.draw(st.sampled_from([0.0, 0.0, 2.0**-30, -(2.0**-30), 0.5, -0.5]))
+
+        re = near([line.re_max, -line.re_max, line.w - line.reflected_max,
+                   line.w + line.reflected_max, line.w / 2])
+        im = near([line.t_max, -line.t_max, 0.0])
+        s = complex(re, im)
+        assert lfun._in_window(line, s) == lfun._in_window(line, line.w - s)
+
+    def test_zeta_window_reflects_at_both_ends(self):
+        # Re s = -40 and 41 are each other's reflection; both are accepted
+        assert completed_lambda_zeta(41 - 1j) == completed_lambda_zeta(-40 + 1j)
+        assert completed_lambda_zeta(41 + 1j) == completed_lambda_zeta(-40 - 1j)
+
     def test_delta_matches_euler_route(self):
         # integral route vs (2 pi)^-13 Gamma(13) L(13) with L from the product
         table = tau_coefficients(10000)
@@ -352,10 +378,10 @@ class TestCompletedLambda:
         via_product = (2 * math.pi) ** -13.0 * abs(gamma(13.0)) * L.real
         assert abs(completed_lambda_delta(13.0) - via_product) <= 1e-10
 
-    @pytest.mark.parametrize("s", [0.5 + 200j, 0.5 - 60.5j, 41.0, -40.5 + 3j])
+    @pytest.mark.parametrize("s", [0.5 + 200j, 0.5 - 60.5j, 41.5, -40.5 + 3j])
     def test_zeta_outside_window_refused(self, s):
         # at 0.5+200i the integral returns -8.4e-18 where mpmath gives +2.0e-68
-        with pytest.raises(ValueError, match=r"\|Re s\| <= 40, \|Im s\| <= 60"):
+        with pytest.raises(ValueError, match=r"\|Re s\| <= 41, \|Im s\| <= 60"):
             completed_lambda_zeta(s)
 
     @pytest.mark.parametrize("s", [6 + 50.5j, 6 - 51j, 52 + 1j, -28.5, -41.0])
@@ -364,7 +390,7 @@ class TestCompletedLambda:
             completed_lambda_delta(s)
 
     def test_window_edges_accepted(self):
-        for s in (0.5 + 60j, -40.0, 40.0 + 0.5j):
+        for s in (0.5 + 60j, -40.0, 40.0 + 0.5j, 41.0 - 1j):
             assert math.isfinite(completed_lambda_zeta(s).real)
         for s in (6 - 50j, -28 + 2j, 40.0):
             assert math.isfinite(completed_lambda_delta(s).real)

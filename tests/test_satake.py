@@ -466,18 +466,21 @@ class TestMacdonaldRoute:
             assert set(val.coeffs) == set(dominant_tuples(n, dmax))
             assert all(c == 1 for c in val.coeffs.values())
 
-    @pytest.mark.parametrize("call", [
-        lambda: satake_transform(HeckeFn.double_coset(3, 2, (10**6, 0, 0))),
-        lambda: satake_transform(HeckeFn.double_coset(2, 2, (10**9, 0))),
-        lambda: satake_truncated_radial(1, 10**9, n=3),
-        lambda: satake_truncated_radial(0.5, 10**8, n=1),
-        lambda: satake_truncated_radial(1, 3, n=10**5),
-        lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) * 6 + (0,) * 6)] * 2),
+    @pytest.mark.parametrize("call, want", [
+        (lambda: satake_transform(HeckeFn.double_coset(3, 2, (10**6, 0, 0))),
+         "weight pairs to read"),
+        (lambda: satake_transform(HeckeFn.double_coset(2, 2, (10**9, 0))),
+         "weight pairs to read"),
+        (lambda: satake_truncated_radial(1, 10**9, n=3), "table entries"),
+        (lambda: satake_truncated_radial(0.5, 10**8, n=1), "table entries"),
+        (lambda: satake_truncated_radial(1, 3000, n=10**5), "table entries"),
+        (lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) * 6 + (0,) * 6)] * 2),
+         "weight pairs to read"),
     ], ids=["rank3-transform", "rank2-transform", "rank3-radial", "rank1-radial",
             "rank-1e5-radial", "rank12-convolve"])
-    def test_work_bound_refuses_fast(self, call):
+    def test_work_bound_refuses_fast(self, call, want):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="weight pairs to read"):
+        with pytest.raises(ValueError, match=want):
             call()
         assert time.perf_counter() - start < 0.5
 
@@ -507,11 +510,29 @@ class TestMacdonaldRoute:
         assert best < 1e-3
 
     def test_work_bound_holds_on_the_cap(self, monkeypatch):
-        # d = 4 at rank 2 counts 5 sizes of at most 3 weights: 5 * 3 * 4 / 2
-        monkeypatch.setattr(satake, "_MAX_WEIGHT_PAIRS", 30)
-        assert satake_truncated_radial(0.5, 4, p=5).coeffs
-        with pytest.raises(ValueError, match="rank 2: more than 30 weight pairs"):
+        # d = 4 at rank 2 holds 1 + 1 + 2 + 2 + 3 entries, d = 5 three more
+        monkeypatch.setattr(satake, "_MAX_RADIAL_ENTRIES", 9)
+        assert len(satake_truncated_radial(0.5, 4, p=5).coeffs) == 9
+        with pytest.raises(ValueError, match="rank 2, depth 5: more than 9 table entries"):
             satake_truncated_radial(0.5, 5, p=5)
+
+    @pytest.mark.parametrize("sigma, n, d, entries", [
+        (1, 3, 60, 7106), (1, 4, 30, 2724), (1, 10**5, 3, 7), (1, 1000, 0, 1),
+        (0, 1, 5000, 5001)])
+    def test_radial_bound_counts_the_entries(self, sigma, n, d, entries):
+        # tables a bound on the weight pairs of a transform refused, or whose
+        # rank ran past the recursion limit
+        assert satake._radial_entries(n, d) == entries
+        assert len(satake_truncated_radial(sigma, d, n=n).coeffs) == entries
+
+    def test_radial_bound_at_rank_one(self):
+        assert satake._radial_entries(1, 1999999) == satake._MAX_RADIAL_ENTRIES
+        assert satake._radial_entries(1, 2 * 10**6) > satake._MAX_RADIAL_ENTRIES
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_radial_entries_are_the_dominant_weights(self, n):
+        for d in range(25):
+            assert satake._radial_entries(n, d) == sum(1 for _ in dominant_tuples(n, d))
 
 
 def size_sum(n: int, p: int, k: int) -> SymLaurent:
