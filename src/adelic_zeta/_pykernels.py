@@ -8,9 +8,9 @@ lattice sums) are compensated, as accurate as a plain sum in twice the
 working precision.  A lattice sum stops where its term bound falls below
 TAIL_TOL, at a point that depends only on the polynomial's degree and
 coefficient sum, so it is found once per such pair.  The eta q-expansion
-is exact: J^2 summed in int64, then sparse passes in int64 modulo primes
-below 2^45, as many as Deligne's bound on tau requires (two up to
-n = 26007), and the Chinese remainder theorem back to Python ints.
+is exact: sparse passes in int64 modulo primes below 2^45, as many as
+Deligne's bound on tau requires (two up to n = 26007), and the Chinese
+remainder theorem back to Python ints.
 """
 
 import math
@@ -328,11 +328,11 @@ def eta24_coefficients(n):
     """tau(1..n) as Python ints: the q-expansion of eta^24.
 
     By Jacobi, eta^3 = q^(1/8) J with J = sum_k (-1)^k (2k+1)
-    q^(k(k+1)/2), so tau(m) is the coefficient of q^(m-1) in J^8.  J^2
-    is summed exactly in int64 from the outer product of J's ~sqrt(2n)
-    terms, then six passes of multiplication by the sparse J follow, each a
-    shift-and-add of J's terms over an (n, moduli) int64 array of residues,
-    reduced modulo the primes after every pass; the rows are contiguous, so
+    q^(k(k+1)/2), so tau(m) is the coefficient of q^(m-1) in J^8.  J^8
+    is formed as eight passes of multiplication by the sparse J, each a
+    shift-and-add of J's ~sqrt(2n) terms over an (n, moduli) int64 array
+    of residues, reduced modulo the primes after every pass; the first
+    pass, applied to 1, just places J, and the rows are contiguous, so
     every shift reads and writes one slice.  The moduli come from Deligne's
     bound (``_eta_moduli``) and the exact integers from the Chinese
     remainder theorem.  Raises ValueError for n < 1 and for an n beyond
@@ -343,20 +343,14 @@ def eta24_coefficients(n):
     primes = _eta_moduli(n)
     shifts, coeffs = _jacobi_terms(n)
     p = np.array(primes, dtype=np.int64)
-    exps = np.array(shifts)
-    weights = np.array(coeffs, dtype=np.int64)
-    # J^2: |coefficients| <= (sum_k |c_k|)^2 = K^4 <= 2^36 for K <= 512 terms
-    pair = exps[:, None] + exps
-    live = pair < n
-    square = np.zeros(n, dtype=np.int64)
-    np.add.at(square, pair[live], (weights[:, None] * weights)[live])
-    res = square[:, None] % p
+    res = np.zeros((n, len(primes)), dtype=np.int64)
+    res[shifts] = np.array(coeffs, dtype=np.int64)[:, None] % p
     acc = np.empty_like(res)
     tmp = np.empty_like(res)
     # No int64 overflow: residues lie in [0, p), and a pass sums them with
     # weights of total size sum_k (2k+1) = K^2, which _eta_moduli keeps
     # below 2^63 / max(p).
-    for _ in range(6):
+    for _ in range(7):
         acc.fill(0)
         for t, c in zip(shifts, coeffs):
             m = n - t

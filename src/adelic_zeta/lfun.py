@@ -91,9 +91,9 @@ def tau_coefficients(n: int) -> CoeffTable:
     The kernel works modulo enough primes below 2^45 to cover Deligne's
     bound |tau(m)| <= 2 m^6 and rebuilds each entry by the Chinese
     remainder theorem, so every entry is exact.  n is capped at _MAX_TAU
-    to bound the time of one call: J^2 from one outer product, then six
-    passes of about sqrt(2n) shifted int64 additions over n entries per
-    modulus, with two moduli up to n = 26007 and three at the cap.
+    to bound the time of one call: seven passes of about sqrt(2n) shifted
+    int64 additions over n entries per modulus, with two moduli up to
+    n = 26007 and three at the cap.
     """
     if not (1 <= n <= _MAX_TAU):
         raise ValueError(f"n must lie in [1, {_MAX_TAU}]")

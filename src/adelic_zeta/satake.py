@@ -52,7 +52,8 @@ _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight or monomial pairs one call reads
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
-_MAX_RADIAL_ENTRIES = 2 * 10**6  # bound on the entries of one radial table
+_MAX_RADIAL_COORDS = 2 * 10**6  # bound on the weight coordinates one radial table stores
+_MAX_EXACT_DIGITS = 10**8  # bound on the digits of the exact powers one radial table forms
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
 _MAX_FLOAT_DECADES = 300  # bound on |log10| of every float a radial table forms
 
@@ -437,11 +438,11 @@ def _check_work(n: int, sizes) -> None:
             raise ValueError(f"rank {n}: more than {_MAX_WEIGHT_PAIRS} weight pairs to read")
 
 
-def _radial_entries(n: int, d: int) -> int:
+def _radial_entries(n: int, d: int, cap: int) -> int:
     """The entries of the rank-n radial table to depth d, the partitions of
     each k <= d into at most n parts (by conjugation, into parts of size at
-    most n), or _MAX_RADIAL_ENTRIES + 1 once they exceed that cap."""
-    cap = _MAX_RADIAL_ENTRIES
+    most n), or cap + 1 once they exceed cap: at most min(n, d) numpy
+    passes over d + 1 <= cap counts."""
     if d >= cap:  # every k <= d has at least one
         return cap + 1
     counts = np.ones(d + 1, dtype=np.int64)  # parts of size 1 only
@@ -536,11 +537,14 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     Exact (SqrtP scalars) when 2*sigma is an integer; otherwise every entry
     is a complex float, also where 2 sigma m is an integer.  ValueError,
     before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
-    p^(-sigma m) has some sigma m log10(p) digits; for a table of more than
-    _MAX_RADIAL_ENTRIES entries; and for a float sigma when p^(-sigma m),
-    p^((n-1) m / 2) or their product, m <= d, would leave the normal double
-    range (max(|Re sigma|, (n-1)/2, (n-1)/2 - Re sigma) d log10(p) above
-    _MAX_FLOAT_DECADES), where it would overflow or round to 0.
+    p^(-sigma m) has some sigma m log10(p) digits; for a table whose
+    entries, n-tuples each, hold more than _MAX_RADIAL_COORDS weight
+    coordinates; when the exact powers p^(-sigma m), p^((n-1) m / 2) and
+    their products, m <= d, could hold more than _MAX_EXACT_DIGITS digits
+    (D (d + 1), with D = max(|Re sigma|, (n-1)/2, (n-1)/2 - Re sigma) d
+    log10(p) the digits of the longest); and for a float sigma when any of
+    them would leave the normal double range (D above _MAX_FLOAT_DECADES),
+    where it would overflow or round to 0.
     """
     _check_prime(p)
     if n < 1 or d < 0:
@@ -556,8 +560,17 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
             f" their products, m <= d, span {decades:.1f} decades, past the"
             f" {_MAX_FLOAT_DECADES} of a normal double"
         )
-    if _radial_entries(n, d) > _MAX_RADIAL_ENTRIES:
-        raise ValueError(f"rank {n}, depth {d}: more than {_MAX_RADIAL_ENTRIES} table entries")
+    if n * _radial_entries(n, d, _MAX_RADIAL_COORDS // n) > _MAX_RADIAL_COORDS:
+        raise ValueError(
+            f"rank {n}, depth {d}: the table's weights have more than"
+            f" {_MAX_RADIAL_COORDS} coordinates"
+        )
+    if exact and decades * (d + 1) > _MAX_EXACT_DIGITS:
+        raise ValueError(
+            f"sigma = {sigma!r}, p = {p}, d = {d}, rank {n}: the exact powers p^(-sigma m),"
+            f" p^((n-1) m / 2) and their products, m <= d, could hold"
+            f" {decades * (d + 1):.0f} digits, past {_MAX_EXACT_DIGITS}"
+        )
     weights = [SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
                else complex(p) ** (-complex(sigma) * k) for k in range(d + 1)]
     values = [SqrtP.half_power(p, (n - 1) * k) * w for k, w in enumerate(weights)]

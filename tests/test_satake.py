@@ -471,13 +471,17 @@ class TestMacdonaldRoute:
          "weight pairs to read"),
         (lambda: satake_transform(HeckeFn.double_coset(2, 2, (10**9, 0))),
          "weight pairs to read"),
-        (lambda: satake_truncated_radial(1, 10**9, n=3), "table entries"),
-        (lambda: satake_truncated_radial(0.5, 10**8, n=1), "table entries"),
-        (lambda: satake_truncated_radial(1, 3000, n=10**5), "table entries"),
+        (lambda: satake_truncated_radial(1, 10**9, n=3), "coordinates"),
+        (lambda: satake_truncated_radial(0.5, 10**8, n=1), "coordinates"),
+        (lambda: satake_truncated_radial(1, 3000, n=10**5), "coordinates"),
+        (lambda: satake_truncated_radial(1, 1, n=10**8), "coordinates"),
+        (lambda: satake_truncated_radial(1, 0, n=10**9), "coordinates"),
+        (lambda: satake_truncated_radial(40, 10**6, n=1), "digits"),
         (lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) * 6 + (0,) * 6)] * 2),
          "weight pairs to read"),
     ], ids=["rank3-transform", "rank2-transform", "rank3-radial", "rank1-radial",
-            "rank-1e5-radial", "rank12-convolve"])
+            "rank-1e5-radial", "rank-1e8-radial", "rank-1e9-depth0-radial",
+            "rank1-exact-digits-radial", "rank12-convolve"])
     def test_work_bound_refuses_fast(self, call, want):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=want):
@@ -510,11 +514,24 @@ class TestMacdonaldRoute:
         assert best < 1e-3
 
     def test_work_bound_holds_on_the_cap(self, monkeypatch):
-        # d = 4 at rank 2 holds 1 + 1 + 2 + 2 + 3 entries, d = 5 three more
-        monkeypatch.setattr(satake, "_MAX_RADIAL_ENTRIES", 9)
+        # d = 4 at rank 2 holds 1 + 1 + 2 + 2 + 3 pairs, d = 5 three more
+        monkeypatch.setattr(satake, "_MAX_RADIAL_COORDS", 18)
         assert len(satake_truncated_radial(0.5, 4, p=5).coeffs) == 9
-        with pytest.raises(ValueError, match="rank 2, depth 5: more than 9 table entries"):
+        with pytest.raises(ValueError, match="rank 2, depth 5: the table's weights have more"
+                                             " than 18 coordinates"):
             satake_truncated_radial(0.5, 5, p=5)
+
+    def test_digit_bound_holds_on_the_cap(self, monkeypatch):
+        # at rank 1 the longest of the exact powers 2^(-40 m), m <= d, has
+        # D = 40 d log10(2) digits, and the bound is D (d + 1): 9.77e6 at
+        # d = 900, 1.21e7 at d = 1000; a float sigma forms no exact power
+        monkeypatch.setattr(satake, "_MAX_EXACT_DIGITS", 10**7)
+        table = satake_truncated_radial(40, 900, n=1)
+        assert table.coeffs[(900,)] == SqrtP.half_power(2, -72000)
+        with pytest.raises(ValueError, match="d = 1000, rank 1: the exact powers .* could"
+                                             " hold 12053241 digits, past 10000000"):
+            satake_truncated_radial(40, 1000, n=1)
+        assert len(satake_truncated_radial(0.1, 1000, n=1).coeffs) == 1001
 
     @pytest.mark.parametrize("sigma, n, d, entries", [
         (1, 3, 60, 7106), (1, 4, 30, 2724), (1, 10**5, 3, 7), (1, 1000, 0, 1),
@@ -522,17 +539,22 @@ class TestMacdonaldRoute:
     def test_radial_bound_counts_the_entries(self, sigma, n, d, entries):
         # tables a bound on the weight pairs of a transform refused, or whose
         # rank ran past the recursion limit
-        assert satake._radial_entries(n, d) == entries
+        assert satake._radial_entries(n, d, 10**6) == entries
         assert len(satake_truncated_radial(sigma, d, n=n).coeffs) == entries
 
     def test_radial_bound_at_rank_one(self):
-        assert satake._radial_entries(1, 1999999) == satake._MAX_RADIAL_ENTRIES
-        assert satake._radial_entries(1, 2 * 10**6) > satake._MAX_RADIAL_ENTRIES
+        cap = satake._MAX_RADIAL_COORDS
+        assert satake._radial_entries(1, cap - 1, cap) == cap
+        assert satake._radial_entries(1, cap, cap) == cap + 1
+        assert satake._radial_entries(10**9, 0, 0) == 1
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_radial_entries_are_the_dominant_weights(self, n):
         for d in range(25):
-            assert satake._radial_entries(n, d) == sum(1 for _ in dominant_tuples(n, d))
+            count = sum(1 for _ in dominant_tuples(n, d))
+            assert satake._radial_entries(n, d, 10**6) == count
+            assert satake._radial_entries(n, d, count) == count
+            assert satake._radial_entries(n, d, count - 1) == count
 
 
 def size_sum(n: int, p: int, k: int) -> SymLaurent:
