@@ -310,10 +310,12 @@ _LINES = {
 }
 
 # theta factors g(e^v) kept by _theta_factor, keyed on the nodes v, so they
-# hold whatever levels integrate_finite uses: at most _FACTOR_SLOTS node sets
-# of at most _FACTOR_NODES nodes each (10 kB a factor, 20 kB with its key).
-# The central lines settle by 160 nodes; larger node sets, which only points
-# far from the strip reach, are recomputed on every call.
+# hold whatever node sets integrate_finite passes: the 140 nodes of its
+# first three levels in one set, then one set per finer level.  At most
+# _FACTOR_SLOTS node sets of at most _FACTOR_NODES nodes each (10 kB a
+# factor, 20 kB with its key).  The central lines settle by level 3 (160
+# nodes); larger node sets, which only points far from the strip reach, are
+# recomputed on every call.
 _FACTOR_NODES = 1280
 _FACTOR_SLOTS = 32
 
@@ -411,9 +413,10 @@ def completed_lambda_delta(s: complex) -> complex:
 
 
 # points per quadrature batch of completed_lambda_line.  On the central
-# lines every point settles by level 3 (160 nodes; measured at 3001 points
-# across each window), so a batch array holds at most 64 x 160 values; a
-# 31-point scan grid is one batch.
+# lines every point settles by level 3 (measured at 3001 points across each
+# window), so a batch makes at most two integrand calls, on the 140 nodes of
+# levels 0-2 and on the 160 of level 3, and its arrays hold at most 64 x 160
+# values; a 31-point scan grid is one batch.
 _LINE_ROWS = 64
 
 

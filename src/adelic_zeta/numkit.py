@@ -97,12 +97,13 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class QuadResult:
     """Value and error estimate of a quadrature, with the refinement level
-    it stopped at and ``nodes``, the number of distinct integrand
-    evaluations it made.  For a batch of integrands (integrate_finite)
+    it stopped at and ``nodes``, the number of distinct nodes the integrand
+    received, summed or not.  For a batch of integrands (integrate_finite)
     value and error_estimate are arrays with one entry per integrand.  The
     half-line rule, kept as the tests' reference, reuses the nodes of
     coarser levels, so there ``nodes`` is fewer than the nodes summed over
-    all levels."""
+    all levels; integrate_finite evaluates its first three levels in one
+    call, so there it may exceed them."""
 
     value: complex | np.ndarray
     error_estimate: float | np.ndarray
@@ -235,9 +236,19 @@ _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_ORDER)
 # Levels kept by the node cache: at most _LEVEL_SLOTS of them, each of at
 # most _CACHED_PANELS panels (1280 nodes, 20 kB of nodes and weights).
 # Finer levels, which only points far from the critical strip reach, are
-# rebuilt on every call, so the cache stays below 1 MB.
+# rebuilt on every call, so the cache stays below 1 MB.  The first-call
+# node sets (_first_call) take at most _LEVEL_SLOTS more, of 140 nodes each.
 _CACHED_PANELS = 64
 _LEVEL_SLOTS = 32
+# Levels whose nodes integrate_finite passes to f in its first call.  The
+# stopping rule cannot return before level 1, and the package's integrals
+# mostly stop at level 2: of the quadratures in the benchmark's point_eval
+# ops at seed 7, 17 stop at level 1, 139 at level 2 and 84 at level 3, and
+# all 267 in its zero_scan ops stop at level 2.  One call on 20 + 40 + 80
+# nodes then replaces three whose cost is mostly per call, not per node
+# (small lattice-kernel and exp calls); fusing level 3 as well would make
+# every level-2 integral pay for 160 nodes it never sums.
+_FIRST_CALL_LEVELS = 3
 
 
 def _build_level(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,35 +274,63 @@ def _gauss_legendre_level(a: float, b: float, panels: int) -> tuple[np.ndarray, 
     return (_cached_level if panels <= _CACHED_PANELS else _build_level)(a, b, panels)
 
 
+@lru_cache(maxsize=_LEVEL_SLOTS)
+def _first_call(a: float, b: float, levels: int) -> tuple[np.ndarray, list]:
+    """The nodes of levels 0 .. levels - 1 on [a, b] concatenated in level
+    order, read-only, and per level its weights and the slice of those
+    nodes it takes: what integrate_finite's first call of f evaluates."""
+    parts = [_gauss_legendre_level(a, b, 1 << level) for level in range(levels)]
+    nodes = np.concatenate([level_nodes for level_nodes, _w in parts])
+    nodes.flags.writeable = False
+    taken, start = [], 0
+    for level_nodes, weights in parts:
+        taken.append((weights, slice(start, start + level_nodes.size)))
+        start += level_nodes.size
+    return nodes, taken
+
+
 def integrate_finite(
     f: Callable, a: float, b: float, spec: QuadratureSpec | None = None
 ) -> QuadResult:
     """Integrate f over [a, b] by composite 20-point Gauss-Legendre panels,
     doubling the panel count until two levels agree.
 
-    f receives one ndarray of all nodes of a level and returns the matching
-    values: an array of that shape for one integrand, or of shape
-    (rows, nodes) for a batch of integrands sharing the nodes.  Each row is
-    a correctly rounded sum (``kernels.neumaier_sum``) and keeps the level
-    at which its own two latest levels agree, so every row of a batch is
-    bitwise the value that row would get on its own.  A batch is evaluated
-    until its last row settles; its ``value`` and ``error_estimate`` are
-    arrays of one entry per row, ``refinements`` is the level of the last
-    row and ``nodes`` counts the nodes, each shared by all rows.  Raises
-    NonConvergenceError when max_refinements doublings leave a row above
-    the tolerance.
+    f receives one ndarray of nodes and returns the matching values: an
+    array of that shape for one integrand, or of shape (rows, nodes) for a
+    batch of integrands sharing the nodes.  The first call gets the nodes
+    of levels 0, 1 and 2 (1, 2 and 4 panels; _FIRST_CALL_LEVELS, or fewer
+    when max_refinements is below 2) concatenated in level order, and the
+    levels are compared from slices of its values; each later call gets
+    the nodes of one level.  So, like integrate_halfline, the rule may
+    evaluate f at nodes of a level it never sums: ``nodes`` counts every
+    node f received, 140 for an integral that stops at level 1.  Each row
+    is a correctly rounded sum (``kernels.neumaier_sum``) and keeps the
+    level at which its own two latest levels agree, so every row of a
+    batch is bitwise the value that row would get on its own.  A batch is
+    evaluated until its last row settles; its ``value`` and
+    ``error_estimate`` are arrays of one entry per row, ``refinements`` is
+    the level of the last row, and each node counts once however many rows
+    share it.  Raises NonConvergenceError when max_refinements doublings
+    leave a row above the tolerance.
     """
     spec = spec or QuadratureSpec()
     if not (a < b):
         raise ValueError("need a < b")
+    nodes, first = _first_call(a, b, min(_FIRST_CALL_LEVELS, spec.max_refinements + 1))
+    vals = np.asarray(f(nodes), dtype=complex)
+    one_row = vals.ndim == 1
+    first_rows = vals.reshape(-1, nodes.size)
+    total_nodes = nodes.size
     prev = None
-    total_nodes = 0
     for level in range(spec.max_refinements + 1):
-        nodes, weights = _gauss_legendre_level(a, b, 1 << level)
-        vals = np.asarray(f(nodes), dtype=complex)
-        rows = vals.reshape(-1, nodes.size)
+        if level < len(first):
+            weights, cols = first[level]
+            rows = first_rows[:, cols]
+        else:
+            nodes, weights = _gauss_legendre_level(a, b, 1 << level)
+            rows = np.asarray(f(nodes), dtype=complex).reshape(-1, nodes.size)
+            total_nodes += nodes.size
         cur = [complex(kernels.neumaier_sum(row * weights)) for row in rows]
-        total_nodes += nodes.size
         if prev is None:
             value, err, open_rows = [None] * len(cur), [None] * len(cur), set(range(len(cur)))
         else:
@@ -301,7 +340,7 @@ def integrate_finite(
                     value[i], err[i] = cur[i], diff
                     open_rows.discard(i)
             if not open_rows:
-                if vals.ndim == 1:
+                if one_row:
                     return QuadResult(value[0], err[0], level, total_nodes)
                 return QuadResult(np.array(value), np.array(err), level, total_nodes)
         prev = cur

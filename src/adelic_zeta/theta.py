@@ -293,7 +293,10 @@ def _halfline_mellin_part(f: AdelicTestFn, a):
     """int_0^inf E(f, e^v) e^(a v) dv, the t >= 1 half of a Mellin integral
     in logarithmic coordinates, by Gauss-Legendre panels on [0, V]: for a
     complex a, or for each exponent of a 1-D array a, one integrate_finite
-    row each, every row bitwise its one-point value.
+    row each, every row bitwise its one-point value.  Each integrand call
+    is one E_batch call, so one lattice-kernel call per tensor summand; the
+    first covers the 140 nodes of integrate_finite's levels 0-2, where most
+    halves stop, and each finer level costs one call more.
 
     Every lattice point of E(f, e^v) lies at x >= m_min e^v, m_min the
     smallest scale of f, and the kernel masks each weight exp(-pi x^2) to 0
@@ -333,7 +336,8 @@ def mellin_E(f: AdelicTestFn, s: complex) -> complex:
     Gauss-Legendre panels over [0, V], V = log(sqrt(745/pi) / m_min) with
     m_min the smallest scale of the function, past which every lattice
     weight underflows and E(f, e^v) is exactly 0 (no panels when V <= 0);
-    each half is refined to an absolute 1e-11 between levels.
+    each half is refined to an absolute 1e-11 between levels, its first
+    three levels evaluated in one E_batch call.
     """
     return _mellin_points(f, complex(s))[0]
 

@@ -364,26 +364,52 @@ class TestExitCodes:
         assert ("delta must exceed 1" if delta in ("0.5", "1") else "expected a finite") \
             in captured.err
 
-    def test_radial_entry_cap_is_fast(self, capsys):
-        # rows 0..dmax restate sum_{d <= dmax} (d + 1 + d^2 // 4) entries:
-        # 994175 at dmax = 226, 1007285 at 227
+    @pytest.mark.parametrize("argv", [
+        ["--dmax", "227"],  # 1007285 entries of the default table
+        ["--dmax", "10000"],
+        # 994175 entries of up to 2721 digits: 1.4 GB, though each stays
+        # below the former caps of 10^6 entries and 4000 digits
+        ["--p", "2", "--sigma", "-39.5", "--dmax", "226"],
+        ["--p", "10007", "--sigma", "-10", "--dmax", "80"],  # 79 MB
+        ["--p", "101", "--sigma", "-1.5", "--dmax", "150"],  # 96 MB
+    ], ids=["dmax227", "dmax10000", "p2-sigma-39.5-dmax226", "p10007-sigma-10-dmax80",
+            "p101-sigma-1.5-dmax150"])
+    def test_radial_size_cap_is_fast(self, capsys, argv):
+        # refused from the estimate, before any table is built
         start = time.perf_counter()
-        for dmax, entries in (("227", 1007285), ("10000", 83395847501)):
-            code, out, err = run(capsys, ["satake", "radial", "--dmax", dmax])
-            assert code == 2 and out == ""
-            assert f"--dmax {dmax} gives a report of {entries} entries" in err
-            assert "at most 1000000" in err
+        code, out, err = run(capsys, ["satake", "radial", *argv])
+        assert code == 2 and out == ""
+        assert "give a report of more than 32000000 bytes, the most that is printed" in err
         assert time.perf_counter() - start < 0.5
 
-    def test_radial_entry_count_is_the_report_size(self, capsys, monkeypatch):
-        # with the cap at the size of the dmax = 12 report, 12 prints in
+    @pytest.mark.parametrize("p, sigma, dmax", [
+        (2, 0.5, 226),  # 994175 entries, 23.0 MB printed
+        (10007, 20.0, 50),  # 12051 entries of up to 3917 characters, 23.6 MB
+    ])
+    def test_radial_size_cap_admits_the_largest_former_reports(self, p, sigma, dmax):
+        assert cli._radial_report_bytes(p, sigma, dmax) <= cli._MAX_RADIAL_BYTES
+
+    @pytest.mark.parametrize("p, sigma, dmax", [
+        (2, 0.5, 40), (2, 1.0, 40), (10007, 20.0, 20), (101, -1.5, 30),
+        (3, 0.3, 40), (10007, -0.3, 30),  # complex floats
+    ])
+    def test_radial_size_estimate_tracks_the_report(self, capsys, p, sigma, dmax):
+        # the printed report lies within 0.65 and 1.05 of the estimate (0.69
+        # to 1.0 measured; the default table's short entries are the least)
+        code, out, _ = run(capsys, ["satake", "radial", "--p", str(p), "--sigma", str(sigma),
+                                    "--dmax", str(dmax)])
+        assert code == 0
+        assert 0.65 <= len(out) / cli._radial_report_bytes(p, sigma, dmax) <= 1.05
+
+    def test_radial_size_estimate_bounds_the_report(self, capsys, monkeypatch):
+        # with the cap at the estimate of the dmax = 12 report, 12 prints in
         # full and 13 is refused
-        monkeypatch.setattr(cli, "_MAX_RADIAL_ENTRIES", 252)
+        monkeypatch.setattr(cli, "_MAX_RADIAL_BYTES", cli._radial_report_bytes(2, 0.5, 12))
         table = run_json(capsys, ["satake", "radial", "--dmax", "12"])["outputs"]["table"]
         assert sum(row["value"].count("SqrtP(") for row in table) == 252
         code, out, err = run(capsys, ["satake", "radial", "--dmax", "13"])
         assert code == 2 and out == ""
-        assert "--dmax 13 gives a report of 308 entries; at most 252 are printed" in err
+        assert "--p 2, --sigma 0.5 and --dmax 13 give a report of more than" in err
 
     def test_radial_negative_dmax_refused(self, capsys):
         code, out, err = run(capsys, ["satake", "radial", "--dmax", "-1"])

@@ -9,9 +9,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference_routes import recording, refinement_faults
+from reference_routes import _integrate_one, recording, refinement_faults
 
 from adelic_zeta import numkit
 from adelic_zeta.numkit import (
@@ -175,6 +175,97 @@ class TestFiniteQuadrature:
         assert batch.error_estimate.tolist() == [q.error_estimate for q in singles]
         assert batch.refinements == max(q.refinements for q in singles)
         assert batch.nodes == max(q.nodes for q in singles)
+
+    @staticmethod
+    def _damped(freqs):
+        return lambda x: np.exp(-x / 5.0) * np.sin(np.multiply.outer(freqs, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        freqs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+        length=st.floats(0.5, 12.0),
+        tol=st.sampled_from((1e-8, 1e-12)),
+        max_refinements=st.integers(1, 6),
+    )
+    @example(freqs=[0.5], length=10.0, tol=1e-12, max_refinements=6)  # level 1
+    @example(freqs=[17.0], length=3.0, tol=1e-12, max_refinements=6)  # level 2
+    @example(freqs=[9.0], length=10.0, tol=1e-12, max_refinements=6)  # level 3
+    @example(freqs=[30.0, 0.5, 17.0], length=10.0, tol=1e-12, max_refinements=6)
+    @example(freqs=[4.0], length=10.0, tol=1e-12, max_refinements=1)  # refused
+    def test_levels_match_the_per_level_oracle_bitwise(self, freqs, length, tol,
+                                                       max_refinements):
+        # one row (a scalar frequency) and a batch, against the oracle that
+        # evaluates and sums each level on its own
+        spec = QuadratureSpec(tol, max_refinements)
+        expected = []
+        for w in freqs:
+            try:
+                expected.append(_integrate_one(self._damped(w), 0.0, length, tol,
+                                               max_refinements))
+            except NonConvergenceError:
+                expected.append(None)
+        for w, value in zip(freqs, expected):
+            if value is None:
+                with pytest.raises(NonConvergenceError):
+                    integrate_finite(self._damped(w), 0.0, length, spec)
+            else:
+                assert integrate_finite(self._damped(w), 0.0, length, spec).value == value
+        if None in expected:
+            with pytest.raises(NonConvergenceError):
+                integrate_finite(self._damped(np.array(freqs)), 0.0, length, spec)
+        else:
+            batch = integrate_finite(self._damped(np.array(freqs)), 0.0, length, spec)
+            assert batch.value.tolist() == expected
+
+    @staticmethod
+    def _level_nodes(a, b, levels):
+        return [numkit._gauss_legendre_level(a, b, 1 << k)[0].tolist() for k in levels]
+
+    # refinements None: refused
+    @pytest.mark.parametrize("freq, max_refinements, first_levels, later_levels, refinements", [
+        (0.5, 10, [0, 1, 2], [], 1),
+        (9.0, 10, [0, 1, 2], [3], 3),
+        (30.0, 10, [0, 1, 2], [3, 4, 5], 5),
+        (0.5, 1, [0, 1], [], 1),
+        (30.0, 1, [0, 1], [], None),
+        (30.0, 2, [0, 1, 2], [], None),
+        (30.0, 4, [0, 1, 2], [3, 4], None),
+    ])
+    def test_first_call_takes_the_first_three_levels(self, freq, max_refinements,
+                                                     first_levels, later_levels, refinements):
+        # the first call gets levels 0-2 (0-1 when max_refinements = 1)
+        # concatenated in level order, each later call one level; a refusal
+        # stops after max_refinements
+        calls = []
+
+        def f(x):
+            calls.append(x.tolist())
+            return self._damped(freq)(x)
+
+        spec = QuadratureSpec(1e-12, max_refinements)
+        if refinements is None:
+            with pytest.raises(NonConvergenceError):
+                integrate_finite(f, 0.0, 10.0, spec)
+        else:
+            assert integrate_finite(f, 0.0, 10.0, spec).refinements == refinements
+        first = [x for nodes in self._level_nodes(0.0, 10.0, first_levels) for x in nodes]
+        assert calls == [first] + self._level_nodes(0.0, 10.0, later_levels)
+
+    @pytest.mark.parametrize("freq, refinements, nodes", [
+        (0.5, 1, 140), (4.0, 2, 140), (9.0, 3, 300), (17.0, 4, 620),
+    ])
+    def test_nodes_count_every_node_evaluated(self, freq, refinements, nodes):
+        # levels 0-2 are evaluated together, so an integral that stops at
+        # level 1 still reports their 20 + 40 + 80 nodes
+        seen = []
+
+        def f(x):
+            seen.extend(x.tolist())
+            return self._damped(freq)(x)
+
+        q = integrate_finite(f, 0.0, 10.0)
+        assert (q.refinements, q.nodes) == (refinements, nodes)
+        assert len(seen) == len(set(seen)) == nodes
 
     def test_batch_refused_when_one_row_stalls(self):
         with pytest.raises(NonConvergenceError):
