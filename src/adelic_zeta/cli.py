@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import sys
 from fractions import Fraction
 
@@ -19,16 +18,6 @@ from .numkit import NonConvergenceError, PoleError
 from . import lfun, polya, records, satake, theta
 
 _SCHEMA = "adelic-zeta.report.v1"
-_MAX_RADIAL_DIGITS = 4000  # below Python's 4300-digit int-to-str limit
-# bound on the estimated size of one satake radial report: 23 MB print at
-# the default p and sigma with --dmax 226, and at --p 10007 --sigma 20
-# --dmax 50, whose entries run to 3900 digits
-_MAX_RADIAL_BYTES = 32 * 10**6
-# printed size of a radial entry: its key and SqrtP frame besides the digits
-# of an exact power (23 to 31 bytes measured), or its key and complex float
-# (up to 42 with a three-digit exponent)
-_RADIAL_EXACT_BYTES = 32
-_RADIAL_FLOAT_BYTES = 40
 
 
 def _finite_number(parse, name: str):
@@ -155,46 +144,19 @@ def _cmd_satake_cosets(inputs: dict) -> dict:
     }
 
 
-def _radial_report_bytes(p: int, sigma: float, dmax: int) -> float:
-    """Estimated bytes of the satake radial report, summed only until it
-    passes _MAX_RADIAL_BYTES.  Row d restates the k // 2 + 1 dominant
-    mu >= 0 of each size k <= d, so those of size k print in dmax - k + 1
-    rows: when 2 sigma is an integer, each in _RADIAL_EXACT_BYTES plus the
-    |1/2 - sigma| k log10(p) digits of the exact p^((1/2 - sigma) k), else
-    in _RADIAL_FLOAT_BYTES."""
-    if (2 * sigma).is_integer():
-        digits, frame = abs(0.5 - sigma) * math.log10(max(p, 2)), _RADIAL_EXACT_BYTES
-    else:
-        digits, frame = 0.0, _RADIAL_FLOAT_BYTES
-    total = 0.0
-    for k in range(dmax + 1):
-        total += (dmax - k + 1) * (k // 2 + 1) * (digits * k + frame)
-        if total > _MAX_RADIAL_BYTES:
-            break
-    return total
-
-
 def _cmd_satake_radial(inputs: dict) -> dict:
     p, sigma, dmax = inputs["p"], inputs["sigma"], inputs["dmax"]
     if dmax < 0:
         raise ValueError(f"--dmax must be >= 0 (got {dmax})")
-    # past the sigma cap the library refuses before any work
-    if abs(sigma) <= satake._MAX_RADIAL_SIGMA:
-        # the longest exact entry, p^((1/2 - sigma) dmax) or its inverse,
-        # must print within the digit limit
-        digits = abs(0.5 - sigma) * dmax * math.log10(max(p, 2))
-        if digits > _MAX_RADIAL_DIGITS:
-            raise ValueError(
-                f"--sigma {sigma}, --p {p} and --dmax {dmax} give exact entries of about"
-                f" {digits:.0f} digits; at most {_MAX_RADIAL_DIGITS} are printed"
-            )
-        if _radial_report_bytes(p, sigma, dmax) > _MAX_RADIAL_BYTES:
-            raise ValueError(
-                f"--p {p}, --sigma {sigma} and --dmax {dmax} give a report of more than"
-                f" {_MAX_RADIAL_BYTES} bytes, the most that is printed"
-            )
-    # row d is the table to dmax restricted to |mu| <= d: no entry depends
-    # on where the table is truncated
+    # row d is the table to dmax restricted to |mu| <= d (no entry depends
+    # on where the table is truncated), so the report prints the table to
+    # each d <= dmax
+    counts, sizes = satake._radial_sizes(sigma, dmax, 2, p)
+    if (counts * sizes).cumsum().sum() > satake._MAX_RADIAL_BYTES:
+        raise ValueError(
+            f"--p {p}, --sigma {sigma} and --dmax {dmax} give a report of more than"
+            f" {satake._MAX_RADIAL_BYTES} bytes, the most that is printed"
+        )
     full = satake.satake_truncated_radial(sigma, dmax, p=p)
     rows = []
     for d in range(dmax + 1):

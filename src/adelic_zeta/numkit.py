@@ -350,10 +350,15 @@ def integrate_finite(
     )
 
 
+_MAX_PRIME = 10**9  # bound on p in _check_prime, whose trial division takes ~2 ms there
+
+
 def _check_prime(p: int) -> int:
-    """p itself if it is a prime int, by trial division; else ValueError."""
-    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p must be a prime integer (got {p!r})")
+    """p itself if it is a prime int of at most _MAX_PRIME, by trial
+    division; else ValueError, before any division past that cap."""
+    if not (isinstance(p, int) and 2 <= p <= _MAX_PRIME) or any(
+            p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime integer of at most {_MAX_PRIME} (got {p!r})")
     return p
 
 

@@ -10,6 +10,9 @@ and truncated traces (partial sums of the h_k series).
 Arithmetic that only involves integer powers of p^(1/2) stays exact via
 ``SqrtP`` (elements a + b*sqrt(p) with rational a, b); mixed expressions
 degrade to complex floats.
+
+One rule sizes a radial table for the library and the CLI alike:
+``_radial_sizes`` counts its entries of each size and their printed bytes.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ _MAX_COSET_ENTRY = 4  # public enumeration bound on |lambda_i|
 _MAX_COSETS = 10**6  # bound on the representatives one enumeration builds
 _MAX_WEIGHT_PAIRS = 2 * 10**6  # bound on the weight or monomial pairs one call reads
 _MAX_RADIAL_SIGMA = 40  # bound on |sigma| in satake_truncated_radial
-_MAX_RADIAL_COORDS = 2 * 10**6  # bound on the weight coordinates one radial table stores
-_MAX_EXACT_DIGITS = 10**8  # bound on the digits of the exact powers one radial table forms
+_MAX_RADIAL_DIGITS = 4000  # bound on the digits of one exact radial entry, below str()'s 4300
+_MAX_RADIAL_BYTES = 32 * 10**6  # bound on the printed bytes of one radial table or report
 _MAX_TRACE_DEPTH = 10**6  # bound on d in local_factor_series and trace_truncated
 _MAX_FLOAT_DECADES = 300  # bound on |log10| of every float a radial table forms
 
@@ -438,24 +441,72 @@ def _check_work(n: int, sizes) -> None:
             raise ValueError(f"rank {n}: more than {_MAX_WEIGHT_PAIRS} weight pairs to read")
 
 
-def _radial_entries(n: int, d: int, cap: int) -> int:
-    """The entries of the rank-n radial table to depth d, the partitions of
-    each k <= d into at most n parts (by conjugation, into parts of size at
-    most n), or cap + 1 once they exceed cap: at most min(n, d) numpy
-    passes over d + 1 <= cap counts."""
-    if d >= cap:  # every k <= d has at least one
-        return cap + 1
+def _half_integral(sigma) -> bool:
+    """Whether 2 sigma is an integer, where the radial table is exact."""
+    return isinstance(sigma, (Rational, float)) and (2 * Fraction(sigma)).denominator == 1
+
+
+def _radial_counts(n: int, d: int) -> np.ndarray:
+    """The entries of each size k <= d in the rank-n radial table, the
+    partitions of k into at most n parts (by conjugation, into parts of
+    size at most n), each saturated at _MAX_RADIAL_BYTES + 1 (a table of
+    more entries than that is refused anyway) so int64 cannot overflow:
+    min(n, d) numpy passes over d + 1 counts."""
     counts = np.ones(d + 1, dtype=np.int64)  # parts of size 1 only
     for j in range(2, min(n, d) + 1):
         # counts[k] += counts[k - j] for k = j, ..., d, in that order: a
-        # cumulative sum along each residue class mod j, saturated at cap + 1
+        # cumulative sum along each residue class mod j
         rows = -(-(d + 1) // j)
         padded = np.zeros(rows * j, dtype=np.int64)
         padded[: d + 1] = counts
-        counts = np.minimum(padded.reshape(rows, j).cumsum(axis=0).ravel()[: d + 1], cap + 1)
-        if counts.sum() > cap:
-            return cap + 1
-    return int(counts.sum())
+        counts = np.minimum(padded.reshape(rows, j).cumsum(axis=0).ravel()[: d + 1],
+                            _MAX_RADIAL_BYTES + 1)
+    return counts
+
+
+def _radial_sizes(sigma, d: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, sizes) over the sizes k <= d of the rank-n radial table:
+    counts[k] entries (_radial_counts), each printed in about sizes[k]
+    bytes, 3 n + 26 for its key and frame (3 a coordinate; 3 n + 34 for a
+    complex float) plus the |(n-1)/2 - sigma| k log10(p) digits of an
+    exact p^(((n-1)/2 - sigma) k).
+
+    ValueError, before any array or power is formed, for p not a prime,
+    n < 1 or d < 0; for |sigma| > _MAX_RADIAL_SIGMA (an exact p^(-sigma m)
+    has some sigma m log10(p) digits); for a float sigma when a float the
+    table forms, p^(-sigma m), p^((n-1) m / 2) or their product, m <= d,
+    would overflow or round to 0 (max(|Re sigma|, (n-1)/2, (n-1)/2 -
+    Re sigma) d log10(p) decades, above _MAX_FLOAT_DECADES); for an exact
+    entry of more than _MAX_RADIAL_DIGITS digits, which str() cannot print;
+    and when one entry of each size prints in more than _MAX_RADIAL_BYTES.
+    """
+    _check_prime(p)
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and depth d >= 0 (got n = {n}, d = {d})")
+    if not abs(sigma) <= _MAX_RADIAL_SIGMA:
+        raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
+    exact = _half_integral(sigma)
+    real, half = complex(sigma).real, (n - 1) / 2
+    decades = max(abs(real), half, half - real) * d * math.log10(p)
+    if not exact and decades > _MAX_FLOAT_DECADES:
+        raise ValueError(
+            f"sigma = {sigma!r}, p = {p}, d = {d}: the floats p^(-sigma m), p^((n-1) m / 2) and"
+            f" their products, m <= d, span {decades:.1f} decades, past the"
+            f" {_MAX_FLOAT_DECADES} of a normal double"
+        )
+    digits = abs(half - real) * math.log10(p) if exact else 0.0
+    if digits * d > _MAX_RADIAL_DIGITS:
+        raise ValueError(
+            f"sigma = {sigma!r}, p = {p}, d = {d}, rank {n}: exact entries of about"
+            f" {digits * d:.0f} digits; at most {_MAX_RADIAL_DIGITS} are printed"
+        )
+    frame = 3 * n + (26 if exact else 34)
+    if (d + 1) * frame > _MAX_RADIAL_BYTES:
+        raise ValueError(
+            f"rank {n}, depth {d}: one entry of each size prints in more than"
+            f" {_MAX_RADIAL_BYTES} bytes"
+        )
+    return _radial_counts(n, d), frame + digits * np.arange(d + 1)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -536,41 +587,19 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
 
     Exact (SqrtP scalars) when 2*sigma is an integer; otherwise every entry
     is a complex float, also where 2 sigma m is an integer.  ValueError,
-    before any power is formed, for |sigma| > _MAX_RADIAL_SIGMA: an exact
-    p^(-sigma m) has some sigma m log10(p) digits; for a table whose
-    entries, n-tuples each, hold more than _MAX_RADIAL_COORDS weight
-    coordinates; when the exact powers p^(-sigma m), p^((n-1) m / 2) and
-    their products, m <= d, could hold more than _MAX_EXACT_DIGITS digits
-    (D (d + 1), with D = max(|Re sigma|, (n-1)/2, (n-1)/2 - Re sigma) d
-    log10(p) the digits of the longest); and for a float sigma when any of
-    them would leave the normal double range (D above _MAX_FLOAT_DECADES),
-    where it would overflow or round to 0.
+    before any power is formed, for the inputs _radial_sizes refuses and
+    for a table that would print in more than _MAX_RADIAL_BYTES bytes (the
+    sum over k <= d of its entries of size k times their printed size), so
+    str() of every table returned succeeds.
     """
-    _check_prime(p)
-    if n < 1 or d < 0:
-        raise ValueError(f"need n >= 1 and depth d >= 0 (got n = {n}, d = {d})")
-    if not abs(sigma) <= _MAX_RADIAL_SIGMA:
-        raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
-    exact = isinstance(sigma, (Rational, float)) and (2 * Fraction(sigma)).denominator == 1
-    real, half = complex(sigma).real, (n - 1) / 2
-    decades = max(abs(real), half, half - real) * d * math.log10(p)
-    if not exact and decades > _MAX_FLOAT_DECADES:
+    counts, sizes = _radial_sizes(sigma, d, n, p)
+    total = counts @ sizes
+    if total > _MAX_RADIAL_BYTES:
         raise ValueError(
-            f"sigma = {sigma!r}, p = {p}, d = {d}: the floats p^(-sigma m), p^((n-1) m / 2) and"
-            f" their products, m <= d, span {decades:.1f} decades, past the"
-            f" {_MAX_FLOAT_DECADES} of a normal double"
+            f"rank {n}, depth {d}: the table prints in about {total:.0f} bytes, more than"
+            f" {_MAX_RADIAL_BYTES}"
         )
-    if n * _radial_entries(n, d, _MAX_RADIAL_COORDS // n) > _MAX_RADIAL_COORDS:
-        raise ValueError(
-            f"rank {n}, depth {d}: the table's weights have more than"
-            f" {_MAX_RADIAL_COORDS} coordinates"
-        )
-    if exact and decades * (d + 1) > _MAX_EXACT_DIGITS:
-        raise ValueError(
-            f"sigma = {sigma!r}, p = {p}, d = {d}, rank {n}: the exact powers p^(-sigma m),"
-            f" p^((n-1) m / 2) and their products, m <= d, could hold"
-            f" {decades * (d + 1):.0f} digits, past {_MAX_EXACT_DIGITS}"
-        )
+    exact = _half_integral(sigma)
     weights = [SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
                else complex(p) ** (-complex(sigma) * k) for k in range(d + 1)]
     values = [SqrtP.half_power(p, (n - 1) * k) * w for k, w in enumerate(weights)]

@@ -9,6 +9,7 @@ import shlex
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adelic_zeta import cli, satake
@@ -27,6 +28,13 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def radial_report_bytes(p: int, sigma: float, dmax: int) -> float:
+    """The estimate `satake radial` refuses on: each entry of size k,
+    in satake._radial_sizes' bytes, printed in the dmax - k + 1 rows d >= k."""
+    counts, sizes = satake._radial_sizes(sigma, dmax, 2, p)
+    return np.arange(dmax + 1, 0, -1) @ (counts * sizes)
 
 
 def _refuse_constant(token):
@@ -387,7 +395,23 @@ class TestExitCodes:
         (10007, 20.0, 50),  # 12051 entries of up to 3917 characters, 23.6 MB
     ])
     def test_radial_size_cap_admits_the_largest_former_reports(self, p, sigma, dmax):
-        assert cli._radial_report_bytes(p, sigma, dmax) <= cli._MAX_RADIAL_BYTES
+        assert radial_report_bytes(p, sigma, dmax) <= satake._MAX_RADIAL_BYTES
+
+    @pytest.mark.parametrize("p, sigma, dmax", [
+        (2, 0.5, 226), (2, 0.5, 227), (10007, 20.0, 50), (2, -39.5, 100), (101, -1.5, 30),
+        (3, 0.3, 40), (10007, -0.3, 30), (2, 0.5, 0),
+    ])
+    def test_radial_size_estimate_is_the_rank_two_sum(self, p, sigma, dmax):
+        # the k // 2 + 1 dominant mu >= 0 of size k, in dmax - k + 1 rows,
+        # each in 32 bytes plus the |1/2 - sigma| k log10(p) digits of its
+        # exact power, or in 40 bytes for a float sigma
+        digits, frame = ((abs(0.5 - sigma) * math.log10(p), 32) if (2 * sigma).is_integer()
+                         else (0.0, 40))
+        want = sum((dmax - k + 1) * (k // 2 + 1) * (digits * k + frame)
+                   for k in range(dmax + 1))
+        assert radial_report_bytes(p, sigma, dmax) == pytest.approx(want, rel=1e-12, abs=0)
+        if (p, dmax) == (2, 226):  # 31.81 MB, and 32.04 MB at dmax 227
+            assert radial_report_bytes(2, 0.5, 227) > satake._MAX_RADIAL_BYTES >= want
 
     @pytest.mark.parametrize("p, sigma, dmax", [
         (2, 0.5, 40), (2, 1.0, 40), (10007, 20.0, 20), (101, -1.5, 30),
@@ -399,12 +423,12 @@ class TestExitCodes:
         code, out, _ = run(capsys, ["satake", "radial", "--p", str(p), "--sigma", str(sigma),
                                     "--dmax", str(dmax)])
         assert code == 0
-        assert 0.65 <= len(out) / cli._radial_report_bytes(p, sigma, dmax) <= 1.05
+        assert 0.65 <= len(out) / radial_report_bytes(p, sigma, dmax) <= 1.05
 
     def test_radial_size_estimate_bounds_the_report(self, capsys, monkeypatch):
         # with the cap at the estimate of the dmax = 12 report, 12 prints in
         # full and 13 is refused
-        monkeypatch.setattr(cli, "_MAX_RADIAL_BYTES", cli._radial_report_bytes(2, 0.5, 12))
+        monkeypatch.setattr(satake, "_MAX_RADIAL_BYTES", radial_report_bytes(2, 0.5, 12))
         table = run_json(capsys, ["satake", "radial", "--dmax", "12"])["outputs"]["table"]
         assert sum(row["value"].count("SqrtP(") for row in table) == 252
         code, out, err = run(capsys, ["satake", "radial", "--dmax", "13"])
@@ -424,7 +448,7 @@ class TestExitCodes:
         code, out, err = run(capsys, ["satake", "radial", "--sigma", "40", "--p", "10007",
                                       "--dmax", "30"])
         assert code == 2 and out == ""
-        assert all(flag in err for flag in ("--sigma", "--p", "--dmax"))
+        assert "sigma = 40.0, p = 10007, d = 30, rank 2" in err
         assert "at most 4000" in err
         assert time.perf_counter() - start < 0.5
         # 20.5 * 50 * log10(10007) = 4100 digits: its entries p^(20.5 * 50)
@@ -445,6 +469,24 @@ class TestExitCodes:
         table = run_json(capsys, ["satake", "radial", "--sigma", "20", "--p", "10007",
                                   "--dmax", "50"])["outputs"]["table"]
         assert len(table) == 51
+
+    @pytest.mark.parametrize("argv", [
+        ["theta", "eval", "--fn", "s0", "--t", "0.7"],
+        ["theta", "feq", "--fn", "s0", "--t", "0.7"],
+        ["theta", "mellin", "--fn", "s0", "--s", "0.3+2j"],
+        ["theta", "decay", "--fn", "s0", "--n", "2"],
+        ["satake", "cosets", "--lambda", "1,0"],
+        ["satake", "radial"],
+        ["satake", "trace", "--chi", "0.5,0.3"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_large_prime_refused_fast(self, capsys, argv):
+        # the Mersenne prime 2^89 - 1: trial division to its square root
+        # would not end; refused before any division
+        start = time.perf_counter()
+        code, out, err = run(capsys, [*argv, "--p", str(2**89 - 1)])
+        assert code == 2 and out == ""
+        assert "p must be a prime integer of at most 1000000000" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_large_coset_enumeration_is_fast(self, capsys):
         # (7919 + 1) * 7919^3 representatives; refused before any is built

@@ -286,6 +286,19 @@ class TestFiniteQuadrature:
             QuadratureSpec(max_refinements=0)
 
 
+class TestCheckPrime:
+    def test_primes_up_to_the_cap(self):
+        # 999999937 is the largest prime below 10^9
+        assert [numkit._check_prime(p) for p in (2, 3, 10007, 999999937)] == [2, 3, 10007,
+                                                                               999999937]
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 10**9, 10**9 + 7, 2**89 - 1, 2.0, "7"])
+    def test_refused(self, p):
+        with pytest.raises(ValueError, match=f"p must be a prime integer of at most"
+                                             f" 1000000000 \\(got {p!r}\\)"):
+            numkit._check_prime(p)
+
+
 class TestSumCompensated:
     def test_against_fraction_oracle(self):
         rng = random.Random(123456)

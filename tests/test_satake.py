@@ -471,17 +471,21 @@ class TestMacdonaldRoute:
          "weight pairs to read"),
         (lambda: satake_transform(HeckeFn.double_coset(2, 2, (10**9, 0))),
          "weight pairs to read"),
-        (lambda: satake_truncated_radial(1, 10**9, n=3), "coordinates"),
-        (lambda: satake_truncated_radial(0.5, 10**8, n=1), "coordinates"),
-        (lambda: satake_truncated_radial(1, 3000, n=10**5), "coordinates"),
-        (lambda: satake_truncated_radial(1, 1, n=10**8), "coordinates"),
-        (lambda: satake_truncated_radial(1, 0, n=10**9), "coordinates"),
+        (lambda: satake_truncated_radial(1, 10**9, n=3), "bytes"),
+        (lambda: satake_truncated_radial(0.5, 10**8, n=1), "digits"),
+        (lambda: satake_truncated_radial(1, 3000, n=10**5), "digits"),
+        (lambda: satake_truncated_radial(1, 1, n=10**8), "digits"),
+        (lambda: satake_truncated_radial(1, 0, n=10**9), "bytes"),
         (lambda: satake_truncated_radial(40, 10**6, n=1), "digits"),
+        (lambda: satake_truncated_radial(0, 10**8, n=1), "bytes"),
+        (lambda: satake_truncated_radial(1, 2000, n=3), "bytes"),
+        (lambda: satake_truncated_radial(40, 10**5, n=81), "bytes"),
         (lambda: convolve(*[HeckeFn.double_coset(12, 2, (1,) * 6 + (0,) * 6)] * 2),
          "weight pairs to read"),
     ], ids=["rank3-transform", "rank2-transform", "rank3-radial", "rank1-radial",
             "rank-1e5-radial", "rank-1e8-radial", "rank-1e9-depth0-radial",
-            "rank1-exact-digits-radial", "rank12-convolve"])
+            "rank1-exact-digits-radial", "rank1-size-radial", "rank3-size-radial",
+            "rank81-size-radial", "rank12-convolve"])
     def test_work_bound_refuses_fast(self, call, want):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=want):
@@ -514,23 +518,23 @@ class TestMacdonaldRoute:
         assert best < 1e-3
 
     def test_work_bound_holds_on_the_cap(self, monkeypatch):
-        # d = 4 at rank 2 holds 1 + 1 + 2 + 2 + 3 pairs, d = 5 three more
-        monkeypatch.setattr(satake, "_MAX_RADIAL_COORDS", 18)
+        # d = 4 at rank 2 holds 1 + 1 + 2 + 2 + 3 entries of 32 bytes, d = 5 three more
+        monkeypatch.setattr(satake, "_MAX_RADIAL_BYTES", 288)
         assert len(satake_truncated_radial(0.5, 4, p=5).coeffs) == 9
-        with pytest.raises(ValueError, match="rank 2, depth 5: the table's weights have more"
-                                             " than 18 coordinates"):
+        with pytest.raises(ValueError, match="rank 2, depth 5: the table prints in about 384"
+                                             " bytes, more than 288"):
             satake_truncated_radial(0.5, 5, p=5)
 
-    def test_digit_bound_holds_on_the_cap(self, monkeypatch):
-        # at rank 1 the longest of the exact powers 2^(-40 m), m <= d, has
-        # D = 40 d log10(2) digits, and the bound is D (d + 1): 9.77e6 at
-        # d = 900, 1.21e7 at d = 1000; a float sigma forms no exact power
-        monkeypatch.setattr(satake, "_MAX_EXACT_DIGITS", 10**7)
-        table = satake_truncated_radial(40, 900, n=1)
-        assert table.coeffs[(900,)] == SqrtP.half_power(2, -72000)
-        with pytest.raises(ValueError, match="d = 1000, rank 1: the exact powers .* could"
-                                             " hold 12053241 digits, past 10000000"):
-            satake_truncated_radial(40, 1000, n=1)
+    def test_digit_bound_holds_on_the_cap(self):
+        # at rank 1 the longest entry 2^(-40 d) has 40 d log10(2) digits:
+        # 3997.7 at d = 332, 4009.7 at d = 333; a float sigma forms no
+        # exact power
+        table = satake_truncated_radial(40, 332, n=1)
+        assert table.coeffs[(332,)] == SqrtP.half_power(2, -80 * 332)
+        assert len(str(table)) > 4000
+        with pytest.raises(ValueError, match="d = 333, rank 1: exact entries of about 4010"
+                                             " digits; at most 4000 are printed"):
+            satake_truncated_radial(40, 333, n=1)
         assert len(satake_truncated_radial(0.1, 1000, n=1).coeffs) == 1001
 
     @pytest.mark.parametrize("sigma, n, d, entries", [
@@ -539,22 +543,59 @@ class TestMacdonaldRoute:
     def test_radial_bound_counts_the_entries(self, sigma, n, d, entries):
         # tables a bound on the weight pairs of a transform refused, or whose
         # rank ran past the recursion limit
-        assert satake._radial_entries(n, d, 10**6) == entries
-        assert len(satake_truncated_radial(sigma, d, n=n).coeffs) == entries
+        assert satake._radial_counts(n, d).sum() == entries
+        if n == 10**5:
+            # entries p^((n-1) k / 2) of up to 45,000 digits, which str() cannot print
+            with pytest.raises(ValueError, match="about 45153 digits; at most 4000"):
+                satake_truncated_radial(sigma, d, n=n)
+        else:
+            assert len(satake_truncated_radial(sigma, d, n=n).coeffs) == entries
 
     def test_radial_bound_at_rank_one(self):
-        cap = satake._MAX_RADIAL_COORDS
-        assert satake._radial_entries(1, cap - 1, cap) == cap
-        assert satake._radial_entries(1, cap, cap) == cap + 1
-        assert satake._radial_entries(10**9, 0, 0) == 1
+        # at sigma = 0 each size holds one entry (k,) = SqrtP(2, 1) of 29
+        # bytes, so 1103448 sizes fill 31999992 bytes and one more passes
+        cap = satake._MAX_RADIAL_BYTES
+        counts, sizes = satake._radial_sizes(0, cap // 29 - 1, 1, 2)
+        assert counts.sum() == cap // 29 and counts @ sizes == 29 * (cap // 29) <= cap
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="rank 1, depth 1103448: one entry of each size"
+                                             " prints in more than 32000000 bytes"):
+            satake_truncated_radial(0, cap // 29, n=1)
+        assert time.perf_counter() - start < 0.5
+        assert satake._radial_counts(10**9, 0).tolist() == [1]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_radial_entries_are_the_dominant_weights(self, n):
+        sizes = [sum(mu) for mu in dominant_tuples(n, 24)]
         for d in range(25):
-            count = sum(1 for _ in dominant_tuples(n, d))
-            assert satake._radial_entries(n, d, 10**6) == count
-            assert satake._radial_entries(n, d, count) == count
-            assert satake._radial_entries(n, d, count - 1) == count
+            assert satake._radial_counts(n, d).tolist() == [sizes.count(k) for k in range(d + 1)]
+
+    def test_radial_counts_saturate_past_the_byte_bound(self):
+        # p(k) passes int64 near k = 405; the counts stop at the bound plus one
+        counts = satake._radial_counts(500, 500)
+        assert counts[20] == 627 and counts[100] == satake._MAX_RADIAL_BYTES + 1
+        assert (counts[100:] == satake._MAX_RADIAL_BYTES + 1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), p=st.sampled_from([2, 3, 10007]), d=st.integers(4, 12),
+           sigma=st.one_of(st.integers(-80, 80).map(lambda m: Fraction(m, 2)),
+                           st.floats(-40, 40).filter(lambda x: not (2 * x).is_integer())))
+    @example(n=1, p=2, d=4, sigma=5.79290909742932e-154)
+    def test_radial_size_estimate_tracks_the_table(self, n, p, d, sigma):
+        # the printed table lies within 0.65 and 1.05 of the estimate (0.66
+        # to 1.03 measured on a grid of sigmas); d >= 4, as below that the
+        # 19 bytes of "SymLaurent(n=1, {...})" weigh.  Within 10^-3 of a
+        # half-integer a float power can round to a short value such as
+        # (1+0j), and the estimate only bounds the table
+        try:
+            counts, sizes = satake._radial_sizes(sigma, d, n, p)
+        except ValueError as exc:
+            assume("normal double" not in str(exc))
+            raise
+        ratio = len(str(satake_truncated_radial(sigma, d, n=n, p=p))) / (counts @ sizes)
+        assert ratio <= 1.05
+        if isinstance(sigma, Fraction) or abs(2 * sigma - round(2 * sigma)) >= 2e-3:
+            assert ratio >= 0.65
 
 
 def size_sum(n: int, p: int, k: int) -> SymLaurent:
