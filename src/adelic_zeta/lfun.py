@@ -69,12 +69,24 @@ class CoeffTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        self._check_anchor()
+        if any(not isinstance(v, int) for v in self.values):
+            raise ValueError("coefficients must be exact integers")
+
+    def _check_anchor(self) -> None:
         if not self.values:
             raise ValueError("empty coefficient table")
         if self.values[0] != 1:
             raise ValueError("tables are normalized with a_1 = 1")
-        if any(not isinstance(v, int) for v in self.values):
-            raise ValueError("coefficients must be exact integers")
+
+    @classmethod
+    def _of_ints(cls, values: tuple[int, ...]) -> "CoeffTable":
+        """A table of entries that are Python ints by construction, with
+        every check of the constructor but the per-entry type check."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "values", values)
+        table._check_anchor()
+        return table
 
     def __len__(self) -> int:
         return len(self.values)
@@ -97,7 +109,7 @@ def tau_coefficients(n: int) -> CoeffTable:
     """
     if not (1 <= n <= _MAX_TAU):
         raise ValueError(f"n must lie in [1, {_MAX_TAU}]")
-    return CoeffTable(tuple(kernels.eta24_coefficients(n)))
+    return CoeffTable._of_ints(tuple(kernels.eta24_coefficients(n)))
 
 
 def sigma_k(n: int, k: int) -> int:

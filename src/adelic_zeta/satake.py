@@ -8,8 +8,12 @@ p^(((n-1)/2 - sigma) |mu|), symmetric Laurent data, local Euler factors
 and truncated traces (partial sums of the h_k series).
 
 Arithmetic that only involves integer powers of p^(1/2) stays exact via
-``SqrtP`` (elements a + b*sqrt(p) with rational a, b); mixed expressions
-degrade to complex floats.
+``SqrtP`` (elements a + b*sqrt(p) with rational a, b, held as integers
+(x + y*sqrt(p)) / q); mixed expressions degrade to complex floats.  The
+prime is checked once, where a public call or constructor receives it
+(``HeckeFn``, ``SatakeParam``, ``SqrtP(p, a, b)``, ``SqrtP.half_power``,
+``enumerate_cosets``, ``satake_truncated_radial``): the scalars that
+transforms, convolutions and radial tables build inside are unchecked.
 
 One rule sizes a radial table for the library and the CLI alike:
 ``_radial_sizes`` counts its entries of each size and their printed bytes.
@@ -62,47 +66,67 @@ _MAX_FLOAT_DECADES = 300  # bound on |log10| of every float a radial table forms
 
 
 class SqrtP:
-    """Exact scalar a + b*sqrt(p) with rational a, b.
+    """Exact scalar a + b*sqrt(p) with rational a, b, held as integers:
+    the value is (x + y*sqrt(p)) / q with q > 0 and gcd(x, y, q) = 1, so
+    each value has one representation.  ``a`` and ``b`` read it back as
+    Fractions.
 
     Closed under +, -, * and comparison with rationals; conversion to
     complex/float is the only lossy operation.  Mixing two SqrtP values
-    with different p is rejected rather than approximated.
+    with different p is rejected rather than approximated.  The
+    constructor and ``half_power`` check that p is prime; the results of
+    arithmetic inherit an operand's p and are built unchecked.
     """
 
-    __slots__ = ("p", "a", "b")
+    __slots__ = ("p", "x", "y", "q")
 
     def __init__(self, p: int, a=0, b=0):
         self.p = _check_prime(p)
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        q = math.lcm(a.denominator, b.denominator)
+        self.x = a.numerator * (q // a.denominator)
+        self.y = b.numerator * (q // b.denominator)
+        self.q = q
 
     @classmethod
     def half_power(cls, p: int, k: int) -> "SqrtP":
         """p^(k/2) for integer k (k may be negative)."""
-        if k % 2 == 0:
-            return cls(p, a=Fraction(p) ** (k // 2))
-        return cls(p, b=Fraction(p) ** ((k - 1) // 2))
+        return _half_power(_check_prime(p), k)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.x, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.y, self.q)
 
     def _coerce(self, other):
         if isinstance(other, SqrtP):
-            if other.p != self.p and not (other.b == 0 or self.b == 0):
+            if other.p != self.p and other.y and self.y:
                 raise ValueError("cannot mix sqrt(p) scalars for different p")
             return other
+        if type(other) is int:
+            return _sqrtp(self.p, other, 0, 1)
         if isinstance(other, Rational):
-            return SqrtP(self.p, a=Fraction(other))
+            other = Fraction(other)
+            return _sqrtp(self.p, other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return complex(self) + other
-        p = self.p if self.b != 0 or o.b == 0 else o.p
-        return SqrtP(p, self.a + o.a, self.b + o.b)
+        p = self.p if self.y or not o.y else o.p
+        q, r = self.q, o.q
+        if q == r:
+            return _sqrtp(p, self.x + o.x, self.y + o.y, q)
+        return _sqrtp(p, self.x * r + o.x * q, self.y * r + o.y * q, q * r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtP(self.p, -self.a, -self.b)
+        return _sqrtp(self.p, -self.x, -self.y, self.q)
 
     def __sub__(self, other):
         return self + (-other)
@@ -114,26 +138,30 @@ class SqrtP:
         o = self._coerce(other)
         if o is None:
             return complex(self) * other
-        p = self.p if self.b != 0 or o.b == 0 else o.p
-        return SqrtP(p, self.a * o.a + self.b * o.b * p, self.a * o.b + self.b * o.a)
+        p = self.p if self.y or not o.y else o.p
+        x, y, u, v = self.x, self.y, o.x, o.y
+        return _sqrtp(p, x * u + y * v * p, x * v + y * u, self.q * o.q)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if type(other) is int:
+            return not self.y and self.q == 1 and self.x == other
         if isinstance(other, SqrtP):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.p == other.p and self.a == other.a and self.b == other.b
+            if not (self.y or other.y):
+                return self.x == other.x and self.q == other.q
+            return (self.p == other.p and self.x == other.x and self.y == other.y
+                    and self.q == other.q)
         if isinstance(other, Rational):
-            return self.b == 0 and self.a == Fraction(other)
+            return not self.y and self.a == Fraction(other)
         if isinstance(other, (float, complex)):
             # exact, like Fraction == float, so equal values hash equal
             other = complex(other)
-            return self.b == 0 and other.imag == 0 and self.a == other.real
+            return not self.y and other.imag == 0 and self.a == other.real
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.y:
             return hash(self.a)
         return hash((self.p, self.a, self.b))
 
@@ -141,12 +169,34 @@ class SqrtP:
         return complex(float(self))
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.p)
+        # int / int rounds correctly, as float(Fraction) does
+        return self.x / self.q + self.y / self.q * math.sqrt(self.p)
 
     def __repr__(self):
-        if self.b == 0:
+        if not self.y:
             return f"SqrtP({self.p}, {self.a})"
         return f"SqrtP({self.p}, {self.a}, {self.b})"
+
+
+def _sqrtp(p: int, x: int, y: int, q: int) -> SqrtP:
+    """The SqrtP (x + y sqrt(p)) / q, q > 0, at a prime p: reduced by
+    gcd(x, y, q) and built with no check and no Fraction."""
+    g = math.gcd(x, y, q)
+    if g != 1:
+        x, y, q = x // g, y // g, q // g
+    s = object.__new__(SqrtP)
+    s.p, s.x, s.y, s.q = p, x, y, q
+    return s
+
+
+def _half_power(p: int, k: int) -> SqrtP:
+    """p^(k/2) at a prime p, unchecked."""
+    e, odd = divmod(k, 2)
+    x, y = (0, 1) if odd else (1, 0)
+    if e >= 0:
+        return _sqrtp(p, x * p**e, y * p**e, 1)
+    return _sqrtp(p, x, y, p**-e)
+
 
 
 def dominant(v: Sequence[int]) -> tuple[int, ...]:
@@ -404,18 +454,18 @@ def enumerate_cosets(p: int, lam: Sequence[int], n: int = 2) -> CosetEnumeration
             f"K diag(p^lambda) K at p = {p}, lambda = {lam} has {count} representatives,"
             f" more than {_MAX_COSETS}"
         )
-    shift, zero = Fraction(p) ** lam[1], Fraction(0)
+    # every entry is v p^lam2 for an integer 0 <= v <= p^m: build each
+    # once, from integers, and share it across representatives
+    scale = p ** abs(lam[1])
+    entry = ([Fraction(v * scale) for v in range(p**m + 1)] if lam[1] >= 0
+             else [Fraction(v, scale) for v in range(p**m + 1)])
     reps = []
     for a in range(m + 1):
         c = m - a
-        pa = p**a
-        # only the entry b changes within one diagonal (p^a, p^c)
-        left, right = shift * pa, shift * p**c
-        for b in range(pa):
-            # primitive: a, c and the p-adic order of b not all positive
-            if a and c and b % p == 0:
-                continue
-            reps.append(((left, shift * b), (zero, right)))
+        left, right = entry[p**a], entry[p**c]
+        # primitive: a, c and the p-adic order of b not all positive
+        bs = (b for b in range(p**a) if b % p) if a and c else range(p**a)
+        reps += [((left, entry[b]), (entry[0], right)) for b in bs]
     return CosetEnumeration(2, p, lam, tuple(reps), depth=m + 1)
 
 
@@ -468,8 +518,9 @@ def _radial_sizes(sigma, d: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray
     """(counts, sizes) over the sizes k <= d of the rank-n radial table:
     counts[k] entries (_radial_counts), each printed in about sizes[k]
     bytes, 3 n + 26 for its key and frame (3 a coordinate; 3 n + 34 for a
-    complex float) plus the |(n-1)/2 - sigma| k log10(p) digits of an
-    exact p^(((n-1)/2 - sigma) k).
+    complex float "(x+0j)" of real sigma, 3 n + 52 for the two full floats
+    "(x+yj)" of non-real sigma) plus the |(n-1)/2 - sigma| k log10(p)
+    digits of an exact p^(((n-1)/2 - sigma) k).
 
     ValueError, before any array or power is formed, for p not a prime,
     n < 1 or d < 0; for |sigma| > _MAX_RADIAL_SIGMA (an exact p^(-sigma m)
@@ -486,7 +537,8 @@ def _radial_sizes(sigma, d: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray
     if not abs(sigma) <= _MAX_RADIAL_SIGMA:
         raise ValueError(f"|sigma| must be at most {_MAX_RADIAL_SIGMA} (got {sigma!r})")
     exact = _half_integral(sigma)
-    real, half = complex(sigma).real, (n - 1) / 2
+    z = complex(sigma)
+    real, half = z.real, (n - 1) / 2
     decades = max(abs(real), half, half - real) * d * math.log10(p)
     if not exact and decades > _MAX_FLOAT_DECADES:
         raise ValueError(
@@ -500,7 +552,7 @@ def _radial_sizes(sigma, d: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray
             f"sigma = {sigma!r}, p = {p}, d = {d}, rank {n}: exact entries of about"
             f" {digits * d:.0f} digits; at most {_MAX_RADIAL_DIGITS} are printed"
         )
-    frame = 3 * n + (26 if exact else 34)
+    frame = 3 * n + (26 if exact else 52 if z.imag else 34)
     if (d + 1) * frame > _MAX_RADIAL_BYTES:
         raise ValueError(
             f"rank {n}, depth {d}: one entry of each size prints in more than"
@@ -559,7 +611,7 @@ def _transform_terms(p: int, lam: tuple[int, ...]) -> tuple:
     for mu in _decreasing(tuple(itertools.accumulate(kappa)), sum(kappa)):
         r2 = sum(map(operator.mul, mu, rho2))  # 2 <mu, rho>
         count = _hl_scaled(p, kappa[: kappa.index(0)], mu) * p**r2
-        out.append((tuple(m + shift for m in mu), count, SqrtP.half_power(p, -r2)))
+        out.append((tuple(m + shift for m in mu), count, _half_power(p, -r2)))
     return tuple(out)
 
 
@@ -570,12 +622,17 @@ def satake_transform(f: HeckeFn) -> SymLaurent:
     (Macdonald V (3.3)).  Exact output: counts times half-integer powers of
     p.  ValueError, before any coefficient is computed, past _MAX_WEIGHT_PAIRS."""
     _check_work(f.n, [sum(lam) - f.n * lam[-1] for lam in f.coeffs])
+    return _transform(f.n, f.p, f.coeffs)
+
+
+def _transform(n: int, p: int, coeffs: Mapping[tuple[int, ...], object]) -> SymLaurent:
+    """satake_transform of validated coefficients at a checked prime p."""
     acc: dict[tuple[int, ...], object] = {}
-    for lam, c in f.coeffs.items():
-        for mu, count, half in _transform_terms(f.p, lam):
+    for lam, c in coeffs.items():
+        for mu, count, half in _transform_terms(p, lam):
             val = c * count * half
             acc[mu] = acc[mu] + val if mu in acc else val
-    return SymLaurent(f.n, acc)
+    return SymLaurent(n, acc)
 
 
 def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent:
@@ -599,10 +656,14 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
             f"rank {n}, depth {d}: the table prints in about {total:.0f} bytes, more than"
             f" {_MAX_RADIAL_BYTES}"
         )
-    exact = _half_integral(sigma)
-    weights = [SqrtP.half_power(p, -int(2 * Fraction(sigma) * k)) if exact
-               else complex(p) ** (-complex(sigma) * k) for k in range(d + 1)]
-    values = [SqrtP.half_power(p, (n - 1) * k) * w for k, w in enumerate(weights)]
+    if _half_integral(sigma):
+        # v_k = v_(k-1) p^((n-1)/2 - sigma), one product per size
+        base = _half_power(p, n - 1 - int(2 * Fraction(sigma)))
+        values = list(itertools.accumulate(itertools.repeat(base, d), operator.mul,
+                                           initial=_sqrtp(p, 1, 0, 1)))
+    else:
+        values = [_half_power(p, (n - 1) * k) * complex(p) ** (-complex(sigma) * k)
+                  for k in range(d + 1)]
     return SymLaurent(n, {mu: values[sum(mu)] for mu in dominant_tuples(n, d)})
 
 
@@ -673,8 +734,9 @@ def _unit_product(p: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
     the product of the two transforms scaled to the integers p^<nu, rho> [m_nu],
     peeled by the counts of _transform_terms (p^<2 nu, rho> at nu), largest first."""
     n, rho2 = len(lam), range(len(lam) - 1, -len(lam), -2)
-    sf, sg = (satake_transform(HeckeFn.double_coset(n, p, w)) for w in (lam, mu))
-    rest = {nu: int((c * SqrtP.half_power(p, sum(map(operator.mul, nu, rho2)))).a)
+    sf, sg = (_transform(n, p, {w: 1}) for w in (lam, mu))
+    # each scaled coefficient is an integer, so its field x is its value
+    rest = {nu: (c * _half_power(p, sum(map(operator.mul, nu, rho2)))).x
             for nu, c in (sf * sg).coeffs.items()}
     out = []
     while rest:

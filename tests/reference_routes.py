@@ -23,6 +23,9 @@ compare the package's single route against it.
   time, each integrand built and integrated on its own with nodes rebuilt
   per level, against the batched sampler (lfun.completed_lambda_line,
   polya.CriticalLineFn.values) and polya.scan_zeros.
+* FractionSqrtP: the exact scalar a + b sqrt(p) as a pair of Fractions,
+  every value built through the checked constructor, against
+  satake.SqrtP's integer form (x + y sqrt(p)) / q.
 * coset_transform, coset_radial, coset_convolve: the rank-2 spherical
   transform, radial table and convolution by counting Hermite
   representatives [[p^a, b], [0, p^c]] by diagonal (_order_classes), with
@@ -47,6 +50,7 @@ import numpy as np
 from adelic_zeta import lfun, polya, theta
 from adelic_zeta.numkit import (
     NonConvergenceError,
+    _check_prime,
     integrate_finite,
     integrate_halfline,
     sum_compensated,
@@ -333,6 +337,93 @@ def refinement_faults(samples: dict[float, float], calls: list[list[float]],
         ):
             faults.append(f"uncertified root {rho!r}")
     return faults
+
+
+class FractionSqrtP:
+    """Exact scalar a + b*sqrt(p) with rational a, b held as Fractions.
+
+    Closed under +, -, * and comparison with rationals; conversion to
+    complex/float is the only lossy operation.  Mixing two values with
+    different p is rejected rather than approximated.
+    """
+
+    __slots__ = ("p", "a", "b")
+
+    def __init__(self, p: int, a=0, b=0):
+        self.p = _check_prime(p)
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @classmethod
+    def half_power(cls, p: int, k: int) -> "FractionSqrtP":
+        """p^(k/2) for integer k (k may be negative)."""
+        if k % 2 == 0:
+            return cls(p, a=Fraction(p) ** (k // 2))
+        return cls(p, b=Fraction(p) ** ((k - 1) // 2))
+
+    def _coerce(self, other):
+        if isinstance(other, FractionSqrtP):
+            if other.p != self.p and not (other.b == 0 or self.b == 0):
+                raise ValueError("cannot mix sqrt(p) scalars for different p")
+            return other
+        if isinstance(other, Rational):
+            return FractionSqrtP(self.p, a=Fraction(other))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return complex(self) + other
+        p = self.p if self.b != 0 or o.b == 0 else o.p
+        return FractionSqrtP(p, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionSqrtP(self.p, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return complex(self) * other
+        p = self.p if self.b != 0 or o.b == 0 else o.p
+        return FractionSqrtP(p, self.a * o.a + self.b * o.b * p, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, FractionSqrtP):
+            if self.b == 0 and other.b == 0:
+                return self.a == other.a
+            return self.p == other.p and self.a == other.a and self.b == other.b
+        if isinstance(other, Rational):
+            return self.b == 0 and self.a == Fraction(other)
+        if isinstance(other, (float, complex)):
+            other = complex(other)
+            return self.b == 0 and other.imag == 0 and self.a == other.real
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.p, self.a, self.b))
+
+    def __complex__(self):
+        return complex(float(self))
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.p)
+
+    def __repr__(self):
+        if self.b == 0:
+            return f"SqrtP({self.p}, {self.a})"
+        return f"SqrtP({self.p}, {self.a}, {self.b})"
 
 
 @lru_cache(maxsize=None)

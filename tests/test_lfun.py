@@ -110,6 +110,21 @@ class TestTau:
             CoeffTable((2, -24))  # a_1 must be 1
         with pytest.raises(ValueError):
             records.loads(CoeffTable, '{"values": [2, -24]}')
+        with pytest.raises(ValueError, match="empty"):
+            CoeffTable(())
+        for entry in (-24.0, Fraction(-24), np.int64(-24), "-24"):
+            with pytest.raises(ValueError, match="exact integers"):
+                CoeffTable((1, entry))
+
+    def test_tau_table_skips_only_the_entry_check(self):
+        # the tau route builds Python ints, so it skips the per-entry type
+        # check alone; the table equals the one the checked constructor builds
+        table = tau_coefficients(3000)
+        assert all(type(v) is int for v in table.values)
+        assert CoeffTable(table.values) == table
+        for values, match in (((), "empty"), ((2, -24), "a_1 = 1")):
+            with pytest.raises(ValueError, match=match):
+                CoeffTable._of_ints(values)
 
 
 class TestZetaEM:
