@@ -3,11 +3,14 @@ products and the integer eta q-expansion.
 
 Callers reach them through ``_backend.kernels``.  ``neumaier_sum`` is
 correctly rounded by ``math.fsum``, so it does not depend on the order of
-its terms; the row-wise sums of arrays (``row_sums`` and the batched
-lattice sums) are compensated, as accurate as a plain sum in twice the
-working precision.  A lattice sum stops where its term bound falls below
-TAIL_TOL, at a point that depends only on the polynomial's degree and
-coefficient sum, so it is found once per such pair.  The eta q-expansion
+its terms; given a 2-D array it sums every row in one call, each row
+bitwise its 1-D sum and real rows as real, which is how integrate_finite
+sums one quadrature level of a batch.  The other row-wise sums of arrays
+(``row_sums`` and the batched lattice sums) are compensated, as accurate
+as a plain sum in twice the working precision, but not correctly
+rounded.  A lattice sum stops where its term bound falls below TAIL_TOL,
+at a point that depends only on the polynomial's degree and coefficient
+sum, so it is found once per such pair.  The eta q-expansion
 is exact: sparse passes in int64 modulo primes below 2^45, as many as
 Deligne's bound on tau requires (two up to n = 26007), and the Chinese
 remainder theorem back to Python ints.
@@ -51,10 +54,18 @@ def neumaier_sum(values):
     """Sum of a sequence of numbers as complex, each part correctly rounded.
 
     Exact up to one final rounding whatever the length, order or
-    cancellation pattern, unlike the naive left fold.
+    cancellation pattern, unlike the naive left fold.  A 2-D array gives
+    the list of its row sums, each bitwise the sum of that row on its own;
+    real rows are summed as real, with imaginary part 0.0.
     """
-    z = np.asarray(values, dtype=complex)
-    return complex(_fsum(z.real.tolist()), _fsum(z.imag.tolist()))
+    if getattr(values, "ndim", 1) != 2:
+        z = np.asarray(values, dtype=complex)
+        return complex(_fsum(z.real.tolist()), _fsum(z.imag.tolist()))
+    # one row at a time, so only one row exists as Python floats
+    if not np.iscomplexobj(values):
+        return [complex(_fsum(row.tolist())) for row in values.astype(float, copy=False)]
+    return [complex(_fsum(row.real.tolist()), _fsum(row.imag.tolist()))
+            for row in values.astype(complex, copy=False)]
 
 
 def _two_sum(a, b):
@@ -80,7 +91,7 @@ def _pair_sums(a):
 def row_sums(a):
     """Sums along the last axis of a real or complex array, compensated: as
     accurate as the plain sum in twice the working precision, then rounded
-    once.  The row-wise counterpart of ``neumaier_sum``."""
+    once; not correctly rounded, unlike ``neumaier_sum`` on a 2-D array."""
     a = np.asarray(a)
     if not np.iscomplexobj(a):
         s, e = _pair_sums(a.astype(float))

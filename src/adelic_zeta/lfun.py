@@ -354,14 +354,25 @@ _LINE_TOL = 1e-14
 def _rows(line: _Line, ss: list[complex], tol: float) -> list[complex]:
     """The completed function of ``line`` at points of one real part, in one
     integrate_finite batch at absolute tolerance tol with up to 14
-    refinements; each point pays only for its own exponential row."""
+    refinements; each point pays only for its own exponential row: the real
+    g(e^v) 2 Re exp(a v) on the line's center w/2, where the samplers and
+    scans evaluate, and the complex g(e^v) (exp(a v) + exp(b v)) off it."""
     k, w, sigma = line.k, line.w, ss[0].real
     v_max = _cutoff(line.decay, k * max(abs(sigma), abs(w - sigma)) + line.margin)
     a = np.array([[k * s] for s in ss])
-    b = np.array([[k * (w - s)] for s in ss])
+    if sigma == 0.5 * w:
+        # b = k (w - s) is conj(a) (both imaginary parts +0.0 at t = 0), and
+        # numpy's complex exp is conjugate-symmetric, so exp(a v) + exp(b v)
+        # is exactly 2 Re exp(a v) + 0.0j: one complex exp per node, and
+        # real rows, which integrate_finite sums without their zero
+        # imaginary parts.  Bitwise the value of the complex integrand.
+        def integrand(v: np.ndarray) -> np.ndarray:
+            return _theta_factor(line, v) * (2.0 * np.exp(a * v).real)
+    else:
+        b = np.array([[k * (w - s)] for s in ss])
 
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return _theta_factor(line, v) * (np.exp(a * v) + np.exp(b * v))
+        def integrand(v: np.ndarray) -> np.ndarray:
+            return _theta_factor(line, v) * (np.exp(a * v) + np.exp(b * v))
 
     vals = integrate_finite(integrand, 0.0, v_max, QuadratureSpec(tol, 14)).value.tolist()
     if not line.polar:

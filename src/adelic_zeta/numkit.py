@@ -275,18 +275,19 @@ def _gauss_legendre_level(a: float, b: float, panels: int) -> tuple[np.ndarray, 
 
 
 @lru_cache(maxsize=_LEVEL_SLOTS)
-def _first_call(a: float, b: float, levels: int) -> tuple[np.ndarray, list]:
-    """The nodes of levels 0 .. levels - 1 on [a, b] concatenated in level
-    order, read-only, and per level its weights and the slice of those
-    nodes it takes: what integrate_finite's first call of f evaluates."""
+def _first_call(a: float, b: float, levels: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The nodes and weights of levels 0 .. levels - 1 on [a, b], each
+    concatenated in level order and read-only, and per level the slice of
+    them it takes: what integrate_finite's first call of f evaluates."""
     parts = [_gauss_legendre_level(a, b, 1 << level) for level in range(levels)]
     nodes = np.concatenate([level_nodes for level_nodes, _w in parts])
-    nodes.flags.writeable = False
-    taken, start = [], 0
-    for level_nodes, weights in parts:
-        taken.append((weights, slice(start, start + level_nodes.size)))
+    weights = np.concatenate([level_weights for _n, level_weights in parts])
+    nodes.flags.writeable = weights.flags.writeable = False
+    cols, start = [], 0
+    for level_nodes, _w in parts:
+        cols.append(slice(start, start + level_nodes.size))
         start += level_nodes.size
-    return nodes, taken
+    return nodes, weights, cols
 
 
 def integrate_finite(
@@ -295,42 +296,45 @@ def integrate_finite(
     """Integrate f over [a, b] by composite 20-point Gauss-Legendre panels,
     doubling the panel count until two levels agree.
 
-    f receives one ndarray of nodes and returns the matching values: an
-    array of that shape for one integrand, or of shape (rows, nodes) for a
-    batch of integrands sharing the nodes.  The first call gets the nodes
-    of levels 0, 1 and 2 (1, 2 and 4 panels; _FIRST_CALL_LEVELS, or fewer
-    when max_refinements is below 2) concatenated in level order, and the
-    levels are compared from slices of its values; each later call gets
-    the nodes of one level.  So, like integrate_halfline, the rule may
-    evaluate f at nodes of a level it never sums: ``nodes`` counts every
-    node f received, 140 for an integral that stops at level 1.  Each row
-    is a correctly rounded sum (``kernels.neumaier_sum``) and keeps the
-    level at which its own two latest levels agree, so every row of a
-    batch is bitwise the value that row would get on its own.  A batch is
-    evaluated until its last row settles; its ``value`` and
-    ``error_estimate`` are arrays of one entry per row, ``refinements`` is
-    the level of the last row, and each node counts once however many rows
-    share it.  Raises NonConvergenceError when max_refinements doublings
-    leave a row above the tolerance.
+    f receives one ndarray of nodes and returns the matching values, real
+    or complex: an array of that shape for one integrand, or of shape
+    (rows, nodes) for a batch of integrands sharing the nodes.  The first
+    call gets the nodes of levels 0, 1 and 2 (1, 2 and 4 panels;
+    _FIRST_CALL_LEVELS, or fewer when max_refinements is below 2)
+    concatenated in level order; its values are multiplied by the
+    concatenated weights once, and each level is summed from its slice of
+    those terms only when the loop reaches it.  Each later call gets the
+    nodes of one level.  So, like integrate_halfline, the rule may evaluate
+    f at nodes of a level it never sums: ``nodes`` counts every node f
+    received, 140 for an integral that stops at level 1.  A level's rows
+    are summed in one ``kernels.neumaier_sum`` call, each row correctly
+    rounded on its own, real values as real: a real integrand gives
+    bitwise the result of the same integrand cast to complex, with
+    imaginary part 0.0.  Each row keeps the level at which its own two
+    latest levels agree, so every row of a batch is bitwise the value that
+    row would get on its own.  A batch is evaluated until its last row
+    settles; its ``value`` and ``error_estimate`` are arrays of one entry
+    per row, ``refinements`` is the level of the last row, and each node
+    counts once however many rows share it.  Raises NonConvergenceError
+    when max_refinements doublings leave a row above the tolerance.
     """
     spec = spec or QuadratureSpec()
     if not (a < b):
         raise ValueError("need a < b")
-    nodes, first = _first_call(a, b, min(_FIRST_CALL_LEVELS, spec.max_refinements + 1))
-    vals = np.asarray(f(nodes), dtype=complex)
+    nodes, weights, first = _first_call(a, b, min(_FIRST_CALL_LEVELS, spec.max_refinements + 1))
+    vals = np.asarray(f(nodes))
     one_row = vals.ndim == 1
-    first_rows = vals.reshape(-1, nodes.size)
+    first_terms = vals.reshape(-1, nodes.size) * weights
     total_nodes = nodes.size
     prev = None
     for level in range(spec.max_refinements + 1):
         if level < len(first):
-            weights, cols = first[level]
-            rows = first_rows[:, cols]
+            terms = first_terms[:, first[level]]
         else:
             nodes, weights = _gauss_legendre_level(a, b, 1 << level)
-            rows = np.asarray(f(nodes), dtype=complex).reshape(-1, nodes.size)
+            terms = np.asarray(f(nodes)).reshape(-1, nodes.size) * weights
             total_nodes += nodes.size
-        cur = [complex(kernels.neumaier_sum(row * weights)) for row in rows]
+        cur = kernels.neumaier_sum(terms)
         if prev is None:
             value, err, open_rows = [None] * len(cur), [None] * len(cur), set(range(len(cur)))
         else:

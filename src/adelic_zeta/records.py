@@ -3,8 +3,8 @@
 JSON is the one round-trip format: `dumps` writes any dataclass, dict,
 sequence or scalar with sorted keys, and `loads(cls, text)` rebuilds a
 dataclass from its resolved field types.  CSV (`csv_text`) and the
-`key = value` text of the CLI are views built on `flatten`; they are
-written, never read back.
+`key = value` text of the CLI are views built on `flatten` (which flat
+rows of int or str cells skip); they are written, never read back.
 """
 
 from __future__ import annotations
@@ -91,9 +91,17 @@ def flatten(obj: dict, prefix: str = "") -> dict:
 def csv_text(rows) -> str:
     """CSV view of a sequence of records (dicts or dataclasses): one row
     each, columns from the first record's flattened keys, so a nested cell
-    such as a complex E becomes the columns E.im and E.re."""
-    flat = [flatten(plain(row)) for row in rows]
-    cols = list(flat[0]) if flat else []
+    such as a complex E becomes the columns E.im and E.re.  Records that
+    are all flat dicts of int or str values (the tau table) skip plain and
+    flatten, which would return them unchanged but for key order."""
+    rows = list(rows)
+    if ({type(row) for row in rows} <= {dict}
+            and {type(k) for row in rows for k in row} <= {str}
+            and {type(v) for row in rows for v in row.values()} <= {int, str}):
+        flat, cols = rows, sorted(rows[0]) if rows else []
+    else:
+        flat = [flatten(plain(row)) for row in rows]
+        cols = list(flat[0]) if flat else []
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(cols)

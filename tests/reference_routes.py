@@ -18,6 +18,10 @@ compare the package's single route against it.
 * per_prime_euler: an Euler product with its local polynomial built by one
   Python call per prime and evaluated by Horner's rule and np.prod,
   against lfun.euler_product_eval on the rows its products build once.
+* line_two_exponentials: lfun.completed_lambda_line with the integrand
+  g(e^v) (exp(a v) + exp(b v)) of a point off the center, complex rows
+  summed in complex, against the central line's real integrand
+  g(e^v) 2 Re exp(a v).
 * lambda_one_point, sampler_one_point, scan_one_point: the completed
   functions, the critical-line sampler and the zero scan one point at a
   time, each integrand built and integrated on its own with nodes rebuilt
@@ -31,6 +35,9 @@ compare the package's single route against it.
   representatives [[p^a, b], [0, p^c]] by diagonal (_order_classes), with
   a Weyl-invariance audit and an exact Smith classification of
   x^{-1} diag(p^nu), against satake's Hall-Littlewood route.
+* csv_through_flatten: the CSV view with every record through
+  records.plain and records.flatten, against records.csv_text's path
+  for flat rows of int or str cells.
 * recording, refinement_faults: the certificate every root of
   numkit.bracket_and_bisect must carry, checked from the samples it took:
   an exact zero sample, or the midpoint of a bracket at most tol wide
@@ -38,6 +45,8 @@ compare the package's single route against it.
   ceil(log2(cell width / tol)) + 1 one-point calls.
 """
 
+import csv
+import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -47,9 +56,10 @@ from numbers import Rational
 import mpmath as mp
 import numpy as np
 
-from adelic_zeta import lfun, polya, theta
+from adelic_zeta import lfun, polya, records, theta
 from adelic_zeta.numkit import (
     NonConvergenceError,
+    QuadratureSpec,
     _check_prime,
     integrate_finite,
     integrate_halfline,
@@ -227,6 +237,32 @@ def _integrate_one(f, a: float, b: float, tol: float, max_refinements: int) -> c
     raise NonConvergenceError("one-point theta integral did not settle")
 
 
+def line_two_exponentials(kind: str, ts) -> np.ndarray:
+    """lfun.completed_lambda_line(kind, ts) by the two-exponential
+    integrand g(e^v) (exp(a v) + exp(b v)), a = k s and b = k (w - s), that
+    lfun._rows keeps for points off the center: complex rows, summed as
+    complex by integrate_finite, lfun._LINE_ROWS points per batch."""
+    line = lfun._LINES[kind]
+    k, w, center = line.k, line.w, 0.5 * line.w
+    v_max = lfun._cutoff(line.decay, k * max(abs(center), abs(w - center)) + line.margin)
+    ts = np.asarray(ts, dtype=float).ravel()
+    out = np.empty(ts.size, dtype=complex)
+    for at in range(0, ts.size, lfun._LINE_ROWS):
+        ss = [complex(center, t) for t in ts[at : at + lfun._LINE_ROWS].tolist()]
+        a = np.array([[k * s] for s in ss])
+        b = np.array([[k * (w - s)] for s in ss])
+
+        def integrand(v, a=a, b=b):
+            return line.g(np.exp(v)) * (np.exp(a * v) + np.exp(b * v))
+
+        spec = QuadratureSpec(lfun._LINE_TOL, 14)
+        vals = integrate_finite(integrand, 0.0, v_max, spec).value.tolist()
+        if line.polar:
+            vals = [v - (1.0 / s + 1.0 / (w - s)) for v, s in zip(vals, ss)]
+        out[at : at + lfun._LINE_ROWS] = vals
+    return out
+
+
 def lambda_one_point(kind: str, s: complex, tol: float = lfun._POINT_TOL) -> complex:
     """completed_lambda_zeta / completed_lambda_delta at one s inside their
     windows (absolute target tol; lfun._LINE_TOL gives the critical-line
@@ -296,6 +332,18 @@ def scan_one_point(kind: str, t_from: float, t_to: float, step: float = 0.05,
     if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
         roots.append(xs[-1])
     return tuple(r for r in roots if r > 0.0)
+
+
+def csv_through_flatten(rows) -> str:
+    """The CSV view built as for nested records: every row through plain
+    and flatten, columns from the first flattened row."""
+    flat = [records.flatten(records.plain(row)) for row in rows]
+    cols = list(flat[0]) if flat else []
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(cols)
+    w.writerows([row[c] for c in cols] for row in flat)
+    return buf.getvalue()
 
 
 def recording(values):

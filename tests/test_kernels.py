@@ -8,6 +8,7 @@ import cmath
 import hashlib
 import math
 import random
+import struct
 import time
 import tracemalloc
 from fractions import Fraction
@@ -21,6 +22,10 @@ from hypothesis import strategies as st
 from adelic_zeta import _pykernels as kernels
 from adelic_zeta import lfun
 from adelic_zeta.numkit import PoleError
+
+
+_SUM_CELLS = st.one_of(
+    st.floats(), st.sampled_from((0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324)))
 
 
 class TestNeumaierSum:
@@ -38,6 +43,43 @@ class TestNeumaierSum:
         assert kernels.neumaier_sum([1e308, 1e308]) == complex(math.inf, 0.0)
         value = kernels.neumaier_sum([math.inf, -math.inf, 1.0])
         assert math.isnan(value.real)
+
+    @staticmethod
+    def _bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_bitwise_the_one_dimensional_sums(self, data):
+        # each row of a 2-D call, real or complex, is bitwise the 1-D call
+        # on that row, through inf, nan, overflowing partials (the _fsum
+        # fallback), subnormals and -0.0
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 24))
+        cells = st.lists(_SUM_CELLS, min_size=rows * cols, max_size=rows * cols)
+        re = np.array(data.draw(cells), dtype=float).reshape(rows, cols)
+        z = np.empty((rows, cols), dtype=complex)
+        z.real, z.imag = re, np.array(data.draw(cells), dtype=float).reshape(rows, cols)
+        for a in (re, z):
+            sums = kernels.neumaier_sum(a)
+            assert len(sums) == rows and all(type(x) is complex for x in sums)
+            assert [self._bits(x) for x in sums] == [
+                self._bits(kernels.neumaier_sum(row)) for row in a]
+        # a real row sums as its complex cast does, imaginary part 0.0
+        assert [self._bits(x) for x in kernels.neumaier_sum(re)] == [
+            self._bits(x) for x in kernels.neumaier_sum(re.astype(complex))]
+
+    def test_rows_keep_the_fallback_and_signed_zeros(self):
+        rows = np.array([[1e308, 1e308, -1e308], [math.inf, -math.inf, 1.0],
+                         [-0.0, -0.0, -0.0], [1e308, -1e308, 5e-324]])
+        for a in (rows, rows * (1 - 1j)):
+            sums = kernels.neumaier_sum(a)
+            assert [self._bits(x) for x in sums] == [
+                self._bits(kernels.neumaier_sum(row)) for row in a]
+        sums = kernels.neumaier_sum(rows)
+        assert sums[0] == complex(math.inf, 0.0)
+        assert math.isnan(sums[1].real) and sums[1].imag == 0.0
+        assert self._bits(sums[2]) == self._bits(complex(math.fsum([-0.0]), 0.0))
+        assert sums[3] == complex(5e-324, 0.0)
 
 
 def brute_lattice_sum(scale, coeffs):

@@ -12,9 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference_routes import dirichlet_partial_sum, per_prime_euler
+from reference_routes import (
+    dirichlet_partial_sum,
+    lambda_one_point,
+    line_two_exponentials,
+    per_prime_euler,
+)
 
-from adelic_zeta import lfun, records
+from adelic_zeta import lfun, numkit, records
 from adelic_zeta.lfun import (
     CoeffTable,
     EulerProduct,
@@ -423,6 +428,61 @@ class TestCompletedLambda:
             _delta_series(np.array([1.0, 2.0]), tau_coefficients(2))
         with pytest.raises(TypeError):
             completed_lambda_delta(6.0 + 1.0j, table=tau_coefficients(2))
+
+
+_LINE_ENTRIES = [(name, line.t_max) for name, line in lfun._LINES.items()]
+
+
+@st.composite
+def _central_ordinates(draw, t_max):
+    """1-150 ordinates of a central line, so up to three _LINE_ROWS blocks,
+    with t = 0, -0.0 and both ends of the window among the draws."""
+    t = st.one_of(st.floats(-t_max, t_max), st.sampled_from((0.0, -0.0, t_max, -t_max)))
+    return draw(st.lists(t, min_size=1, max_size=150))
+
+
+class TestCentralLine:
+    """The central line's real integrand g(e^v) 2 Re exp(a v) against the
+    two-exponential integrand g(e^v) (exp(a v) + exp(b v)) it replaces."""
+
+    @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_line_matches_two_exponential_oracle_bitwise(self, kind, t_max, data):
+        ts = data.draw(_central_ordinates(t_max))
+        got = lfun.completed_lambda_line(kind, ts)
+        assert got.tobytes() == line_two_exponentials(kind, ts).tobytes()
+
+    @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
+    def test_long_line_and_window_ends_match_oracle_bitwise(self, kind, t_max):
+        ts = np.concatenate([np.linspace(-t_max, t_max, 2 * lfun._LINE_ROWS + 7),
+                             [0.0, -0.0, t_max, -t_max]])
+        got = lfun.completed_lambda_line(kind, ts)
+        assert got.tobytes() == line_two_exponentials(kind, ts).tobytes()
+
+    @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
+    def test_center_points_match_one_point_oracle_bitwise(self, kind, t_max):
+        # completed_lambda_zeta/_delta take the real integrand on the center too
+        fn = completed_lambda_zeta if kind == "zeta" else completed_lambda_delta
+        center = 0.5 * lfun._LINES[kind].w
+        for t in (0.0, -0.0, 9.25, -14.134725, t_max, -t_max):
+            s = complex(center, t)
+            assert repr(fn(s)) == repr(lambda_one_point(kind, s))
+
+    @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
+    def test_complex_exp_is_conjugate_symmetric(self, kind, t_max):
+        # the real integrand is bitwise the old one only if exp(conj z) is
+        # conj(exp z) bitwise: here over every a v the central line reaches,
+        # a = k s for s on the line and v a node of levels 0-5 of [0, v_max]
+        line = lfun._LINES[kind]
+        center = 0.5 * line.w
+        v_max = lfun._cutoff(line.decay, line.k * center + line.margin)
+        ts = np.concatenate([np.linspace(-t_max, t_max, 401), [0.0, -0.0]])
+        a = np.array([[line.k * complex(center, t)] for t in ts.tolist()])
+        v = np.concatenate([numkit._gauss_legendre_level(0.0, v_max, 1 << level)[0]
+                            for level in range(6)])
+        z = a * v
+        assert np.exp(np.conj(z)).tobytes() == np.conj(np.exp(z)).tobytes()
 
 
 class TestDirichletPartialSum:

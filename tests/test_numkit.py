@@ -218,6 +218,38 @@ class TestFiniteQuadrature:
             assert batch.value.tolist() == expected
 
     @staticmethod
+    def _outcome(f, length, spec):
+        try:
+            q = integrate_finite(f, 0.0, length, spec)
+        except NonConvergenceError:
+            return "refused"
+        return (np.asarray(q.value, dtype=complex).tobytes(),
+                np.asarray(q.error_estimate, dtype=float).tobytes(),
+                type(q.value), type(q.error_estimate), q.refinements, q.nodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        freqs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+        length=st.floats(0.5, 12.0),
+        tol=st.sampled_from((1e-8, 1e-12)),
+        max_refinements=st.integers(1, 6),
+        batch=st.booleans(),
+    )
+    @example(freqs=[9.0], length=10.0, tol=1e-12, max_refinements=6, batch=False)
+    @example(freqs=[30.0, 0.5, 17.0], length=10.0, tol=1e-12, max_refinements=6, batch=True)
+    @example(freqs=[4.0], length=10.0, tol=1e-12, max_refinements=1, batch=False)
+    def test_real_integrand_matches_its_complex_cast(self, freqs, length, tol,
+                                                     max_refinements, batch):
+        # a real integrand is summed as real: the same value (imaginary part
+        # 0.0), error estimate, refinements and nodes as the complex cast
+        real = self._damped(np.array(freqs) if batch else freqs[0])
+        spec = QuadratureSpec(tol, max_refinements)
+        got = self._outcome(real, length, spec)
+        assert got == self._outcome(lambda x: real(x).astype(complex), length, spec)
+        if got != "refused":
+            assert not np.asarray(integrate_finite(real, 0.0, length, spec).value).imag.any()
+
+    @staticmethod
     def _level_nodes(a, b, levels):
         return [numkit._gauss_legendre_level(a, b, 1 << k)[0].tolist() for k in levels]
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_routes import csv_through_flatten
 
 from adelic_zeta import records
 from adelic_zeta.lfun import CoeffTable
@@ -120,3 +121,45 @@ def test_csv_quotes_awkward_cells(cell):
 def test_csv_nested_cells_become_columns():
     text = records.csv_text([{"E": 1 - 2j, "t": 0.5}, {"E": 3j, "t": 1.0}])
     assert text == "E.im,E.re,t\n-2.0,1.0,0.5\n3.0,0.0,1.0\n"
+
+
+def _text_or_error(csv_view, rows):
+    try:
+        return csv_view(rows)
+    except KeyError:  # a nested cell in the first row renames its column
+        return KeyError
+
+
+flat_cells = st.one_of(st.integers(), st.integers(-(10**30), 10**30), st.text(max_size=6),
+                       st.sampled_from(('a,b', 'say "hi"', "two\nlines", "")))
+other_cells = st.one_of(st.booleans(), st.floats(), st.complex_numbers(), st.none(),
+                        st.lists(st.integers(), max_size=3),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@given(
+    keys=st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_flat_rows_csv_is_the_flattened_csv(keys, data):
+    # flat dicts of int or str values skip plain and flatten; the text is
+    # byte-identical to the flattened route's, and a row holding any other
+    # value still takes that route
+    n = data.draw(st.integers(0, 6))
+    rows = [{k: data.draw(flat_cells) for k in data.draw(st.permutations(keys))}
+            for _ in range(n)]
+    assert records.csv_text(rows) == csv_through_flatten(rows)
+    assert records.csv_text(iter(rows)) == csv_through_flatten(rows)
+    if rows:
+        mixed = [dict(row) for row in rows]
+        mixed[data.draw(st.integers(0, n - 1))][keys[0]] = data.draw(other_cells)
+        assert _text_or_error(records.csv_text, mixed) == _text_or_error(
+            csv_through_flatten, mixed)
+
+
+def test_flat_rows_keep_the_errors_of_the_flattened_route():
+    # a row missing a column, and a key that is not a string
+    with pytest.raises(KeyError):
+        records.csv_text([{"a": 1, "b": 2}, {"a": 3}])
+    with pytest.raises(TypeError):
+        records.csv_text([{"a": 1}, {"a": 2, 3: 4}])
