@@ -368,7 +368,11 @@ def _check_prime(p: int) -> int:
 
 def sum_compensated(terms: Sequence[complex]) -> complex:
     """Correctly rounded sum (math.fsum per part); immune to magnitude
-    staircases that defeat plain Kahan accumulation."""
+    staircases that defeat plain Kahan accumulation.  TypeError for an
+    array of more than one dimension: the row sums of a 2-D array are
+    integrate_finite's own use of the kernel."""
+    if getattr(terms, "ndim", 1) != 1:
+        raise TypeError(f"sum_compensated sums a 1-D sequence, got {terms.ndim} dimensions")
     return kernels.neumaier_sum(terms)
 
 

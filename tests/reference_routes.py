@@ -18,15 +18,13 @@ compare the package's single route against it.
 * per_prime_euler: an Euler product with its local polynomial built by one
   Python call per prime and evaluated by Horner's rule and np.prod,
   against lfun.euler_product_eval on the rows its products build once.
-* line_two_exponentials: lfun.completed_lambda_line with the integrand
-  g(e^v) (exp(a v) + exp(b v)) of a point off the center, complex rows
-  summed in complex, against the central line's real integrand
-  g(e^v) 2 Re exp(a v).
 * lambda_one_point, sampler_one_point, scan_one_point: the completed
   functions, the critical-line sampler and the zero scan one point at a
   time, each integrand built and integrated on its own with nodes rebuilt
-  per level, against the batched sampler (lfun.completed_lambda_line,
-  polya.CriticalLineFn.values) and polya.scan_zeros.
+  per level and the two exponentials g(e^v) (exp(a v) + exp(b v)) summed
+  as complex at every point, against the batched sampler
+  (lfun.completed_lambda_line, polya.CriticalLineFn.values), whose central
+  line takes the real integrand g(e^v) 2 Re exp(a v), and polya.scan_zeros.
 * FractionSqrtP: the exact scalar a + b sqrt(p) as a pair of Fractions,
   every value built through the checked constructor, against
   satake.SqrtP's integer form (x + y sqrt(p)) / q.
@@ -59,7 +57,6 @@ import numpy as np
 from adelic_zeta import lfun, polya, records, theta
 from adelic_zeta.numkit import (
     NonConvergenceError,
-    QuadratureSpec,
     _check_prime,
     integrate_finite,
     integrate_halfline,
@@ -235,32 +232,6 @@ def _integrate_one(f, a: float, b: float, tol: float, max_refinements: int) -> c
         prev = cur
         panels *= 2
     raise NonConvergenceError("one-point theta integral did not settle")
-
-
-def line_two_exponentials(kind: str, ts) -> np.ndarray:
-    """lfun.completed_lambda_line(kind, ts) by the two-exponential
-    integrand g(e^v) (exp(a v) + exp(b v)), a = k s and b = k (w - s), that
-    lfun._rows keeps for points off the center: complex rows, summed as
-    complex by integrate_finite, lfun._LINE_ROWS points per batch."""
-    line = lfun._LINES[kind]
-    k, w, center = line.k, line.w, 0.5 * line.w
-    v_max = lfun._cutoff(line.decay, k * max(abs(center), abs(w - center)) + line.margin)
-    ts = np.asarray(ts, dtype=float).ravel()
-    out = np.empty(ts.size, dtype=complex)
-    for at in range(0, ts.size, lfun._LINE_ROWS):
-        ss = [complex(center, t) for t in ts[at : at + lfun._LINE_ROWS].tolist()]
-        a = np.array([[k * s] for s in ss])
-        b = np.array([[k * (w - s)] for s in ss])
-
-        def integrand(v, a=a, b=b):
-            return line.g(np.exp(v)) * (np.exp(a * v) + np.exp(b * v))
-
-        spec = QuadratureSpec(lfun._LINE_TOL, 14)
-        vals = integrate_finite(integrand, 0.0, v_max, spec).value.tolist()
-        if line.polar:
-            vals = [v - (1.0 / s + 1.0 / (w - s)) for v, s in zip(vals, ss)]
-        out[at : at + lfun._LINE_ROWS] = vals
-    return out
 
 
 def lambda_one_point(kind: str, s: complex, tol: float = lfun._POINT_TOL) -> complex:

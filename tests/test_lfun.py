@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference_routes import (
-    dirichlet_partial_sum,
-    lambda_one_point,
-    line_two_exponentials,
-    per_prime_euler,
-)
+from reference_routes import dirichlet_partial_sum, lambda_one_point, per_prime_euler
 
 from adelic_zeta import lfun, numkit, records
 from adelic_zeta.lfun import (
@@ -433,32 +428,11 @@ class TestCompletedLambda:
 _LINE_ENTRIES = [(name, line.t_max) for name, line in lfun._LINES.items()]
 
 
-@st.composite
-def _central_ordinates(draw, t_max):
-    """1-150 ordinates of a central line, so up to three _LINE_ROWS blocks,
-    with t = 0, -0.0 and both ends of the window among the draws."""
-    t = st.one_of(st.floats(-t_max, t_max), st.sampled_from((0.0, -0.0, t_max, -t_max)))
-    return draw(st.lists(t, min_size=1, max_size=150))
-
-
 class TestCentralLine:
     """The central line's real integrand g(e^v) 2 Re exp(a v) against the
-    two-exponential integrand g(e^v) (exp(a v) + exp(b v)) it replaces."""
-
-    @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_line_matches_two_exponential_oracle_bitwise(self, kind, t_max, data):
-        ts = data.draw(_central_ordinates(t_max))
-        got = lfun.completed_lambda_line(kind, ts)
-        assert got.tobytes() == line_two_exponentials(kind, ts).tobytes()
-
-    @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
-    def test_long_line_and_window_ends_match_oracle_bitwise(self, kind, t_max):
-        ts = np.concatenate([np.linspace(-t_max, t_max, 2 * lfun._LINE_ROWS + 7),
-                             [0.0, -0.0, t_max, -t_max]])
-        got = lfun.completed_lambda_line(kind, ts)
-        assert got.tobytes() == line_two_exponentials(kind, ts).tobytes()
+    two-exponential integrand g(e^v) (exp(a v) + exp(b v)) it replaces.
+    The line itself is compared with the one-point route in
+    test_polya.py's TestBatchedSampler."""
 
     @pytest.mark.parametrize("kind, t_max", _LINE_ENTRIES)
     def test_center_points_match_one_point_oracle_bitwise(self, kind, t_max):

@@ -359,6 +359,17 @@ class TestSumCompensated:
         terms = [complex(1e12, 1.0), complex(-1e12, 1.0), complex(3.5, -2.0)]
         assert sum_compensated(terms) == complex(3.5, 0.0)
 
+    @pytest.mark.parametrize("terms", [np.ones((2, 3)), np.ones((2, 3), dtype=complex),
+                                       np.ones((1, 1, 2)), [[1.0, 2.0], [3.0, 4.0]]])
+    def test_refuses_more_than_one_dimension(self, terms):
+        # one sum of one sequence: a 2-D array does not become its row sums
+        with pytest.raises(TypeError):
+            sum_compensated(terms)
+
+    def test_one_dimensional_array(self):
+        assert sum_compensated(np.array([1.0, 1e16, 1.0, -1e16])) == complex(2.0, 0.0)
+        assert sum_compensated(np.array([1j, 2.0])) == complex(2.0, 1.0)
+
 
 class TestBracketAndBisect:
     def test_cosine_roots(self):

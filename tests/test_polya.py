@@ -231,15 +231,20 @@ class TestBatchedSampler:
 
     def test_long_lines_run_in_batches(self, monkeypatch):
         # more points than one batch holds go through integrate_finite
-        # _LINE_ROWS at a time, with the one-point values
+        # _LINE_ROWS at a time, with the one-point values, real and
+        # imaginary parts, at t = 0, -0.0 and both ends of the window too
         calls = []
         quad = lfun.integrate_finite
         monkeypatch.setattr(lfun, "integrate_finite", lambda *a: calls.append(1) or quad(*a))
-        ts = np.linspace(10.0, 12.0, lfun._LINE_ROWS + 9)
-        whole = lfun.completed_lambda_line("zeta", ts)
-        assert len(calls) == 2
-        parts = [lambda_one_point("zeta", complex(0.5, t), lfun._LINE_TOL) for t in ts]
-        assert whole.tobytes() == np.array(parts).tobytes()
+        for kind, line in lfun._LINES.items():
+            ts = np.concatenate([np.linspace(10.0, 12.0, lfun._LINE_ROWS + 9),
+                                 [0.0, -0.0, line.t_max, -line.t_max]])
+            calls.clear()
+            whole = lfun.completed_lambda_line(kind, ts)
+            assert len(calls) == 2
+            parts = [lambda_one_point(kind, complex(0.5 * line.w, t), lfun._LINE_TOL)
+                     for t in ts]
+            assert whole.tobytes() == np.array(parts).tobytes()
 
     def test_long_grid_is_one_line_call(self, monkeypatch):
         # values hands the whole grid to completed_lambda_line, which alone

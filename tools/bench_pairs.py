@@ -1,14 +1,14 @@
 """Alternating parent/change pairs of the end-to-end benchmark, summarized.
 
     python3 tools/bench_pairs.py PARENT CHANGE --plan zero_scan:7 point_eval:7 \\
-        exact_tables:7 zero_scan:11 --claim zero_scan:ops_per_s --pairs 10 \\
-        --seconds 35 --out BENCH_<n>.json
+        exact_tables:7 zero_scan:11 --claim zero_scan:ops_per_s --out BENCH_<n>.json
 
 PARENT and CHANGE are two checkouts of the repository (for example a
 `git archive` of each commit unpacked into its own directory).  For every
-workload:seed of --plan, each pair runs `python3 e2ebench/run.py --workload
-<w> --seed <s> --seconds <n> --trace 0` once in each checkout, the parent
-first in even pairs and the change first in odd ones.  Every run gets
+workload:seed of --plan, each of PAIRS = 10 pairs runs `python3
+e2ebench/run.py --workload <w> --seed <s> --seconds <n> --trace 0` once in
+each checkout, n being the run_seconds of CHANGE's BENCHMARK.json, the
+parent first in even pairs and the change first in odd ones.  Every run gets
 PYTHONDONTWRITEBYTECODE=1, and a checkout holding __pycache__ under src/ or
 e2ebench/ is refused, so neither side runs compiled files the other
 compiles afresh.
@@ -19,9 +19,9 @@ quartiles (statistics.quantiles, n=4, inclusive; the first and third),
 the run count and how many pairs the change won, ties counting for
 neither side.  The first seed of --plan fills "end_to_end", the others
 "other_seed".  Each --claim workload:metric is checked at every planned
-seed of its workload: met when the change wins at least nine tenths of the
-pairs and the medians differ by more than the parent's interquartile
-range.  The raw result of every run is kept under "runs", and the output
+seed of its workload: met when all PAIRS pairs have run, the change wins
+at least nine of them and the medians differ by more than the parent's
+interquartile range.  The raw result of every run is kept under "runs", and the output
 is rewritten after every pair, so an interrupted session keeps what ran.
 """
 
@@ -35,6 +35,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# alternating pairs per planned workload:seed; a claim is judged on all of them
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -95,7 +98,7 @@ def claim_row(pairs: list[dict], workload: str, seed: int, metric: str, higher: 
         "median_gain": round(gain, 3),
         "median_ratio": round(statistics.median(c) / statistics.median(p), 3),
         "parent_iqr": round(q3 - q1, 3),
-        "met": 10 * won >= 9 * len(pairs) and gain > q3 - q1,
+        "met": len(pairs) >= PAIRS and 10 * won >= 9 * len(pairs) and gain > q3 - q1,
         "op_p50_s": {
             "parent_median": round(statistics.median(p50["parent"]), 6),
             "change_median": round(statistics.median(p50["change"]), 6),
@@ -132,8 +135,6 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--plan", nargs="+", required=True, help="workload:seed ...")
     parser.add_argument("--claim", nargs="*", default=[], help="workload:metric ...")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
@@ -141,6 +142,7 @@ def main() -> int:
     claims = [tuple(item.split(":")) for item in args.claim]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     for _w, metric in claims:
         if metric not in better:
             raise SystemExit("unknown metric %r" % metric)
@@ -149,19 +151,19 @@ def main() -> int:
         check_clean(checkout)
     meta = {
         "harness": "python3 e2ebench/run.py --workload <w> --seed <s> --seconds %g --trace 0 "
-                   "in each checkout, PYTHONDONTWRITEBYTECODE=1" % args.seconds,
+                   "in each checkout, PYTHONDONTWRITEBYTECODE=1" % seconds,
         "pairs": "parent first in even pairs, change first in odd ones; %d pairs of each of %s"
-                 % (args.pairs, ", ".join(args.plan)),
+                 % (PAIRS, ", ".join(args.plan)),
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of one side",
     }
     runs: dict[str, list[dict]] = {"%s:%d" % key: [] for key in plan}
     for workload, seed in plan:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             pair = {}
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 t0 = time.perf_counter()
-                pair[side] = run_once(sides[side], workload, seed, args.seconds)
+                pair[side] = run_once(sides[side], workload, seed, seconds)
                 pair[side]["wall_s"] = round(time.perf_counter() - t0, 3)
             runs["%s:%d" % (workload, seed)].append(pair)
             args.out.write_text(json.dumps(summarize(plan, claims, runs, better, meta),
