@@ -378,52 +378,123 @@ def sum_compensated(terms: Sequence[complex]) -> complex:
 
 # most grid nodes one bracket_and_bisect call samples
 _MAX_GRID_NODES = 1_000_000
-# ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation
-# kappa1 * w^kappa2 with kappa1 = _ITP_K1 / (starting width), and n0 steps
-# of slack over bisection's count
-_ITP_K1 = 0.2
-_ITP_K2 = 2.0
+# ITP's n0 (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the steps of
+# slack over bisection's count that the minmax projection allows
 _ITP_N0 = 1
+# samples a refinement interpolates through on each side of its bracket,
+# the bracket's end included
+_SEED_SIDE = 3
+# a later step samples this many tol past its estimate, so two steps on
+# either side of an estimate good to 0.1 tol close a bracket under tol
+_STRADDLE = 0.45
 
 
-def _refine_itp(f, lo: float, hi: float, flo: float, fhi: float, tol: float, grid: float) -> float:
+def _seed_side(xs: list, ys: list, i: int, d: int, e: int) -> list:
+    """The grid samples from node i outward (d = -1 to the left, +1 to the
+    right) as (x, y * 2^-e), nearest first: up to _SEED_SIDE of them, while
+    each keeps node i's sign and exceeds the one before in size, so that f
+    is monotone on them, as inverse interpolation needs."""
+    side = [(xs[i], math.ldexp(ys[i], -e))]
+    for k in range(i + d, i + d * _SEED_SIDE, d):
+        if not 0 <= k < len(xs):
+            break
+        y = math.ldexp(ys[k], -e)
+        if (y < 0.0) != (side[-1][1] < 0.0) or not abs(y) > abs(side[-1][1]):
+            break
+        side.append((xs[k], y))
+    return side
+
+
+def _inverse_estimates(x0: float, nodes: list) -> tuple[float, float]:
+    """Where the inverse interpolating polynomials x(y) through every (x, y)
+    of nodes and through all but the last one take y = 0, by Neville's
+    scheme on the offsets x - x0; NaN if two values of y are equal."""
+    p = [x - x0 for x, _y in nodes]
+    ys = [y for _x, y in nodes]
+    n = len(p)
+    lower = p[0]
+    try:
+        for k in range(1, n):
+            for m in range(n - k):
+                p[m] = (ys[m] * p[m + 1] - ys[m + k] * p[m]) / (ys[m] - ys[m + k])
+            if k == n - 2:
+                lower = p[0]
+    except ZeroDivisionError:
+        return math.nan, math.nan
+    return x0 + p[0], x0 + lower
+
+
+def _refine_itp(f, xs: list, ys: list, i: int, tol: float, grid: float) -> float:
     """Midpoint of a bracket at most tol wide around the sign change of f
-    between lo and hi (flo, fhi: their sampled values, of opposite signs),
-    or an exact zero sample; one one-point call of f per step.
+    between the grid nodes xs[i] and xs[i + 1] (ys: the grid's values, of
+    opposite signs there), or an exact zero sample; one one-point call of
+    f per step.
 
-    Each step is an ITP step: the regula falsi point, truncated toward the
-    midpoint by kappa1 w^2, then projected into the minmax radius
-    eps 2^(n_max - j) - w/2 about the midpoint, with n_max =
-    ceil(log2(w0/tol)) + n0.  The midpoint stands in whenever that point is
-    not finite or not strictly inside (lo, hi).  So the bracket after step
-    j is at most eps 2^(n_max - j) wide, and the refinement ends within
-    n_max calls, at most n0 more than bisection needs.  eps is half of tol
-    rounded down to a multiple of `grid`, the float spacing at the
-    window's edge: then eps 2^(n_max - j) is a whole number of float
-    spacings, and rounding the midpoint or the projected point cannot push
-    a side past it.
+    A step samples near an estimate of the root: the inverse polynomial
+    interpolant through the samples nearest the bracket on each side, up
+    to _SEED_SIDE a side on which f is monotone, taken at 0.  At the start
+    these are the grid samples around the cell, so no sample is spent on
+    them; each sample that moves a bracket end then goes in front of its
+    side.  The values are scaled by one power of two, fixed by the cell's
+    ends, so the steps do not depend on the scale of f.  Where the
+    interpolant leaves the bracket, the regula falsi point of the bracket
+    ends stands in.  The first step samples past the estimate toward the
+    cell's middle by twice the gap between the interpolants through all
+    the nodes and through all but the last, so a good estimate moves the
+    cell's far end next to the root.  Each later step samples _STRADDLE
+    tol past its estimate toward the bracket end farther from it, as a
+    rule the end the previous sample did not move, so two steps around an
+    estimate good to 0.1 tol close the bracket: 3 calls on a smooth f.  A bracket at
+    most 2 tol wide is halved instead, which closes it whatever the sign.
+
+    Every point then goes through ITP's minmax projection (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020): into the radius eps 2^(n_max - j) -
+    w/2 about the midpoint, with n_max = ceil(log2(w0/tol)) + n0, and the
+    midpoint stands in whenever the point is not finite or not strictly
+    inside (lo, hi).  So the bracket after step j is at most
+    eps 2^(n_max - j) wide, and the refinement ends within n_max calls, at
+    most n0 more than bisection needs, however poor the estimates are on
+    a noisy f.  eps is half of tol rounded down to a multiple of `grid`,
+    the float spacing at the window's edge: then eps 2^(n_max - j) is a
+    whole number of float spacings, and rounding the midpoint or the
+    projected point cannot push a side past it.
     """
+    lo, hi, flo, fhi = xs[i], xs[i + 1], ys[i], ys[i + 1]
+    e = math.frexp(max(abs(flo), abs(fhi)))[1]
+    left, right = _seed_side(xs, ys, i, -1, e), _seed_side(xs, ys, i + 1, 1, e)
     w0 = hi - lo
     eps = 0.5 * (tol - math.fmod(tol, grid))
     n_max = max(0, math.ceil(math.log2(w0 / tol))) + _ITP_N0
-    k1 = _ITP_K1 / w0
     j = 0
     while hi - lo > tol:
         w = hi - lo
         mid = 0.5 * (lo + hi)
         r = eps * 2.0 ** (n_max - j) - 0.5 * w
-        xf = lo + w * (flo / (flo - fhi))
-        sigma = math.copysign(1.0, mid - xf)
-        delta = k1 * w**_ITP_K2
-        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        nodes = [node for pair in zip(left, right) for node in pair]
+        nodes += left[len(right):] + right[len(left):]
+        est, lower = _inverse_estimates(lo, nodes)
+        if not lo < est < hi:  # also for NaN
+            est = lo + w * (flo / (flo - fhi))
+        if j == 0:
+            x = est + math.copysign(2.0 * abs(est - lower), mid - est)
+        elif w <= 2.0 * tol:
+            x = mid
+        elif est - lo > hi - est:
+            x = est - _STRADDLE * tol
+        else:
+            x = est + _STRADDLE * tol
+        x = min(max(x, mid - r), mid + r)  # NaN stays NaN
         if not lo < x < hi:  # also for NaN
             x = mid
         fx = float(f(np.array([x]))[0])
         j += 1
         if fx == 0.0:
             return x
-        if (fx < 0.0) != (flo < 0.0):
+        y = math.ldexp(fx, -e)
+        side = right if (fx < 0.0) != (flo < 0.0) else left
+        # in front of its side; the samples behind stay while f is monotone
+        side[:] = [(x, y)] + (side[: _SEED_SIDE - 1] if abs(y) < abs(side[0][1]) else [])
+        if side is right:
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
@@ -439,8 +510,10 @@ def bracket_and_bisect(
 ) -> list[float]:
     """Locate simple real roots of f on [a, b]: sample f on the grid
     a + i*step below b plus b itself, keep exact zeros at the nodes, and
-    refine each sign change by ITP steps (_refine_itp) down to width tol.
-    A window narrower than step is the one cell [a, b].
+    refine each sign change down to width tol (_refine_itp), each step
+    seeded by inverse interpolation through the grid samples around its
+    cell and the samples the refinement took since.  A window narrower
+    than step is the one cell [a, b].
 
     f is an array callable: it takes an ndarray of points and returns the
     matching array of real values.  The whole grid is one call, and each
@@ -453,10 +526,11 @@ def bracket_and_bisect(
     Every root returned is an exact zero sample, or the midpoint of a
     bracket at most tol wide whose two ends were sampled with opposite
     signs.  A sign change in a cell of width w costs at most
-    ceil(log2(w/tol)) + 1 one-point calls, one more than bisection in the
-    worst case and far fewer on smooth f, where ITP converges
-    superlinearly.  With the tol floor, w/tol stays under 2^54, so a root
-    takes at most 55 calls.
+    ceil(log2(w/tol)) + 1 one-point calls, one more than bisection, on any
+    f: ITP's minmax projection bounds every step.  On a smooth f it costs
+    3: one next to the root, then one within 0.45 tol on each side.  With
+    the tol floor, w/tol stays under 2^54, so a root takes at most 55
+    calls.
 
     Even-order roots (no sign change) are invisible to this scheme; that is
     a documented limitation, not a failure mode.
@@ -485,13 +559,14 @@ def bracket_and_bisect(
     signs = np.sign(vals)
     hits = np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
     roots: list[float] = []
+    if hits.size:
+        xl, yl = xs.tolist(), vals.tolist()
     for i in hits.tolist():
         if vals[i] == 0.0:
             if not roots or abs(roots[-1] - xs[i]) > tol:
                 roots.append(float(xs[i]))
             continue
-        lo, hi, flo, fhi = float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1])
-        roots.append(_refine_itp(f, lo, hi, flo, fhi, tol, floor))
+        roots.append(_refine_itp(f, xl, yl, i, tol, floor))
     if vals[-1] == 0.0 and (not roots or abs(roots[-1] - xs[-1]) > tol):
         roots.append(float(xs[-1]))
     return roots

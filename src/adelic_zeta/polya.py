@@ -164,15 +164,16 @@ def scan_zeros(
     """Locate the sign-change zeros of F on [t_from, t_to].
 
     numkit.bracket_and_bisect samples the whole grid (every `step`) in one
-    ``F.values`` call, refines each sign change by ITP steps, one
-    one-point call a step, until the bracket is at most `tol` wide, and
-    keeps exact zero hits at grid nodes as-is (except t = 0).  Each
-    ordinate is the midpoint of a bracket at most `tol` wide whose ends F
-    sampled with opposite signs, or an exact zero sample, and costs at
-    most ceil(log2(step/tol)) + 1 one-point calls, one more than
-    bisection (29 + 1 at the defaults; about 8 where F is resolved).  Only
-    odd-order zeros flip the sign, so even-order zeros are missed by
-    construction.
+    ``F.values`` call, refines each sign change by steps of one one-point
+    call each, seeded by inverse interpolation through the grid samples
+    around its cell, until the bracket is at most `tol` wide, and keeps
+    exact zero hits at grid nodes as-is (except t = 0).  Each ordinate is
+    the midpoint of a bracket at most `tol` wide whose ends F sampled with
+    opposite signs, or an exact zero sample, and costs at most
+    ceil(log2(step/tol)) + 1 one-point calls, one more than bisection
+    (29 + 1 at the defaults; 3 where F is resolved, 4 to 12 where its
+    noise adds sign changes at the `tol` scale).  Only odd-order zeros
+    flip the sign, so even-order zeros are missed by construction.
 
     Requires step <= 0.2, a finite tol no finer than math.ulp(t_to) (the
     float spacing at the window's top), a grid of at most

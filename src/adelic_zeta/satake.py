@@ -303,6 +303,16 @@ class SymLaurent:
         self.n = n
 
     @classmethod
+    def _of_dominant(cls, n: int, coeffs: Mapping[tuple[int, ...], object]) -> "SymLaurent":
+        """The function of coefficients whose keys are dominant tuples of n
+        >= 1 ints by construction: every step of the constructor but the
+        per-key checks, that is, only the zero coefficients are dropped."""
+        g = object.__new__(cls)
+        g.n = n
+        g.coeffs = {lam: c for lam, c in coeffs.items() if c != 0}
+        return g
+
+    @classmethod
     def one(cls, n: int) -> "SymLaurent":
         return cls(n, {(0,) * n: 1})
 
@@ -664,7 +674,7 @@ def satake_truncated_radial(sigma, d: int, n: int = 2, p: int = 2) -> SymLaurent
     else:
         values = [_half_power(p, (n - 1) * k) * complex(p) ** (-complex(sigma) * k)
                   for k in range(d + 1)]
-    return SymLaurent(n, {mu: values[sum(mu)] for mu in dominant_tuples(n, d)})
+    return SymLaurent._of_dominant(n, {mu: values[sum(mu)] for mu in dominant_tuples(n, d)})
 
 
 def eval_character(g: SymLaurent, chi: SatakeParam) -> complex:

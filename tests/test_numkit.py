@@ -533,6 +533,80 @@ class TestBracketAndBisect:
         assert len(roots) == 1
         assert abs(roots[0] - r) <= 1e-9 + tol
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(1.0, 9.0),
+        u=st.floats(0.01, 0.99),
+        v=st.floats(0.01, 0.99),
+        cells=st.integers(0, 4),
+        last=st.booleans(),
+        step=st.sampled_from([0.05, 0.1, 0.37]),
+        tol=st.floats(math.ulp(10.0), 1e-6),
+    )
+    def test_root_in_an_edge_cell(self, r, u, v, cells, last, step, tol):
+        # a root in the grid's first or last cell leaves fewer than three
+        # grid samples on one side to interpolate through; x - r keeps the
+        # sign of the true difference, so the bracket holds r
+        assume(u + v < 1.0)
+        if last:
+            a, b = r - (cells + u) * step, r + v * step
+        else:
+            a, b = r - u * step, r + (cells + v) * step
+        f = lambda x: np.sinh(2.0 * (x - r)) + (x - r)
+        g, samples, calls = recording(f)
+        roots = bracket_and_bisect(g, a, b, step, tol)
+        cell = np.searchsorted(calls[0], r) - 1
+        assert cell == (len(calls[0]) - 2 if last else 0)
+        assert refinement_faults(samples, calls, roots, tol) == []
+        assert len(roots) == 1 and abs(roots[0] - r) <= tol / 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.floats(0.0, 5.0),
+        width=st.floats(1e-3, 2.0),
+        u=st.floats(0.01, 0.99),
+        over=st.floats(1.0, 10.0),
+        tol=st.floats(math.ulp(8.0), 1e-6),
+    )
+    def test_two_node_grid(self, a, width, u, over, tol):
+        # a window narrower than step is one cell: the refinement starts
+        # from its two ends alone
+        b = a + width
+        r = a + u * width
+        assume(a < r < b)
+        g, samples, calls = recording(lambda x: np.sinh(2.0 * (x - r)) + (x - r))
+        roots = bracket_and_bisect(g, a, b, over * width * (1.0 + 1e-9), tol)
+        assert calls[0] == [a, b]
+        assert refinement_faults(samples, calls, roots, tol) == []
+        assert len(roots) == 1 and abs(roots[0] - r) <= tol / 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r0=st.floats(-7.9, -3.5),
+        gaps=st.lists(st.floats(0.51, 2.2), min_size=2, max_size=2),
+        k=st.integers(-664, 664),
+        e=st.floats(-200.0, 200.0),
+        step=st.sampled_from([0.05, 0.1, 0.37]),
+        tol=st.floats(math.ulp(8.0), 1e-6),
+    )
+    def test_roots_do_not_depend_on_the_scale_of_f(self, r0, gaps, k, e, step, tol):
+        # scaling f by 2^k (2^664 ~ 1e200) leaves every sampled value's
+        # mantissa as it was, so the refinement samples the same points and
+        # returns the same roots, bit for bit; a decimal factor rounds the
+        # values, which may move a root, but never by more than tol.  Roots
+        # away from 0 keep every scaled value clear of the subnormal range,
+        # where scaling would drop digits.
+        rs = [r0, r0 + gaps[0], r0 + gaps[0] + gaps[1]]
+        assume(min(map(abs, rs)) > 1e-3)
+        cubic = lambda x: (x - rs[0]) * (x - rs[1]) * (x - rs[2])
+        g, samples, calls = recording(cubic)
+        roots = bracket_and_bisect(g, -8.0, 1.0, step, tol)
+        g2, _samples2, calls2 = recording(lambda x: math.ldexp(1.0, k) * cubic(x))
+        assert bracket_and_bisect(g2, -8.0, 1.0, step, tol) == roots and calls2 == calls
+        scaled = self._refine_and_check(lambda x: 10.0**e * cubic(x), -8.0, 1.0, step, tol)
+        assert len(scaled) == len(roots) == 3
+        assert all(abs(x - y) <= tol for x, y in zip(scaled, roots))
+
     def test_window_narrower_than_step(self):
         seen = []
         roots = bracket_and_bisect(lambda x: seen.extend(x.tolist()) or x - 0.3, 0.0, 1.0, step=5.0)

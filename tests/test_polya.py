@@ -304,15 +304,28 @@ class TestScan:
 
     def test_grid_is_one_call_and_bisection_one_point_calls(self):
         # one 31-point grid call, then one-point refinement calls: within
-        # the budget, bisection's 29 plus one, and far fewer on this
-        # smooth sampler
+        # the budget, bisection's 29 plus one, and 3 on this smooth sampler
         F = CriticalLineFn("zeta")
         sizes = []
         values = F.values
         F.values = lambda ts: sizes.append(len(ts)) or values(ts)
         scan_zeros(F, 13.5, 15.0)
         assert sizes[0] == 31 and set(sizes[1:]) == {1} and len(sizes) > 1
-        assert len(sizes) - 1 <= 12
+        assert len(sizes) - 1 <= 3
+
+    @pytest.mark.parametrize(
+        "kind, t_from, t_to",
+        [("zeta", 13.43, 14.93), ("zeta", 20.1, 21.6), ("delta", 8.6, 10.1), ("delta", 13.2, 14.7)],
+    )
+    def test_resolved_window_costs_three_refinement_calls(self, kind, t_from, t_to):
+        # the refinement starts from the grid samples around the cell, so
+        # on a resolved sampler a zero costs 3 one-point calls: one next to
+        # it, then one on each side within 0.45 tol
+        F, tol = CriticalLineFn(kind), 1e-10
+        F.values, samples, calls = recording(F.values)
+        got = scan_zeros(F, t_from, t_to, tol=tol).ordinates()
+        assert [len(x) for x in calls] == [31, 1, 1, 1]
+        assert len(got) == 1 and refinement_faults(samples, calls, got, tol) == []
 
     def test_window_gates(self, monkeypatch):
         F = CriticalLineFn("zeta")
