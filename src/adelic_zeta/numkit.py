@@ -444,8 +444,9 @@ def _refine_itp(f, xs: list, ys: list, i: int, tol: float, grid: float) -> float
     cell's far end next to the root.  Each later step samples _STRADDLE
     tol past its estimate toward the bracket end farther from it, as a
     rule the end the previous sample did not move, so two steps around an
-    estimate good to 0.1 tol close the bracket: 3 calls on a smooth f.  A bracket at
-    most 2 tol wide is halved instead, which closes it whatever the sign.
+    estimate good to 0.1 tol close the bracket: 3 calls on a smooth f.  A
+    bracket at most 2 tol wide is halved instead, which closes it whatever
+    the sign.
 
     Every point then goes through ITP's minmax projection (Oliveira &
     Takahashi, ACM TOMS 47(1), 2020): into the radius eps 2^(n_max - j) -

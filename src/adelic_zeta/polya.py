@@ -171,9 +171,9 @@ def scan_zeros(
     the midpoint of a bracket at most `tol` wide whose ends F sampled with
     opposite signs, or an exact zero sample, and costs at most
     ceil(log2(step/tol)) + 1 one-point calls, one more than bisection
-    (29 + 1 at the defaults; 3 where F is resolved, 4 to 12 where its
-    noise adds sign changes at the `tol` scale).  Only odd-order zeros
-    flip the sign, so even-order zeros are missed by construction.
+    (29 + 1 at the defaults; 3 where F is resolved, more where its noise
+    adds sign changes at the `tol` scale).  Only odd-order zeros flip the
+    sign, so even-order zeros are missed by construction.
 
     Requires step <= 0.2, a finite tol no finer than math.ulp(t_to) (the
     float spacing at the window's top), a grid of at most

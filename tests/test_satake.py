@@ -555,6 +555,20 @@ class TestMacdonaldRoute:
             assert set(val.coeffs) == set(dominant_tuples(n, dmax))
             assert all(c == 1 for c in val.coeffs.values())
 
+    @pytest.mark.parametrize("sigma, d, n, p", [
+        (0, 40, 1, 2), (0.5, 12, 2, 3), (Fraction(3, 2), 6, 3, 2), (0.25 + 1j, 5, 4, 5),
+        (-40, 8, 1, 7), (39.5, 7, 2, 2),
+    ])
+    def test_radial_table_keeps_the_checked_keys(self, sigma, d, n, p):
+        # the table skips the constructor's key checks: its keys are still
+        # dominant_tuples' own, in their order, none of its coefficients
+        # is 0, and the checking constructor rebuilds it exactly
+        got = satake_truncated_radial(sigma, d, n=n, p=p)
+        assert list(got.coeffs) == list(dominant_tuples(n, d))
+        assert all(c != 0 for c in got.coeffs.values())
+        again = SymLaurent(n, got.coeffs)
+        assert again == got and repr(again) == repr(got) and list(again.coeffs) == list(got.coeffs)
+
     @pytest.mark.parametrize("call, want", [
         (lambda: satake_transform(HeckeFn.double_coset(3, 2, (10**6, 0, 0))),
          "weight pairs to read"),
